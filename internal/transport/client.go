@@ -47,6 +47,7 @@ type Client struct {
 	muxConns        []*muxConn
 	muxNext         int
 	muxEstablishing bool
+	muxReady        chan struct{} // closed when the in-flight establishment ends
 	muxRetryAt      time.Time
 	muxClosed       bool
 
@@ -322,11 +323,7 @@ var ErrRequestTimeout = errors.New("transport: request timed out")
 // roundTrip performs one request/response exchange with no retries —
 // the path for non-idempotent operations (PUT).
 func (c *Client) roundTrip(ctx context.Context, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
-	body, err := encodeRequest(op, segment, index, payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.exchange(ctx, [][]byte{body})
+	return c.requestExchange(ctx, false, op, segment, index, payload)
 }
 
 // roundTripIdem performs one exchange for an idempotent operation,
@@ -335,11 +332,27 @@ func (c *Client) roundTrip(ctx context.Context, op byte, segment string, index i
 // statuses are not failures (they arrived over a healthy exchange)
 // and caller cancellation always wins immediately.
 func (c *Client) roundTripIdem(ctx context.Context, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
-	body, err := encodeRequest(op, segment, index, payload)
-	if err != nil {
+	return c.requestExchange(ctx, true, op, segment, index, payload)
+}
+
+// requestExchange sends one single-op request, retrying it when idem:
+// the header goes out from pooled scratch and the payload as its own
+// chunk, so the payload is never copied into a request body.
+func (c *Client) requestExchange(ctx context.Context, idem bool, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
+	if err := checkRequestHeader(segment, index); err != nil {
 		return 0, nil, err
 	}
-	return c.exchangeIdem(ctx, [][]byte{body})
+	scratch := getScratch()
+	defer putScratch(scratch)
+	*scratch = appendRequestHeader(*scratch, op, segment, index)
+	chunks := [][]byte{*scratch, payload}
+	if len(payload) == 0 {
+		chunks = chunks[:1]
+	}
+	if idem {
+		return c.exchangeIdem(ctx, chunks)
+	}
+	return c.exchange(ctx, chunks)
 }
 
 // exchangeIdem is the retrying exchange for idempotent requests; the
@@ -422,6 +435,11 @@ func BackoffFullJitter(ctx context.Context, attempt int, base, maxDelay time.Dur
 // single, batch, scrub, ping — pipelines transparently once the mux
 // is up; legacy peers keep the v1 path untouched.
 func (c *Client) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, error) {
+	// A caller already gone sends nothing: otherwise an exchange fast
+	// enough to beat the cancellation watchers would still succeed.
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
 	if m := c.muxFor(ctx); m != nil {
 		status, resp, err := m.exchange(ctx, chunks)
 		if err != nil {

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -24,29 +27,43 @@ import (
 //
 // kinds:
 //
-//	REQ    body = [1B flags][chunk]             client→server
-//	RESP   body = [1B flags][1B status][chunk]  server→client
-//	WINDOW body = [4B credit bytes]             either direction
-//	RESET  body = [error text]                  either direction
+//	REQ    body = [1B flags][chunk]                          client→server
+//	RESP   body = [1B flags][1B status][4B total]?[chunk]    server→client
+//	WINDOW body = [4B credit bytes]                          either direction
+//	RESET  body = [error text]                               either direction
 //
 // The concatenated REQ chunks of a stream form exactly one v1 request
 // body (op, segment, index, payload); the concatenated RESP chunks
 // form the response payload, with the status carried on every RESP
 // frame (the first one wins). flags bit 0 (FIN) marks a stream's last
-// chunk in that direction. Chunk payload bytes are debited from the
+// chunk in that direction. flags bit 1 (LEN), set only on the first
+// RESP frame of a buffered response, announces the response's total
+// payload length in the 4-byte field after the status, so the client
+// allocates the response once at its final size and reads every chunk
+// straight into place; streamed responses (PUTSTREAM acks) omit it.
+// Chunk payload bytes are debited from the
 // sender's per-stream credit window; the receiver returns credit with
 // WINDOW frames as it consumes chunks, and stops granting the moment
 // it abandons a stream — a stalled or timed-out stream therefore
 // quiesces without poisoning its neighbors. RESET aborts one stream
 // in both directions (the receiver cancels the stream's server-side
 // context); only a malformed frame kills the connection.
+//
+// Buffer ownership: a frame's bytes are valid only until the next
+// frame is read off the connection. The read loops parse each frame
+// head in place and read the chunk either straight into the buffer
+// that keeps it (a request body, a PUTSTREAM entry, a sized response)
+// or into one per-connection scratch buffer (control text, streamed
+// acks) that the next frame overwrites — so anything that keeps chunk
+// bytes past its callback must copy them.
 type muxFrame struct {
 	kind   byte
 	id     uint32
 	flags  byte
 	status byte
 	credit int
-	chunk  []byte // aliases the decoded frame body
+	total  int // announced response length (RESP with muxFlagLen)
+	n      int // chunk bytes following the head
 }
 
 // v2 frame kinds.
@@ -57,8 +74,13 @@ const (
 	muxKindReset  = byte(4)
 )
 
-// muxFlagFIN marks the last chunk of a stream direction.
-const muxFlagFIN = byte(1)
+// RESP/REQ flag bits: muxFlagFIN marks the last chunk of a stream
+// direction; muxFlagLen marks a RESP frame carrying the response's
+// total length.
+const (
+	muxFlagFIN = byte(1)
+	muxFlagLen = byte(2)
+)
 
 // Mux sizing defaults. The window is per stream and per direction;
 // the chunk size bounds how long one stream may monopolize the write
@@ -71,19 +93,27 @@ const (
 	muxHeaderLen         = 1 + 4 // kind + stream id
 	muxReqChunkOverhead  = 1     // flags
 	muxRespChunkOverhead = 2     // flags + status
+	muxRespLenOverhead   = 4     // announced total (muxFlagLen)
+	// muxMaxHeadLen is the longest frame head: kind, stream id, RESP
+	// flags and status, and the announced total.
+	muxMaxHeadLen = muxHeaderLen + muxRespChunkOverhead + muxRespLenOverhead
+	// muxReadBuffer sizes a connection's read buffer: frame heads and
+	// small control frames are served from it, while chunks at least
+	// this large are read from the socket directly into place.
+	muxReadBuffer = 8 << 10
 )
 
 // muxHdrPool pools the [kind][id] header bytes of outgoing v2 frames;
 // like frameHdrPool, a leased header must survive until the vectored
 // write drains, which the synchronous writeFrameVec guarantees.
-var muxHdrPool = sync.Pool{New: func() any { return new([muxHeaderLen + muxRespChunkOverhead]byte) }}
+var muxHdrPool = sync.Pool{New: func() any { return new([muxMaxHeadLen]byte) }}
 
 // writeMuxFrame writes one v2 frame under the caller's write lock.
 // head is the kind-specific prefix placed between the stream id and
 // the chunk (flags for REQ, flags+status for RESP, nothing for the
 // control kinds).
 func writeMuxFrame(w *lockedWriter, kind byte, id uint32, head []byte, chunk []byte) error {
-	hdr := muxHdrPool.Get().(*[muxHeaderLen + muxRespChunkOverhead]byte)
+	hdr := muxHdrPool.Get().(*[muxMaxHeadLen]byte)
 	defer muxHdrPool.Put(hdr)
 	hdr[0] = kind
 	hdr[1] = byte(id >> 24)
@@ -105,48 +135,166 @@ func encodeMuxWindow(credit int) [4]byte {
 	return [4]byte{byte(credit >> 24), byte(credit >> 16), byte(credit >> 8), byte(credit)}
 }
 
-// decodeMuxFrame parses one v2 frame body (the bytes after the outer
-// length prefix). The chunk aliases body.
-func decodeMuxFrame(body []byte) (muxFrame, error) {
-	if len(body) < muxHeaderLen {
-		return muxFrame{}, fmt.Errorf("transport: short mux frame (%d bytes)", len(body))
+// parseMuxHead decodes the head of a v2 frame whose body (the bytes
+// after the outer length prefix) is frameLen bytes long. head holds
+// the body's first min(frameLen, muxMaxHeadLen) bytes. It returns the
+// frame, with n set to the length of the chunk after the head, and the
+// head's length.
+func parseMuxHead(head []byte, frameLen int) (muxFrame, int, error) {
+	if frameLen < muxHeaderLen {
+		return muxFrame{}, 0, fmt.Errorf("transport: short mux frame (%d bytes)", frameLen)
 	}
 	f := muxFrame{
-		kind: body[0],
-		id:   uint32(body[1])<<24 | uint32(body[2])<<16 | uint32(body[3])<<8 | uint32(body[4]),
+		kind: head[0],
+		id:   binary.BigEndian.Uint32(head[1:muxHeaderLen]),
 	}
-	rest := body[muxHeaderLen:]
+	hl := muxHeaderLen
 	switch f.kind {
 	case muxKindReq:
-		if len(rest) < muxReqChunkOverhead {
-			return muxFrame{}, fmt.Errorf("transport: short mux REQ frame")
+		if frameLen < hl+muxReqChunkOverhead {
+			return muxFrame{}, 0, fmt.Errorf("transport: short mux REQ frame")
 		}
-		f.flags = rest[0]
-		f.chunk = rest[muxReqChunkOverhead:]
+		f.flags = head[hl]
+		hl += muxReqChunkOverhead
 	case muxKindResp:
-		if len(rest) < muxRespChunkOverhead {
-			return muxFrame{}, fmt.Errorf("transport: short mux RESP frame")
+		if frameLen < hl+muxRespChunkOverhead {
+			return muxFrame{}, 0, fmt.Errorf("transport: short mux RESP frame")
 		}
-		f.flags = rest[0]
-		f.status = rest[1]
-		f.chunk = rest[muxRespChunkOverhead:]
+		f.flags = head[hl]
+		f.status = head[hl+1]
+		hl += muxRespChunkOverhead
+		if f.flags&muxFlagLen != 0 {
+			if frameLen < hl+muxRespLenOverhead {
+				return muxFrame{}, 0, fmt.Errorf("transport: short mux RESP length")
+			}
+			total := binary.BigEndian.Uint32(head[hl:])
+			hl += muxRespLenOverhead
+			if total > MaxFrame || frameLen-hl > int(total) {
+				return muxFrame{}, 0, fmt.Errorf("transport: bad mux RESP length %d for a %d-byte chunk", total, frameLen-hl)
+			}
+			f.total = int(total)
+		}
 	case muxKindWindow:
-		if len(rest) != 4 {
-			return muxFrame{}, fmt.Errorf("transport: malformed mux WINDOW frame (%d bytes)", len(rest))
+		if frameLen != hl+4 {
+			return muxFrame{}, 0, fmt.Errorf("transport: malformed mux WINDOW frame (%d bytes)", frameLen-hl)
 		}
-		credit := uint32(rest[0])<<24 | uint32(rest[1])<<16 | uint32(rest[2])<<8 | uint32(rest[3])
+		credit := binary.BigEndian.Uint32(head[hl:])
 		// The wire field is a signed 31-bit credit; a set sign bit is
 		// malformed regardless of the host int width.
 		if credit > 0x7FFFFFFF {
-			return muxFrame{}, fmt.Errorf("transport: negative mux window credit")
+			return muxFrame{}, 0, fmt.Errorf("transport: negative mux window credit")
 		}
 		f.credit = int(credit)
+		hl += 4
 	case muxKindReset:
-		f.chunk = rest
 	default:
-		return muxFrame{}, fmt.Errorf("transport: unknown mux frame kind %d", f.kind)
+		return muxFrame{}, 0, fmt.Errorf("transport: unknown mux frame kind %d", f.kind)
 	}
+	f.n = frameLen - hl
+	return f, hl, nil
+}
+
+// muxReader reads v2 frames off one connection without allocating per
+// frame. next parses a frame's head in place in the read buffer and
+// leaves the chunk on the wire; the consumer then reads the chunk
+// straight into the buffer that keeps it (Read), or into the reader's
+// scratch buffer (chunk), or leaves it for next to skip. Chunk bytes
+// returned by chunk follow the ownership rule above: they are valid
+// only until the next call to next.
+type muxReader struct {
+	br      *bufio.Reader
+	remain  int   // unread chunk bytes of the current frame
+	err     error // sticky: once a read fails the connection is done
+	scratch []byte
+}
+
+func newMuxReader(r io.Reader) *muxReader {
+	return &muxReader{br: bufio.NewReaderSize(r, muxReadBuffer)}
+}
+
+// next skips whatever the previous frame's consumer left unread and
+// parses the next frame's head. Any error is connection-fatal.
+func (r *muxReader) next() (muxFrame, error) {
+	if r.err == nil && r.remain > 0 {
+		_, r.err = r.br.Discard(r.remain)
+		r.remain = 0
+	}
+	if r.err != nil {
+		return muxFrame{}, r.err
+	}
+	f, err := r.head()
+	if err != nil {
+		r.err = err
+		return muxFrame{}, err
+	}
+	r.remain = f.n
 	return f, nil
+}
+
+func (r *muxReader) head() (muxFrame, error) {
+	prefix, err := r.br.Peek(4)
+	if err != nil {
+		return muxFrame{}, err
+	}
+	n := binary.BigEndian.Uint32(prefix)
+	if n > MaxFrame {
+		return muxFrame{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	r.br.Discard(4)
+	frameLen := int(n)
+	head, err := r.br.Peek(min(frameLen, muxMaxHeadLen))
+	if err != nil {
+		return muxFrame{}, err
+	}
+	f, hl, err := parseMuxHead(head, frameLen)
+	if err != nil {
+		return muxFrame{}, err
+	}
+	r.br.Discard(hl)
+	return f, nil
+}
+
+// Read reads the current frame's chunk, never past it: io.EOF at its
+// end. It makes a chunk an io.Reader, so consumers fill their own
+// buffers straight from the connection.
+func (r *muxReader) Read(p []byte) (int, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
+	if r.remain == 0 {
+		if len(p) == 0 {
+			return 0, nil
+		}
+		return 0, io.EOF
+	}
+	if len(p) > r.remain {
+		p = p[:r.remain]
+	}
+	n, err := r.br.Read(p)
+	r.remain -= n
+	if err != nil {
+		r.err = err
+	}
+	return n, err
+}
+
+// readFull fills p from the current frame's chunk.
+func (r *muxReader) readFull(p []byte) error {
+	_, err := io.ReadFull(r, p)
+	return err
+}
+
+// chunk reads the rest of the current frame's chunk into the scratch
+// buffer. The bytes are valid only until the next call to next.
+func (r *muxReader) chunk() ([]byte, error) {
+	if cap(r.scratch) < r.remain {
+		r.scratch = make([]byte, r.remain)
+	}
+	b := r.scratch[:r.remain]
+	if err := r.readFull(b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // lockedWriter serializes frame writes onto one shared connection.

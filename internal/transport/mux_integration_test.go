@@ -256,7 +256,7 @@ func (p *rawMuxPeer) sendReq(id uint32, op byte, segment string, index int, payl
 }
 
 // readFrameFor reads frames until one for the given stream arrives.
-func (p *rawMuxPeer) readFrameFor(id uint32) muxFrame {
+func (p *rawMuxPeer) readFrameFor(id uint32) testFrame {
 	p.t.Helper()
 	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {

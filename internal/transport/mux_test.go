@@ -2,11 +2,46 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// testFrame is a decoded v2 frame with its chunk copied out of the
+// reader's scratch buffer.
+type testFrame struct {
+	muxFrame
+	chunk []byte
+}
+
+// decodeMuxFrame parses one frame body (the bytes after the outer
+// length prefix) through the production frame reader.
+func decodeMuxFrame(body []byte) (testFrame, error) {
+	var framed bytes.Buffer
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
+	framed.Write(prefix[:])
+	framed.Write(body)
+	r := newMuxReader(&framed)
+	f, err := r.next()
+	if err != nil {
+		return testFrame{}, err
+	}
+	chunk, err := r.chunk()
+	if err != nil {
+		return testFrame{}, err
+	}
+	return testFrame{muxFrame: f, chunk: bytes.Clone(chunk)}, nil
+}
+
+// respLenHead is a RESP head announcing a total response length.
+func respLenHead(flags, status byte, total uint32) []byte {
+	head := []byte{flags | muxFlagLen, status, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(head[2:], total)
+	return head
+}
 
 // encodeMuxTestFrame writes one v2 frame through the production writer
 // and returns its body (length prefix stripped), i.e. exactly what
@@ -37,6 +72,8 @@ func TestMuxFrameHeaderRoundTrip(t *testing.T) {
 		{"req-empty", muxKindReq, 0xFFFFFFFF, []byte{0}, nil},
 		{"resp", muxKindResp, 42, []byte{0, statusNotFound}, []byte("chunk")},
 		{"resp-fin-empty", muxKindResp, 1, []byte{muxFlagFIN, statusOK}, nil},
+		{"resp-len", muxKindResp, 5, respLenHead(0, statusOK, 1000), []byte("first of many")},
+		{"resp-len-fin", muxKindResp, 6, respLenHead(muxFlagFIN, statusErr, 4), []byte("oops")},
 		{"window", muxKindWindow, 9, nil, win[:]},
 		{"reset", muxKindReset, 3, nil, []byte("stop it")},
 		{"reset-empty", muxKindReset, 3, nil, nil},
@@ -59,6 +96,11 @@ func TestMuxFrameHeaderRoundTrip(t *testing.T) {
 				if f.flags != c.head[0] || f.status != c.head[1] || !bytes.Equal(f.chunk, c.body) {
 					t.Fatalf("RESP flags/status/chunk = %d/%d/%q", f.flags, f.status, f.chunk)
 				}
+				if f.flags&muxFlagLen != 0 {
+					if want := int(binary.BigEndian.Uint32(c.head[2:])); f.total != want {
+						t.Fatalf("RESP total = %d, want %d", f.total, want)
+					}
+				}
 			case muxKindWindow:
 				if f.credit != 123456 {
 					t.Fatalf("credit = %d, want 123456", f.credit)
@@ -78,6 +120,9 @@ func TestDecodeMuxFrameRejectsMalformed(t *testing.T) {
 		"short-header":    {muxKindReq, 0, 0},
 		"req-no-flags":    {muxKindReq, 0, 0, 0, 1},
 		"resp-flags-only": {muxKindResp, 0, 0, 0, 1, 0},
+		"resp-len-short":  {muxKindResp, 0, 0, 0, 1, muxFlagLen, statusOK, 0, 0, 1},
+		"resp-len-under":  append(append([]byte{muxKindResp, 0, 0, 0, 1}, respLenHead(0, statusOK, 2)...), 'a', 'b', 'c'),
+		"resp-len-huge":   append([]byte{muxKindResp, 0, 0, 0, 1}, respLenHead(0, statusOK, MaxFrame+1)...),
 		"window-short":    {muxKindWindow, 0, 0, 0, 1, 0, 0, 1},
 		"window-long":     {muxKindWindow, 0, 0, 0, 1, 0, 0, 0, 1, 9},
 		"window-negative": {muxKindWindow, 0, 0, 0, 1, 0x80, 0, 0, 0},
@@ -207,7 +252,7 @@ func TestCtlQueueCoalescesGrants(t *testing.T) {
 	w := &lockedWriter{w: &buf}
 	q.close()
 	q.run(w, func(err error) { t.Fatalf("unexpected write error: %v", err) })
-	frames := map[uint32]muxFrame{}
+	frames := map[uint32]testFrame{}
 	for buf.Len() > 0 {
 		body, err := readFrame(&buf)
 		if err != nil {
@@ -237,6 +282,11 @@ func FuzzMuxFrameDecode(f *testing.F) {
 	win := encodeMuxWindow(4096)
 	f.Add([]byte{muxKindReq, 0, 0, 0, 1, muxFlagFIN, 'h', 'i'})
 	f.Add([]byte{muxKindResp, 0, 0, 0, 2, 0, statusOK, 'x'})
+	f.Add(append(append([]byte{muxKindResp, 0, 0, 0, 2}, respLenHead(muxFlagFIN, statusOK, 3)...), 'a', 'b', 'c'))
+	f.Add(append(append([]byte{muxKindResp, 0, 0, 0, 2}, respLenHead(0, statusOK, 1<<20)...), 'x'))
+	f.Add(append([]byte{muxKindResp, 0, 0, 0, 2}, respLenHead(0, statusNotFound, 0)...))
+	f.Add([]byte{muxKindResp, 0, 0, 0, 2, muxFlagLen, statusOK, 0, 0})
+	f.Add(append(append([]byte{muxKindResp, 0, 0, 0, 2}, respLenHead(0, statusOK, 1)...), 'x', 'y'))
 	f.Add(append([]byte{muxKindWindow, 0, 0, 0, 3}, win[:]...))
 	f.Add([]byte{muxKindReset, 0, 0, 0, 4, 'e', 'r', 'r'})
 	f.Add([]byte{muxKindReq, 0, 0})
@@ -249,8 +299,11 @@ func FuzzMuxFrameDecode(f *testing.F) {
 		if fr.kind < muxKindReq || fr.kind > muxKindReset {
 			t.Fatalf("decoded unknown kind %d", fr.kind)
 		}
-		if len(fr.chunk) > len(body) {
-			t.Fatalf("chunk longer than frame body")
+		if len(fr.chunk) > len(body) || fr.n != len(fr.chunk) {
+			t.Fatalf("chunk of %d bytes (head says %d) in a %d-byte frame", len(fr.chunk), fr.n, len(body))
+		}
+		if fr.flags&muxFlagLen != 0 && fr.kind == muxKindResp && fr.total < len(fr.chunk) {
+			t.Fatalf("chunk of %d bytes exceeds the announced %d", len(fr.chunk), fr.total)
 		}
 		if fr.credit < 0 {
 			t.Fatalf("negative credit decoded: %d", fr.credit)
@@ -263,6 +316,9 @@ func FuzzMuxFrameDecode(f *testing.F) {
 			head = []byte{fr.flags}
 		case muxKindResp:
 			head = []byte{fr.flags, fr.status}
+			if fr.flags&muxFlagLen != 0 {
+				head = respLenHead(fr.flags, fr.status, uint32(fr.total))
+			}
 		case muxKindWindow:
 			w := encodeMuxWindow(fr.credit)
 			fr.chunk = w[:]
@@ -280,7 +336,7 @@ func FuzzMuxFrameDecode(f *testing.F) {
 			t.Fatalf("re-decode: %v", err)
 		}
 		if got.kind != fr.kind || got.id != fr.id || got.flags != fr.flags ||
-			got.status != fr.status || got.credit != fr.credit {
+			got.status != fr.status || got.credit != fr.credit || got.total != fr.total {
 			t.Fatalf("round trip changed frame: %+v -> %+v", fr, got)
 		}
 		if fr.kind != muxKindWindow && !bytes.Equal(got.chunk, fr.chunk) {

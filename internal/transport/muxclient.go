@@ -65,9 +65,13 @@ type muxStream struct {
 	// onData, when set (under mu, before the request goes out),
 	// receives OK-status response chunks as they arrive instead of
 	// buffering them in buf — the streaming-ack fast path. The chunk
-	// aliases the frame body and is valid only during the call.
-	onData   func(chunk []byte)
+	// aliases the connection's scratch buffer and is valid only during
+	// the call.
+	onData func(chunk []byte)
+	// buf collects a buffered response, allocated at the length its
+	// first frame announced (sized).
 	buf      []byte
+	sized    bool
 	finished bool
 	err      error
 	done     chan struct{}
@@ -109,9 +113,12 @@ func (c *Client) muxProposal() muxSettings {
 // muxFor returns a live mux connection when the server is known to
 // speak transport v2 (CAPS already probed, capMux set) and the mux is
 // enabled; nil sends the caller down the v1 path. Establishment
-// happens at most once at a time and failures are not retried for
-// muxRedialBackoff, so a flapping upgrade cannot stall the data path
-// — it degrades to v1 and heals later.
+// happens at most once at a time; a caller that finds no live
+// connection while one is being established waits for it (bounded by
+// ctx) instead of falling back, so a cold client's first burst rides
+// the mux too. Failures are not retried for muxRedialBackoff, so a
+// flapping upgrade cannot stall the data path — it degrades to v1 and
+// heals later.
 func (c *Client) muxFor(ctx context.Context) *muxConn {
 	if c.muxDisabled {
 		return nil
@@ -120,6 +127,16 @@ func (c *Client) muxFor(ctx context.Context) *muxConn {
 		return nil
 	}
 	c.muxMu.Lock()
+	for c.muxEstablishing && !c.muxClosed && !c.hasLiveMux() {
+		ready := c.muxReady
+		c.muxMu.Unlock()
+		select {
+		case <-ready:
+		case <-ctx.Done():
+			return nil
+		}
+		c.muxMu.Lock()
+	}
 	if c.muxClosed {
 		c.muxMu.Unlock()
 		return nil
@@ -133,45 +150,53 @@ func (c *Client) muxFor(ctx context.Context) *muxConn {
 		}
 	}
 	c.muxConns = live
-	if len(live) >= c.muxMaxConns {
-		m := live[c.muxNext%len(live)]
-		c.muxNext++
-		c.muxMu.Unlock()
-		return m
-	}
-	if c.muxEstablishing || time.Now().Before(c.muxRetryAt) {
-		var m *muxConn
-		if len(live) > 0 {
-			m = live[c.muxNext%len(live)]
-			c.muxNext++
-		}
+	if len(live) >= c.muxMaxConns || c.muxEstablishing || time.Now().Before(c.muxRetryAt) {
+		m := c.pickMuxLocked()
 		c.muxMu.Unlock()
 		return m
 	}
 	c.muxEstablishing = true
+	ready := make(chan struct{})
+	c.muxReady = ready
 	c.muxMu.Unlock()
 
 	m, err := c.establishMux(ctx)
 	c.muxMu.Lock()
+	defer c.muxMu.Unlock()
 	c.muxEstablishing = false
+	close(ready)
 	if err != nil {
 		c.muxRetryAt = time.Now().Add(muxRedialBackoff)
 		c.m.muxFallbacks.Inc()
-		var pick *muxConn
-		if n := len(c.muxConns); n > 0 {
-			pick = c.muxConns[c.muxNext%n]
-			c.muxNext++
-		}
-		c.muxMu.Unlock()
-		return pick
+		return c.pickMuxLocked()
 	}
 	if c.muxClosed {
-		c.muxMu.Unlock()
 		m.fatal(errClientClosed)
 		return nil
 	}
 	c.muxConns = append(c.muxConns, m)
-	c.muxMu.Unlock()
+	return m
+}
+
+// hasLiveMux reports whether any mux conn is still up (muxMu held).
+func (c *Client) hasLiveMux() bool {
+	for _, m := range c.muxConns {
+		if !m.isDead() {
+			return true
+		}
+	}
+	return false
+}
+
+// pickMuxLocked round-robins over the mux conns (muxMu held; the
+// caller reaped dead ones), nil when there are none.
+func (c *Client) pickMuxLocked() *muxConn {
+	n := len(c.muxConns)
+	if n == 0 {
+		return nil
+	}
+	m := c.muxConns[c.muxNext%n]
+	c.muxNext++
 	return m
 }
 
@@ -311,16 +336,12 @@ func (m *muxConn) lookup(id uint32) (*muxStream, bool) {
 // error. It deliberately has no context: the loop exits when the
 // connection closes, which fatal() and Close() both arrange.
 //
-//lint:ignore ctxcancel conn-lifetime loop; fatal()/Close() unblock readFrame via conn.Close
+//lint:ignore ctxcancel conn-lifetime loop; fatal()/Close() unblock the frame reader via conn.Close
 func (m *muxConn) demux() {
 	defer close(m.done)
+	r := newMuxReader(m.conn)
 	for {
-		body, err := readFrame(m.conn)
-		if err != nil {
-			m.fatal(err)
-			return
-		}
-		f, err := decodeMuxFrame(body)
+		f, err := r.next()
 		if err != nil {
 			m.fatal(err)
 			return
@@ -336,35 +357,24 @@ func (m *muxConn) demux() {
 				m.c.m.muxLateFrames.Inc()
 				continue
 			}
-			s.mu.Lock()
-			if !s.gotStatus {
-				s.status = f.status
-				s.gotStatus = true
+			if err := s.readResp(r, f); err != nil {
+				m.fatal(err)
+				return
 			}
-			onData := s.onData
-			if onData != nil && s.status == statusOK {
-				s.mu.Unlock()
-				if len(f.chunk) > 0 {
-					onData(f.chunk)
-				}
-			} else {
-				// Buffered path — also where a streaming op's error
-				// response lands, so statusToError sees the message.
-				if len(s.buf)+len(f.chunk) > MaxFrame {
-					s.mu.Unlock()
-					m.fatal(fmt.Errorf("transport: mux stream %d exceeds %d bytes", f.id, MaxFrame))
-					return
-				}
-				s.buf = append(s.buf, f.chunk...)
-				s.mu.Unlock()
-			}
-			if len(f.chunk) > 0 {
+			if f.n > 0 {
 				// Return consumed credit via the async control queue so
 				// this read loop never blocks on the write side (see
 				// ctlQueue for the two-sided deadlock it prevents).
-				m.ctl.grant(f.id, len(f.chunk))
+				m.ctl.grant(f.id, f.n)
 			}
 			if f.flags&muxFlagFIN != 0 {
+				s.mu.Lock()
+				short := len(s.buf) != cap(s.buf)
+				s.mu.Unlock()
+				if short {
+					m.fatal(fmt.Errorf("transport: mux stream %d ended short of its announced length", f.id))
+					return
+				}
 				m.unregister(f.id)
 				s.finish(nil)
 			}
@@ -374,14 +384,62 @@ func (m *muxConn) demux() {
 			}
 		case muxKindReset:
 			if s, ok := m.lookup(f.id); ok {
+				msg, err := r.chunk()
+				if err != nil {
+					m.fatal(err)
+					return
+				}
 				m.unregister(f.id)
-				s.finish(fmt.Errorf("transport: stream reset by server: %s", f.chunk))
+				s.finish(fmt.Errorf("transport: stream reset by server: %s", msg))
 			}
-		default: // REQ from a server, or an unknown kind survived decode
+		default: // REQ from a server
 			m.fatal(fmt.Errorf("transport: unexpected mux frame kind %d from server", f.kind))
 			return
 		}
 	}
+}
+
+// readResp consumes one RESP frame's chunk for the stream. OK chunks of
+// a streaming exchange go to onData from the reader's scratch buffer;
+// everything else lands in the stream's response buffer, allocated
+// once at the length the first frame announces and filled straight
+// from the connection. Only the response's owner reads buf, and only
+// after the stream finishes, so the socket read runs without s.mu —
+// an abandon never waits on a slow frame.
+func (s *muxStream) readResp(r *muxReader, f muxFrame) error {
+	s.mu.Lock()
+	if !s.gotStatus {
+		s.status = f.status
+		s.gotStatus = true
+	}
+	if onData := s.onData; onData != nil && s.status == statusOK {
+		s.mu.Unlock()
+		if f.n == 0 {
+			return nil
+		}
+		chunk, err := r.chunk()
+		if err != nil {
+			return err
+		}
+		onData(chunk)
+		return nil
+	}
+	// Buffered path — also where a streaming op's error response lands,
+	// so statusToError sees the message. The first frame of a buffered
+	// response announces its length; no chunk may run past it.
+	if f.flags&muxFlagLen != 0 && !s.sized {
+		s.sized = true
+		s.buf = make([]byte, 0, f.total)
+	}
+	off := len(s.buf)
+	if off+f.n > cap(s.buf) {
+		s.mu.Unlock()
+		return fmt.Errorf("transport: mux stream %d carries %d response bytes, announced %d", f.id, off+f.n, cap(s.buf))
+	}
+	s.buf = s.buf[:off+f.n]
+	dst := s.buf[off:]
+	s.mu.Unlock()
+	return r.readFull(dst)
 }
 
 // exchange runs one request/response over its own stream. chunks is

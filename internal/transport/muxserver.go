@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,6 +39,7 @@ func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (se
 		s:        s,
 		conn:     conn,
 		w:        &lockedWriter{w: conn},
+		r:        newMuxReader(conn),
 		ctl:      newCtlQueue(),
 		settings: chosen,
 		ctx:      ctx,
@@ -45,7 +47,7 @@ func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (se
 	}
 	// Control frames go out async so the serve read loop never blocks
 	// on the write side; a control write failure means the conn is
-	// broken, so closing it unblocks readFrame and ends serve.
+	// broken, so closing it unblocks the frame reader and ends serve.
 	go m.ctl.run(m.w, func(error) { m.conn.Close() })
 	m.serve()
 	// serve's teardown closed the queue; closing the conn unblocks any
@@ -63,6 +65,7 @@ type muxServerConn struct {
 	s        *Server
 	conn     net.Conn
 	w        *lockedWriter
+	r        *muxReader
 	ctl      *ctlQueue
 	settings muxSettings
 	ctx      context.Context
@@ -85,19 +88,17 @@ type muxServerStream struct {
 
 // serve is the connection's v2 read loop. Like Server.handle, the
 // loop lives exactly as long as the connection: a dropped conn (or
-// Server.Close) unblocks readFrame, and teardown cancels every
+// Server.Close) unblocks the frame reader, and teardown cancels every
 // in-flight stream.
 func (m *muxServerConn) serve() {
 	defer m.teardown()
-	//lint:ignore ctxcancel conn-lifetime loop; teardown cancels per-stream ctxs and conn close unblocks readFrame
+	//lint:ignore ctxcancel conn-lifetime loop; teardown cancels per-stream ctxs and conn close unblocks the frame reader
 	for {
-		body, err := readFrame(m.conn)
+		f, err := m.r.next()
 		if err != nil {
-			return // EOF or broken connection
-		}
-		f, err := decodeMuxFrame(body)
-		if err != nil {
-			m.s.logf("transport: bad mux frame from %v: %v", m.conn.RemoteAddr(), err)
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				m.s.logf("transport: mux connection from %v: %v", m.conn.RemoteAddr(), err)
+			}
 			return
 		}
 		switch f.kind {
@@ -119,10 +120,13 @@ func (m *muxServerConn) serve() {
 	}
 }
 
-// handleReq folds one REQ chunk into its stream, dispatching the
-// request when the FIN chunk completes it. Per-stream violations
-// (limit exceeded, oversized body, duplicate id after FIN, malformed
-// request) RESET that stream only — never the connection.
+// handleReq folds one REQ chunk into its stream, reading it off the
+// connection straight into the stream's request body (or, for a
+// PUTSTREAM, into its entry buffers) and dispatching the request when
+// the FIN chunk completes it. Per-stream violations (limit exceeded,
+// oversized body, duplicate id after FIN, malformed request) RESET
+// that stream only — never the connection. A read error just returns:
+// the reader keeps it, and the next frame read ends the loop.
 func (m *muxServerConn) handleReq(f muxFrame) {
 	m.mu.Lock()
 	st, ok := m.streams[f.id]
@@ -147,32 +151,45 @@ func (m *muxServerConn) handleReq(f muxFrame) {
 
 	fin := f.flags&muxFlagFIN != 0
 	if st.stream != nil {
-		// PUTSTREAM mode: entry bytes flow straight to the consumer
-		// goroutine; it grants credit as it drains them, which is what
-		// bounds server-side buffering by the stream window.
+		// PUTSTREAM mode: entry bytes go straight into their entry
+		// buffers; the assembler grants credit as it goes, which is
+		// what bounds server-side buffering (see muxPutStream).
 		if fin {
 			st.fin = true
 		}
-		if err := st.stream.feed(f.chunk, fin); err != nil {
+		if err := st.stream.readFrom(m.r, fin); err != nil {
 			m.resetStream(f.id, []byte(err.Error()))
 		}
 		return
 	}
-	if len(st.buf)+len(f.chunk) > MaxFrame {
+	if len(st.buf)+f.n > MaxFrame {
 		m.resetStream(f.id, []byte("transport: mux request body overflow"))
 		return
 	}
+	// Read up to the end of the request header first, so a PUTSTREAM
+	// switches to per-entry assembly before any entry byte is buffered.
 	prev := len(st.buf)
-	st.buf = append(st.buf, f.chunk...)
+	for m.r.remain > 0 {
+		need := requestHeaderNeed(st.buf)
+		if need == 0 {
+			break
+		}
+		if m.readBody(st, min(need, m.r.remain)) != nil {
+			return
+		}
+	}
 	if op, hdrLen, ok := peekRequest(st.buf); ok && op == opPutStream {
-		m.startPutStream(st, hdrLen, prev, fin)
+		m.startPutStream(st, hdrLen, hdrLen-prev, fin)
+		return
+	}
+	if m.readBody(st, m.r.remain) != nil {
 		return
 	}
 	if !fin {
 		// Return the consumed credit (async, so the read loop never
 		// blocks on the write side) so the client keeps streaming.
-		if len(f.chunk) > 0 {
-			m.ctl.grant(f.id, len(f.chunk))
+		if f.n > 0 {
+			m.ctl.grant(f.id, f.n)
 		}
 		return
 	}
@@ -189,30 +206,39 @@ func (m *muxServerConn) handleReq(f muxFrame) {
 	go m.serveStream(sctx, st, req)
 }
 
+// readBody appends the next n chunk bytes to the stream's request
+// body, reading them off the connection in place.
+func (m *muxServerConn) readBody(st *muxServerStream, n int) error {
+	off := len(st.buf)
+	st.buf = slices.Grow(st.buf, n)[:off+n]
+	return m.r.readFull(st.buf[off:])
+}
+
 // startPutStream switches a stream into incremental PUTSTREAM mode
-// the moment its request header is complete: entry bytes already
-// buffered behind the header are handed to a consumer goroutine, and
-// later REQ chunks feed it directly without whole-request reassembly.
-func (m *muxServerConn) startPutStream(st *muxServerStream, hdrLen, prev int, fin bool) {
+// the moment its request header is complete: the rest of this chunk
+// and every later one go to the stream's assembler, and a consumer
+// goroutine stores the entries as they complete.
+func (m *muxServerConn) startPutStream(st *muxServerStream, hdrLen, hdrBytes int, fin bool) {
 	req, err := decodeRequest(st.buf[:hdrLen])
 	if err != nil {
 		m.resetStream(st.id, []byte(err.Error()))
 		return
 	}
-	ps := newMuxPutStream(req.segment, req.index)
+	id := st.id
+	ps := newMuxPutStream(req.segment, req.index, m.settings.window, func(n int) { m.ctl.grant(id, n) })
 	st.stream = ps
 	st.fin = fin
+	st.buf = nil
 	// Chunks that arrived before the header completed were granted on
-	// receipt; of this chunk only the header bytes are consumed now —
-	// entry bytes are granted as the consumer drains them.
-	if hb := hdrLen - prev; hb > 0 && !fin {
-		m.ctl.grant(st.id, hb)
+	// receipt; of this chunk the header bytes are consumed now, and the
+	// assembler accounts for the entry bytes.
+	if hdrBytes > 0 && !fin {
+		m.ctl.grant(id, hdrBytes)
 	}
-	if err := ps.feed(st.buf[hdrLen:], fin); err != nil {
-		m.resetStream(st.id, []byte(err.Error()))
+	if err := ps.readFrom(m.r, fin); err != nil {
+		m.resetStream(id, []byte(err.Error()))
 		return
 	}
-	st.buf = nil
 	sctx, cancel := context.WithCancel(m.ctx)
 	st.cancel = cancel
 	m.s.m.muxStreams.Inc()
@@ -327,13 +353,16 @@ func (m *muxServerConn) serveStream(ctx context.Context, st *muxServerStream, re
 // writeResponse streams one response as chunked RESP frames, taking
 // per-stream credit before each chunk so a slow or abandoned reader
 // stalls only this stream. The status rides on every frame (first
-// wins client-side), so even an empty response carries it.
+// wins client-side), so even an empty response carries it; the first
+// frame of a non-empty response also announces its total length.
 func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [][]byte) {
 	total := 0
 	for _, ch := range chunks {
 		total += len(ch)
 	}
 	stalled := func() { m.s.m.muxStalls.Inc() }
+	var head [muxRespChunkOverhead + muxRespLenOverhead]byte
+	head[1] = status
 	written := 0
 	for _, ch := range chunks {
 		for len(ch) > 0 {
@@ -341,11 +370,17 @@ func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [
 			if err != nil {
 				return // stream reset or connection down
 			}
-			fin := byte(0)
-			if written+n == total {
-				fin = muxFlagFIN
+			h := head[:muxRespChunkOverhead]
+			head[0] = 0
+			if written == 0 {
+				head[0] = muxFlagLen
+				binary.BigEndian.PutUint32(head[muxRespChunkOverhead:], uint32(total))
+				h = head[:]
 			}
-			if err := writeMuxFrame(m.w, muxKindResp, st.id, []byte{fin, status}, ch[:n]); err != nil {
+			if written+n == total {
+				head[0] |= muxFlagFIN
+			}
+			if err := writeMuxFrame(m.w, muxKindResp, st.id, h, ch[:n]); err != nil {
 				return
 			}
 			written += n
@@ -357,100 +392,217 @@ func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [
 	}
 }
 
-// muxPutStream carries one PUTSTREAM request's entry bytes from the
-// connection read loop to its consumer goroutine. It holds only the
-// not-yet-consumed tail of the stream, which flow control keeps
-// window-sized; MaxFrame is the backstop against a client that sends
-// past its credit.
+// muxPutStream assembles one PUTSTREAM request's entries straight out
+// of the connection's REQ chunks. The read loop parses each 8-byte
+// entry header as it arrives, leases a buffer of exactly the entry's
+// size and reads the entry's bytes into it; complete entries queue for
+// the consumer goroutine (servePutStream), which stores each one and
+// then releases it — returning the lease and the entry's credit.
+//
+// Flow control: an entry's wire bytes (header and data) stay owed to
+// the client until its release, except that the oldest unreleased
+// entry borrows — its bytes are granted the moment they land. Server
+// buffering is therefore bounded by the stream window of owed bytes
+// plus that one entry, and an entry larger than the window still
+// completes. owed past the window means the client sent past its
+// credit.
 type muxPutStream struct {
 	segment  string
 	declared int // entry count from the request header's index field
+	window   int
+	grant    func(n int)
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []byte
-	fin  bool
-	err  error
+	// Assembly state, touched only by the connection's read loop.
+	hdr  [putBatchEntryOverhead]byte
+	hdrN int
+	cur  *putStreamEntry // entry being assembled
+
+	mu        sync.Mutex
+	cond      *sync.Cond
+	live      []*putStreamEntry // unreleased entries in stream order; live[0] borrows
+	owed      int               // landed entry bytes not yet granted
+	fin       bool
+	truncated bool // FIN arrived mid-entry
+	err       error
 }
 
-func newMuxPutStream(segment string, declared int) *muxPutStream {
-	p := &muxPutStream{segment: segment, declared: declared}
+// putStreamEntry is one entry being assembled, queued or stored.
+type putStreamEntry struct {
+	index int
+	data  []byte
+	lease *[]byte // data's pooled backing buffer; nil for empty entries
+	fill  int     // bytes of data landed so far
+	owed  int     // landed bytes not yet granted
+	done  bool
+}
+
+func newMuxPutStream(segment string, declared, window int, grant func(n int)) *muxPutStream {
+	p := &muxPutStream{segment: segment, declared: declared, window: window, grant: grant}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// feed appends one REQ chunk's entry bytes. Chunks after a failure are
-// dropped — the reset is already on its way to the client.
-func (p *muxPutStream) feed(chunk []byte, fin bool) error {
+// readFrom consumes the rest of the current REQ chunk from r into the
+// stream's entries. A malformed entry or a client past its credit
+// fails the stream and is returned; a read error is returned as is
+// (the reader keeps it). Chunks after a failure are left unread — the
+// reset is already on its way to the client.
+func (p *muxPutStream) readFrom(r *muxReader, fin bool) error {
+	for r.remain > 0 {
+		p.mu.Lock()
+		err := p.err
+		p.mu.Unlock()
+		if err != nil {
+			return nil
+		}
+		if p.cur == nil {
+			n := min(putBatchEntryOverhead-p.hdrN, r.remain)
+			if err := r.readFull(p.hdr[p.hdrN : p.hdrN+n]); err != nil {
+				return err
+			}
+			p.hdrN += n
+			if p.hdrN < putBatchEntryOverhead {
+				continue
+			}
+			if err := p.begin(); err != nil {
+				return err
+			}
+			continue
+		}
+		e := p.cur
+		n := min(len(e.data)-e.fill, r.remain)
+		if err := r.readFull(e.data[e.fill : e.fill+n]); err != nil {
+			return err
+		}
+		e.fill += n
+		if err := p.landed(e, n); err != nil {
+			return err
+		}
+	}
+	if fin {
+		p.mu.Lock()
+		p.fin = true
+		p.truncated = p.hdrN > 0 || p.cur != nil
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+	return nil
+}
+
+// begin starts the entry whose header just completed, accounting for
+// the header's bytes as the entry's first.
+func (p *muxPutStream) begin() error {
+	idx := int(binary.BigEndian.Uint32(p.hdr[0:4]))
+	n := int(binary.BigEndian.Uint32(p.hdr[4:8]))
+	p.hdrN = 0
+	if idx < 0 || n < 0 || n > MaxFrame {
+		err := fmt.Errorf("transport: malformed put stream entry (index %d, %d bytes)", idx, n)
+		p.fail(err)
+		return err
+	}
+	e := &putStreamEntry{index: idx}
+	if n > 0 {
+		//lint:ignore poollease ownership moves to the entry; release returns it after the store's Put
+		e.lease = leaseEntryBuf(n)
+		e.data = *e.lease
+		p.cur = e
+	}
+	p.mu.Lock()
+	p.live = append(p.live, e)
+	p.mu.Unlock()
+	return p.landed(e, putBatchEntryOverhead)
+}
+
+// landed accounts for n wire bytes of e that just arrived, granting
+// them at once when e is the borrowing entry, and queues e once
+// complete.
+func (p *muxPutStream) landed(e *putStreamEntry, n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
-		return nil
+	if p.live[0] == e {
+		p.grant(n)
+	} else {
+		e.owed += n
+		p.owed += n
+		if p.owed > p.window {
+			return p.failLocked(errors.New("transport: mux request body overflow"))
+		}
 	}
-	if len(p.buf)+len(chunk) > MaxFrame {
-		p.err = errors.New("transport: mux request body overflow")
+	if e.fill == len(e.data) {
+		e.done = true
+		p.cur = nil
 		p.cond.Broadcast()
-		return p.err
 	}
-	p.buf = append(p.buf, chunk...)
-	if fin {
-		p.fin = true
-	}
-	p.cond.Broadcast()
 	return nil
+}
+
+// next blocks until the oldest unreleased entry is complete and
+// returns it; the caller must release it before calling next again.
+// Complete entries are handed out even after a truncating FIN, which
+// is reported once they are; io.EOF means the FIN chunk arrived and
+// every entry was handed out.
+func (p *muxPutStream) next() (*putStreamEntry, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		if p.err != nil {
+			return nil, p.err
+		}
+		if len(p.live) > 0 && p.live[0].done {
+			return p.live[0], nil
+		}
+		if p.fin {
+			if p.truncated {
+				return nil, errors.New("transport: truncated put stream entry")
+			}
+			return nil, io.EOF
+		}
+		p.cond.Wait()
+	}
+}
+
+// release retires the entry next returned once the store is done with
+// it: its buffer goes back to the pool, and the following entry
+// becomes the borrower, so the bytes it owes are granted now. (The
+// released entry owes nothing: it has borrowed since it became the
+// oldest.)
+func (p *muxPutStream) release(e *putStreamEntry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.live[0] = nil
+	p.live = p.live[1:]
+	releaseEntryBuf(e.lease)
+	if p.err != nil || len(p.live) == 0 {
+		return
+	}
+	if b := p.live[0]; b.owed > 0 {
+		p.owed -= b.owed
+		p.grant(b.owed)
+		b.owed = 0
+	}
 }
 
 // fail wakes the consumer with a terminal error (stream reset,
 // connection down). The first error wins.
 func (p *muxPutStream) fail(err error) {
 	p.mu.Lock()
+	p.failLocked(err)
+	p.mu.Unlock()
+}
+
+func (p *muxPutStream) failLocked(err error) error {
 	if p.err == nil {
 		p.err = err
 	}
 	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// next blocks until one complete entry is buffered and returns it,
-// with consumed the wire bytes it covered (header + data) — the
-// credit to hand back. The entry data is copied into dst (grown as
-// needed, reused across calls) because feed keeps appending into the
-// shared buffer after next reslices it. Returns io.EOF once the FIN
-// chunk arrived and the buffer drained.
-func (p *muxPutStream) next(dst []byte) (idx int, data []byte, consumed int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.err != nil {
-			return 0, nil, 0, p.err
-		}
-		if len(p.buf) >= putBatchEntryOverhead {
-			idx = int(binary.BigEndian.Uint32(p.buf[0:4]))
-			n := int(binary.BigEndian.Uint32(p.buf[4:8]))
-			if idx < 0 || n < 0 || n > MaxFrame {
-				return 0, nil, 0, fmt.Errorf("transport: malformed put stream entry (index %d, %d bytes)", idx, n)
-			}
-			if len(p.buf) >= putBatchEntryOverhead+n {
-				data = append(dst[:0], p.buf[putBatchEntryOverhead:putBatchEntryOverhead+n]...)
-				p.buf = p.buf[putBatchEntryOverhead+n:]
-				return idx, data, putBatchEntryOverhead + n, nil
-			}
-		}
-		if p.fin {
-			if len(p.buf) == 0 {
-				return 0, nil, 0, io.EOF
-			}
-			return 0, nil, 0, errors.New("transport: truncated put stream entry")
-		}
-		p.cond.Wait()
-	}
+	return err
 }
 
 // servePutStream consumes one PUTSTREAM request's entries as they
 // arrive, storing and acking each one immediately — the server half
-// of the pipelined write path. Credit is granted per consumed entry,
-// so a stalled store backpressures the client instead of buffering
-// the request.
+// of the pipelined write path. An entry's credit returns when its
+// store completes, so a stalled store backpressures the client instead
+// of buffering the request.
 func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream, ps *muxPutStream) {
 	defer m.wg.Done()
 	defer m.finishStream(st)
@@ -461,13 +613,13 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 	defer func() {
 		m.s.m.opSeconds[opPutStream].Observe(time.Since(start).Seconds())
 	}()
-	var entryBuf, ackBuf []byte
+	var ackBuf []byte
 	count := 0
 	for {
 		if ctx.Err() != nil {
 			return // connection tearing down; finishStream fails the feed
 		}
-		idx, data, consumed, err := ps.next(entryBuf)
+		e, err := ps.next()
 		if err == io.EOF {
 			break
 		}
@@ -476,8 +628,6 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 			m.resetStream(st.id, []byte(err.Error()))
 			return
 		}
-		entryBuf = data
-		m.ctl.grant(st.id, consumed)
 		count++
 		if count > ps.declared {
 			m.s.m.errors.Inc()
@@ -485,8 +635,11 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 			return
 		}
 		m.s.m.batchBlocks.Inc()
-		status, msg := m.putStreamEntry(ctx, ps.segment, idx, data)
-		ackBuf = appendBatchResultHeader(ackBuf[:0], idx, status, len(msg))
+		status, msg := m.putStreamEntry(ctx, ps.segment, e.index, e.data)
+		// The store does not retain entry data (blockstore.Store), so
+		// the buffer and its credit go back as soon as Put returns.
+		ps.release(e)
+		ackBuf = appendBatchResultHeader(ackBuf[:0], e.index, status, len(msg))
 		ackBuf = append(ackBuf, msg...)
 		if !m.writeAck(st, ackBuf) {
 			return

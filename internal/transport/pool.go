@@ -36,3 +36,54 @@ func putScratch(b *[]byte) {
 // frameHdrPool pools the 4-byte frame-length headers used by vectored
 // writes, which must outlive the writeFrameVec call they are built in.
 var frameHdrPool = sync.Pool{New: func() any { return new([4]byte) }}
+
+// PUTSTREAM entry buffers are leased at exactly the entry's size (a
+// stream's entries are nearly always one size: a share, block plus
+// envelope) from one sync.Pool per size, so a recycled buffer carries
+// no rounding waste. Only the first maxEntryPoolSizes distinct sizes
+// get a pool; other sizes are allocated per entry and dropped.
+const maxEntryPoolSizes = 8
+
+var entryPools struct {
+	mu    sync.Mutex
+	sizes map[int]*sync.Pool
+}
+
+// entryPool returns the pool for n-byte buffers, nil when the size
+// table is full.
+func entryPool(n int) *sync.Pool {
+	entryPools.mu.Lock()
+	defer entryPools.mu.Unlock()
+	p := entryPools.sizes[n]
+	if p == nil && len(entryPools.sizes) < maxEntryPoolSizes {
+		if entryPools.sizes == nil {
+			entryPools.sizes = make(map[int]*sync.Pool)
+		}
+		p = &sync.Pool{New: func() any {
+			b := make([]byte, n)
+			return &b
+		}}
+		entryPools.sizes[n] = p
+	}
+	return p
+}
+
+// leaseEntryBuf returns a buffer of exactly n bytes (n > 0).
+func leaseEntryBuf(n int) *[]byte {
+	p := entryPool(n)
+	if p == nil {
+		b := make([]byte, n)
+		return &b
+	}
+	return p.Get().(*[]byte)
+}
+
+// releaseEntryBuf returns a leased buffer; nil is a no-op.
+func releaseEntryBuf(b *[]byte) {
+	if b == nil {
+		return
+	}
+	if p := entryPool(len(*b)); p != nil {
+		p.Put(b)
+	}
+}

@@ -37,9 +37,11 @@
 // as it is complete and acknowledged immediately with one
 // batch-result-shaped entry ([4B index][1B status][4B length][bytes])
 // streamed back as RESP chunks, so the client learns of durable
-// blocks long before the stream finishes. Flow-control credit is
-// granted only as entries are consumed, bounding server buffering by
-// the stream window instead of the request size.
+// blocks long before the stream finishes. Each entry is read straight
+// into a buffer of its exact size, and flow-control credit returns as
+// entries are stored (the oldest one's as it lands), bounding server
+// buffering by the stream window plus one entry instead of the
+// request size.
 package transport
 
 import (
@@ -166,18 +168,24 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // encodeRequest serializes a request frame body.
 func encodeRequest(op byte, segment string, index int, payload []byte) ([]byte, error) {
+	if err := checkRequestHeader(segment, index); err != nil {
+		return nil, err
+	}
+	body := make([]byte, 0, requestHeaderLen(segment)+len(payload))
+	body = appendRequestHeader(body, op, segment, index)
+	return append(body, payload...), nil
+}
+
+// checkRequestHeader rejects a segment or index the request header
+// cannot carry.
+func checkRequestHeader(segment string, index int) error {
 	if len(segment) > 0xFFFF {
-		return nil, fmt.Errorf("transport: segment name too long (%d bytes)", len(segment))
+		return fmt.Errorf("transport: segment name too long (%d bytes)", len(segment))
 	}
 	if index < 0 {
-		return nil, fmt.Errorf("transport: negative block index")
+		return fmt.Errorf("transport: negative block index")
 	}
-	body := make([]byte, 1+2+len(segment)+4, 1+2+len(segment)+4+len(payload))
-	body[0] = op
-	binary.BigEndian.PutUint16(body[1:3], uint16(len(segment)))
-	copy(body[3:], segment)
-	binary.BigEndian.PutUint32(body[3+len(segment):], uint32(index))
-	return append(body, payload...), nil
+	return nil
 }
 
 // requestHeaderLen is the fixed request header size before the
@@ -210,6 +218,17 @@ func peekRequest(buf []byte) (op byte, hdrLen int, ok bool) {
 		return 0, 0, false
 	}
 	return buf[0], hdrLen, true
+}
+
+// requestHeaderNeed reports how many more bytes a partial request
+// body needs before its header is complete (0 once it is): the
+// fixed prefix first, then the segment and index it announces.
+func requestHeaderNeed(buf []byte) int {
+	if len(buf) < 3 {
+		return 3 - len(buf)
+	}
+	hdrLen := 3 + int(binary.BigEndian.Uint16(buf[1:3])) + 4
+	return max(hdrLen-len(buf), 0)
 }
 
 // decodeRequest parses a request frame body.

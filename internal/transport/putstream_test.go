@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,10 +28,45 @@ func buildPutEntries(entries [][]byte) []byte {
 	return wire
 }
 
+// feedPutStream hands chunk to the assembler exactly as the server's
+// read loop does: as the chunk of one REQ frame on a frame reader.
+func feedPutStream(ps *muxPutStream, chunk []byte, fin bool) error {
+	var wire bytes.Buffer
+	flags := byte(0)
+	if fin {
+		flags = muxFlagFIN
+	}
+	if err := writeMuxFrame(&lockedWriter{w: &wire}, muxKindReq, 1, []byte{flags}, chunk); err != nil {
+		return err
+	}
+	r := newMuxReader(&wire)
+	if _, err := r.next(); err != nil {
+		return err
+	}
+	return ps.readFrom(r, fin)
+}
+
+// nextPutEntry takes the next complete entry, copies its data out and
+// releases it, as servePutStream does once the store returns.
+func nextPutEntry(ps *muxPutStream) (int, []byte, error) {
+	e, err := ps.next()
+	if err != nil {
+		return 0, nil, err
+	}
+	data := bytes.Clone(e.data)
+	ps.release(e)
+	return e.index, data, nil
+}
+
+// newTestPutStream builds an assembler whose grants are summed.
+func newTestPutStream(declared, window int) (*muxPutStream, *atomic.Int64) {
+	var granted atomic.Int64
+	return newMuxPutStream("seg", declared, window, func(n int) { granted.Add(int64(n)) }), &granted
+}
+
 // TestQuickPutStreamEntryRoundTrip feeds randomly-chunked entry bytes
-// through muxPutStream and checks the consumer sees every entry, in
-// order, with the exact credit accounting the flow-control grants
-// depend on.
+// through the assembler and checks the consumer sees every entry, in
+// order, and that every wire byte is granted back exactly once.
 func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 	f := func(raw [][]byte, seed int64) bool {
 		if len(raw) > 8 {
@@ -44,38 +80,31 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 			entries[i] = e
 		}
 		wire := buildPutEntries(entries)
-		ps := newMuxPutStream("seg", len(entries))
+		ps, granted := newTestPutStream(len(entries), defaultMuxWindow)
 		rng := rand.New(rand.NewSource(seed))
 		go func() {
 			rest := wire
 			for len(rest) > 0 {
 				n := 1 + rng.Intn(len(rest))
-				if err := ps.feed(rest[:n], n == len(rest)); err != nil {
+				if err := feedPutStream(ps, rest[:n], n == len(rest)); err != nil {
 					return
 				}
 				rest = rest[n:]
 			}
 			if len(wire) == 0 {
-				ps.feed(nil, true)
+				feedPutStream(ps, nil, true)
 			}
 		}()
-		var buf []byte
-		totalConsumed := 0
 		for i := range entries {
-			idx, data, consumed, err := ps.next(buf)
+			idx, data, err := nextPutEntry(ps)
 			if err != nil || idx != i || !bytes.Equal(data, entries[i]) {
 				return false
 			}
-			if consumed != putBatchEntryOverhead+len(entries[i]) {
-				return false
-			}
-			totalConsumed += consumed
-			buf = data
 		}
-		if _, _, _, err := ps.next(buf); err != io.EOF {
+		if _, _, err := nextPutEntry(ps); err != io.EOF {
 			return false
 		}
-		return totalConsumed == len(wire)
+		return granted.Load() == int64(len(wire))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -88,11 +117,11 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{7}, 64)})
 	for _, cut := range []int{3, putBatchEntryOverhead + 10} {
-		ps := newMuxPutStream("seg", 1)
-		if err := ps.feed(wire[:cut], true); err != nil {
+		ps, _ := newTestPutStream(1, defaultMuxWindow)
+		if err := feedPutStream(ps, wire[:cut], true); err != nil {
 			t.Fatalf("cut=%d: feed: %v", cut, err)
 		}
-		_, _, _, err := ps.next(nil)
+		_, _, err := nextPutEntry(ps)
 		if err == nil || err == io.EOF {
 			t.Fatalf("cut=%d: truncated stream yielded err=%v", cut, err)
 		}
@@ -104,32 +133,36 @@ func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 
 // TestPutStreamOversizedEntryRejected: an entry header claiming more
 // than MaxFrame bytes is a protocol violation, caught before any
-// buffering happens.
+// buffer is leased.
 func TestPutStreamOversizedEntryRejected(t *testing.T) {
 	var hdr [putBatchEntryOverhead]byte
 	binary.BigEndian.PutUint32(hdr[0:4], 0)
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(MaxFrame+1))
-	ps := newMuxPutStream("seg", 1)
-	if err := ps.feed(hdr[:], false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ps.next(nil); err == nil || !strings.Contains(err.Error(), "malformed") {
+	ps, _ := newTestPutStream(1, defaultMuxWindow)
+	feedPutStream(ps, hdr[:], false) // the error also reaches the consumer
+	if _, _, err := nextPutEntry(ps); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Fatalf("oversized entry yielded err=%v", err)
 	}
 }
 
-// TestPutStreamFeedOverflow: a peer that streams past its credit gets
-// stopped by the MaxFrame backstop instead of growing the buffer.
+// TestPutStreamFeedOverflow: a peer that streams past its credit —
+// more owed entry bytes than the window while the consumer holds the
+// borrowing entry — is stopped instead of growing server buffering.
 func TestPutStreamFeedOverflow(t *testing.T) {
-	ps := newMuxPutStream("seg", 1)
-	big := make([]byte, MaxFrame)
-	if err := ps.feed(big, false); err != nil {
-		t.Fatalf("first feed within bound failed: %v", err)
+	const window = 64 << 10
+	ps, _ := newTestPutStream(4, window)
+	// Entry 0 borrows (granted as it lands); entries 1 and 2, headers
+	// included, fill the window exactly; one more entry header is past
+	// the client's credit.
+	half := window/2 - putBatchEntryOverhead
+	fill := buildPutEntries([][]byte{make([]byte, 32<<10), make([]byte, half), make([]byte, half)})
+	if err := feedPutStream(ps, fill, false); err != nil {
+		t.Fatalf("feed within the window failed: %v", err)
 	}
-	if err := ps.feed([]byte{1}, false); err == nil {
-		t.Fatal("feed past MaxFrame accepted")
+	if err := feedPutStream(ps, appendPutEntryHeader(nil, 3, 0), false); err == nil {
+		t.Fatal("feed past the window accepted")
 	}
-	if _, _, _, err := ps.next(nil); err == nil {
+	if _, _, err := nextPutEntry(ps); err == nil {
 		t.Fatal("consumer not told about the overflow")
 	}
 }
@@ -138,15 +171,15 @@ func TestPutStreamFeedOverflow(t *testing.T) {
 // waits for bytes must wake it with the terminal error — the
 // mid-chunk RESET path.
 func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
-	ps := newMuxPutStream("seg", 2)
+	ps, _ := newTestPutStream(2, defaultMuxWindow)
 	// Half an entry: the consumer blocks waiting for the rest.
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{3}, 32)})
-	if err := ps.feed(wire[:putBatchEntryOverhead+5], false); err != nil {
+	if err := feedPutStream(ps, wire[:putBatchEntryOverhead+5], false); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, err := ps.next(nil)
+		_, _, err := nextPutEntry(ps)
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -159,6 +192,43 @@ func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("consumer still blocked after fail")
+	}
+}
+
+// TestPutStreamCreditBorrowing pins the flow-control rule that keeps
+// an entry larger than the window from deadlocking: the oldest
+// unreleased entry's bytes are granted as they land, later entries'
+// bytes only once everything before them is released.
+func TestPutStreamCreditBorrowing(t *testing.T) {
+	const window = 16 << 10
+	ps, granted := newTestPutStream(2, window)
+	big := buildPutEntries([][]byte{make([]byte, 3*window), make([]byte, window-putBatchEntryOverhead)})
+	first := putBatchEntryOverhead + 3*window
+	// The first entry is three windows long: it must complete with
+	// every byte granted on arrival.
+	for off := 0; off < first; off += window / 2 {
+		if err := feedPutStream(ps, big[off:min(off+window/2, first)], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := granted.Load(); got != int64(first) {
+		t.Fatalf("granted %d of the borrowing entry's %d bytes", got, first)
+	}
+	// The second entry lands while the first is unreleased: all of
+	// it, header included, is owed.
+	if err := feedPutStream(ps, big[first:], true); err != nil {
+		t.Fatal(err)
+	}
+	if got := granted.Load(); got != int64(first) {
+		t.Fatalf("granted %d, want %d before the first release", got, first)
+	}
+	e, err := ps.next()
+	if err != nil || len(e.data) != 3*window {
+		t.Fatalf("first entry = %v, %v", e, err)
+	}
+	ps.release(e)
+	if got := granted.Load(); got != int64(len(big)) {
+		t.Fatalf("granted %d after release, want all %d", got, len(big))
 	}
 }
 
@@ -210,7 +280,7 @@ func (p *rawMuxPeer) sendPutStreamReq(id uint32, segment string, declared int, e
 // awaitKind reads frames for the stream until one of the wanted kind
 // arrives, skipping flow-control WINDOW grants; the read deadline
 // bounds the wait.
-func (p *rawMuxPeer) awaitKind(id uint32, kind byte) muxFrame {
+func (p *rawMuxPeer) awaitKind(id uint32, kind byte) testFrame {
 	p.t.Helper()
 	for {
 		f := p.readFrameFor(id)

@@ -18,14 +18,17 @@
 #   6. go test -race on the concurrency-heavy packages (the batch
 #      transport, batched blockstore, pipelined client paths, and the
 #      shared-graph ltcode layer included)
-#   7. chaos suite under -race: real client/server pairs through
+#   7. the mux data-path tests under -race, ten times over: many
+#      concurrent GET and PUTSTREAM streams on one connection checked
+#      byte for byte, so a reused read buffer reaching a consumer shows
+#   8. chaos suite under -race: real client/server pairs through
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
 #      control plane (kill -> evict -> repair -> rejoin)
-#   8. bench smoke: every benchmark once (client overhead + headline
+#   9. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics; see scripts/bench_baseline.sh for the
 #      committed BENCH_10.json baseline)
-#   9. benchdiff: regenerate the baseline into /tmp and diff it
+#  10. benchdiff: regenerate the baseline into /tmp and diff it
 #      against the committed BENCH_10.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
 set -euo pipefail
@@ -73,6 +76,9 @@ go test -race -count=1 -timeout 10m \
     ./internal/metadata/replica/ \
     ./internal/obs/ \
     ./internal/placement/
+
+echo "==> mux data path under -race, 10 runs (reused read buffers never reach a consumer)"
+go test -race -count=10 -run 'Mux|PutStream|GetStream' ./internal/transport
 
 echo "==> chaos suite under -race"
 go test -race -count=1 -timeout 10m -run 'TestChaos' \
