@@ -20,6 +20,8 @@ func TestParamsValidate(t *testing.T) {
 		{Params{K: 10, C: -1, Delta: 0.5}, false},
 		{Params{K: 10, C: 1, Delta: 0}, false},
 		{Params{K: 10, C: 1, Delta: 1.5}, false},
+		{Params{K: 10, C: 1, Delta: 0.5, MinSpike: 3}, true},
+		{Params{K: 10, C: 1, Delta: 0.5, MinSpike: -1}, false},
 	}
 	for _, tc := range cases {
 		if err := tc.p.Validate(); (err == nil) != tc.ok {
@@ -63,6 +65,75 @@ func TestRobustSolitonSpike(t *testing.T) {
 	spike := int(math.Ceil(float64(p.K) / r))
 	if robust[spike-1] <= ideal[spike-1] {
 		t.Fatalf("no spike at degree %d: robust=%v ideal=%v", spike, robust[spike-1], ideal[spike-1])
+	}
+}
+
+func TestMinSpikeMovesSmallKSpikeOffDegreeOne(t *testing.T) {
+	// K=32, C=1, δ=0.1: R ≈ 32.6 > K, so Luby's spike lands on degree
+	// 1 and most coded blocks are copies. MinSpike 3 caps R at K/3.
+	luby := RobustSoliton(Params{K: 32, C: 1, Delta: 0.1})
+	capped := RobustSoliton(Params{K: 32, C: 1, Delta: 0.1, MinSpike: 3})
+	if luby[0] < 0.8 {
+		t.Fatalf("uncapped μ(1) = %.2f, expected the degree-1 collapse", luby[0])
+	}
+	if capped[0] > 0.2 {
+		t.Fatalf("capped μ(1) = %.2f, want the copies gone", capped[0])
+	}
+	best := 0
+	for i, v := range capped {
+		if v > capped[best] {
+			best = i
+		}
+	}
+	if best+1 != 3 {
+		t.Fatalf("capped spike at degree %d, want 3", best+1)
+	}
+	// Where R is already below K/MinSpike, and at K < 8 where the
+	// floor would pass K/4, the cap changes nothing.
+	for _, k := range []int{1, 2, 4, 7, 1024} {
+		p := Params{K: k, C: 1, Delta: 0.1}
+		plain := RobustSoliton(p)
+		p.MinSpike = 3
+		for i, v := range RobustSoliton(p) {
+			//lint:ignore floateq the cap must leave the pmf bit-identical
+			if v != plain[i] {
+				t.Fatalf("MinSpike changed the K=%d pmf at degree %d", k, i+1)
+			}
+		}
+	}
+	// At K=8 the floor is K/4 = 2.
+	eight := RobustSoliton(Params{K: 8, C: 1, Delta: 0.1, MinSpike: 3})
+	if eight[1] <= eight[0] || eight[1] <= eight[2] {
+		t.Fatalf("K=8 capped pmf %v: want its peak at degree 2", eight)
+	}
+}
+
+func TestMinSpikeSurvivesHalfLoss(t *testing.T) {
+	// A storage code must survive losing half its blocks when 2K
+	// remain. Count decode failures over random half-subsets of a
+	// 4K-block graph, with and without the cap.
+	const k, trials = 32, 200
+	fails := func(minSpike int) int {
+		rng := rand.New(rand.NewSource(7))
+		bad := 0
+		for tr := 0; tr < trials; tr++ {
+			g, err := BuildGraph(Params{K: k, C: 1, Delta: 0.1, MinSpike: minSpike}, 4*k, rng, DefaultGraphOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewSymbolicDecoder(g)
+			for _, i := range rng.Perm(4 * k)[:2*k] {
+				d.Add(i)
+			}
+			if !d.Complete() {
+				bad++
+			}
+		}
+		return bad
+	}
+	luby, capped := fails(0), fails(3)
+	if capped*10 > trials || capped*5 > luby {
+		t.Fatalf("half-loss decode failures: %d/%d capped vs %d/%d uncapped", capped, trials, luby, trials)
 	}
 }
 

@@ -27,6 +27,16 @@ type Params struct {
 	K     int
 	C     float64
 	Delta float64
+	// MinSpike, when positive, caps R at K/MinSpike so the robust
+	// part's spike sits at degree MinSpike or above. At small K Luby's
+	// R exceeds K (C=1, δ=0.1: every K below ~40), the spike collapses
+	// onto degree 1 and ~90 % of coded blocks become plain copies: the
+	// code degrades to replication, and losing half the blocks leaves
+	// some original uncovered more often than not. The floor never
+	// exceeds K/4, and below 2 the cap is off: for K < 8 copies are the
+	// sturdier code. Zero keeps Luby's construction, which stored
+	// graphs written without the cap need.
+	MinSpike int
 }
 
 // Validate reports whether the parameters are usable.
@@ -40,6 +50,9 @@ func (p Params) Validate() error {
 	if !(p.Delta > 0 && p.Delta <= 1) {
 		return fmt.Errorf("ltcode: Delta must be in (0,1], got %v", p.Delta)
 	}
+	if p.MinSpike < 0 {
+		return fmt.Errorf("ltcode: MinSpike must be >= 0, got %d", p.MinSpike)
+	}
 	return nil
 }
 
@@ -47,7 +60,7 @@ func (p Params) Validate() error {
 // μ(1..K) as a slice indexed 0..K-1 (entry i is the probability of
 // degree i+1), following Luby's construction:
 //
-//	R = C·ln(K/δ)·√K
+//	R = C·ln(K/δ)·√K, capped at K/min(MinSpike, K/4) when that is >= 2
 //	ρ(1) = 1/K, ρ(i) = 1/(i(i-1)) for i = 2..K
 //	τ(i) = R/(iK) for i = 1..⌈K/R⌉-1, τ(⌈K/R⌉) = R·ln(R/δ)/K, else 0
 //	μ(i) = (ρ(i)+τ(i))/β with β = Σ(ρ+τ)
@@ -65,6 +78,9 @@ func RobustSoliton(p Params) []float64 {
 	}
 	// Robust part τ.
 	r := p.C * math.Log(float64(k)/p.Delta) * math.Sqrt(float64(k))
+	if floor := min(p.MinSpike, k/4); floor >= 2 && r > float64(k)/float64(floor) {
+		r = float64(k) / float64(floor)
+	}
 	if r > 0 {
 		spike := int(math.Ceil(float64(k) / r))
 		if spike < 1 {

@@ -27,6 +27,10 @@ type Coding struct {
 	Delta      float64 // LT soliton parameter
 	GraphSeed  int64   // seed the writer used to build the coding graph
 	GraphN     int     // total graph size (>= N; rateless writes overshoot)
+	// MinSpike is the soliton spike floor the graph was built with
+	// (ltcode.Params.MinSpike); zero for segments written before it,
+	// whose records omitempty keeps byte-identical.
+	MinSpike int `json:",omitempty"`
 	// ShareCRC records that every stored coded block is framed with a
 	// client-side CRC-32C envelope (robust.Options share checksums):
 	// readers must verify-and-strip it, and repairers must re-seal
@@ -426,12 +430,16 @@ func (s *Service) LockWrite(ctx context.Context, name string) (func(), error) {
 	return s.lockFor(name).lock(ctx, true)
 }
 
-// rwLock is a context-aware readers-writer lock (writer-exclusive, no
-// writer preference — adequate for open/close-frequency locking).
+// rwLock is a context-aware readers-writer lock with writer
+// preference: once a writer waits, new readers queue behind it. Without
+// that, readers that overlap back to back — a hot segment read in a
+// loop — keep the reader count above zero forever and starve a repair
+// or update of its exclusive lock.
 type rwLock struct {
 	mu      sync.Mutex
 	readers int
 	writer  bool
+	waiting int           // writers blocked in lock
 	change  chan struct{} // closed and replaced on every state change
 }
 
@@ -440,26 +448,52 @@ func newRWLock() *rwLock {
 }
 
 func (l *rwLock) lock(ctx context.Context, exclusive bool) (func(), error) {
+	queued := false
 	for {
 		l.mu.Lock()
-		free := !l.writer && (!exclusive || l.readers == 0)
+		var free bool
+		if exclusive {
+			free = !l.writer && l.readers == 0
+		} else {
+			free = !l.writer && l.waiting == 0
+		}
 		if free {
 			if exclusive {
 				l.writer = true
+				if queued {
+					l.waiting--
+				}
 			} else {
 				l.readers++
 			}
 			l.mu.Unlock()
 			return func() { l.unlock(exclusive) }, nil
 		}
+		if exclusive && !queued {
+			queued = true
+			l.waiting++
+		}
 		ch := l.change
 		l.mu.Unlock()
 		select {
 		case <-ctx.Done():
+			if queued {
+				// Readers queued behind this writer may go now.
+				l.mu.Lock()
+				l.waiting--
+				l.broadcast()
+				l.mu.Unlock()
+			}
 			return nil, ctx.Err()
 		case <-ch:
 		}
 	}
+}
+
+// broadcast wakes every waiter to re-check the state. Caller holds mu.
+func (l *rwLock) broadcast() {
+	close(l.change)
+	l.change = make(chan struct{})
 }
 
 func (l *rwLock) unlock(exclusive bool) {
@@ -473,7 +507,6 @@ func (l *rwLock) unlock(exclusive bool) {
 			panic("metadata: reader lock underflow")
 		}
 	}
-	close(l.change)
-	l.change = make(chan struct{})
+	l.broadcast()
 	l.mu.Unlock()
 }

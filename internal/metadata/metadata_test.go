@@ -179,6 +179,111 @@ func TestWriteLockExclusive(t *testing.T) {
 	}
 }
 
+func TestWaitingWriterBlocksNewReaders(t *testing.T) {
+	// Writer preference: readers overlapping back to back must not
+	// starve a writer, so a reader arriving after a writer queues
+	// behind it.
+	s := NewService()
+	ctx := context.Background()
+	u1, err := s.LockRead(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan func())
+	go func() {
+		u, err := s.LockWrite(ctx, "f")
+		if err != nil {
+			t.Error(err)
+		}
+		wrote <- u
+	}()
+	waitFor(t, func() bool { return s.lockFor("f").waitingWriters() == 1 })
+	read := make(chan func())
+	go func() {
+		u, err := s.LockRead(ctx, "f")
+		if err != nil {
+			t.Error(err)
+		}
+		read <- u
+	}()
+	select {
+	case <-read:
+		t.Fatal("reader overtook a waiting writer")
+	case <-time.After(50 * time.Millisecond):
+	}
+	u1()
+	uw := <-wrote
+	select {
+	case <-read:
+		t.Fatal("reader acquired under the write lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	uw()
+	select {
+	case u := <-read:
+		u()
+	case <-time.After(time.Second):
+		t.Fatal("queued reader never acquired after the writer left")
+	}
+}
+
+func TestCanceledWriterReleasesQueuedReaders(t *testing.T) {
+	s := NewService()
+	ctx := context.Background()
+	u1, err := s.LockRead(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u1()
+	wctx, cancel := context.WithCancel(ctx)
+	wdone := make(chan error)
+	go func() {
+		_, err := s.LockWrite(wctx, "f")
+		wdone <- err
+	}()
+	waitFor(t, func() bool { return s.lockFor("f").waitingWriters() == 1 })
+	read := make(chan func())
+	go func() {
+		u, err := s.LockRead(ctx, "f")
+		if err != nil {
+			t.Error(err)
+		}
+		read <- u
+	}()
+	cancel()
+	if err := <-wdone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled LockWrite = %v", err)
+	}
+	select {
+	case u := <-read:
+		u()
+	case <-time.After(time.Second):
+		t.Fatal("reader stayed queued behind a canceled writer")
+	}
+	if n := s.lockFor("f").waitingWriters(); n != 0 {
+		t.Fatalf("waiting writers = %d after cancel", n)
+	}
+}
+
+// waitingWriters reports how many writers are queued on the lock.
+func (l *rwLock) waitingWriters() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waiting
+}
+
+// waitFor polls cond until it holds or a second passes.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWriteWaitsForReaders(t *testing.T) {
 	s := NewService()
 	ctx := context.Background()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -107,14 +108,24 @@ func TestChaosStalledAndCorruptingRead(t *testing.T) {
 	ctx := context.Background()
 	data := randData(256<<10, 77) // K=32
 
-	if _, err := client.Write(ctx, "chaos", data, nil); err != nil {
+	ws, err := client.Write(ctx, "chaos", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The weather turns: two servers wedge, one rots.
+	// The weather turns: two servers wedge, one rots. The rotting
+	// server is the biggest holder left and the only one answering at
+	// once, so its corrupt shares reach the client before the healthy
+	// ones can finish the decode: a read that completes on healthy
+	// shares alone would prove nothing about rejection.
 	servers[0].storeInj.SetConfig(faultinject.Config{StallProb: 1, Stall: stall})
 	servers[1].storeInj.SetConfig(faultinject.Config{StallProb: 1, Stall: stall})
-	servers[2].storeInj.SetConfig(faultinject.Config{CorruptProb: 1, Ops: []string{"get"}})
+	rest := append([]*chaosServer(nil), servers[2:]...)
+	sort.SliceStable(rest, func(i, j int) bool { return ws.PerServer[rest[i].addr] > ws.PerServer[rest[j].addr] })
+	rest[0].storeInj.SetConfig(faultinject.Config{CorruptProb: 1, Ops: []string{"get"}})
+	for _, cs := range rest[1:] {
+		cs.storeInj.SetConfig(faultinject.Config{Latency: 2 * time.Millisecond, Ops: []string{"get"}})
+	}
 
 	start := time.Now()
 	got, stats, err := client.Read(ctx, "chaos")

@@ -123,6 +123,14 @@ func (a SegmentAudit) Deficit() int {
 	return d
 }
 
+// RepairShares is the number of shares a repair pass writes: every
+// missing or corrupt share is regenerated in place of the lost one —
+// surplus redundancy from a rateless overshoot does not excuse it —
+// and a segment still short of N after that is topped up to it.
+func (a SegmentAudit) RepairShares() int {
+	return max(a.Deficit(), a.Missing+a.Corrupt)
+}
+
 // NeedsRepair reports whether a repair pass would change anything.
 // Missing shares trigger a repair even when surplus redundancy keeps
 // the deficit at zero: the repair prunes dead holders from the
@@ -367,7 +375,7 @@ func (d *Daemon) RunOnce(ctx context.Context) (DaemonStats, error) {
 				}
 			}
 		}
-		cost := int64(audit.Deficit()+audit.Corrupt) * d.c.opts.BlockBytes
+		cost := int64(audit.RepairShares()) * d.c.opts.BlockBytes
 		if wait := d.bucket.take(cost); wait > 0 {
 			stats.Throttled += wait
 			d.m.throttleSecond.Observe(wait.Seconds())

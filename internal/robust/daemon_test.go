@@ -175,6 +175,27 @@ func TestAuditCountsLossAndCorruption(t *testing.T) {
 	}
 }
 
+func TestRepairSharesCountsEveryRegeneratedShare(t *testing.T) {
+	for _, tc := range []struct {
+		a    SegmentAudit
+		want int
+	}{
+		{SegmentAudit{N: 32, Live: 32}, 0},
+		// A rateless overshoot leaves surplus, but repair still
+		// regenerates the lost share in place.
+		{SegmentAudit{N: 32, Live: 34, Missing: 1}, 1},
+		{SegmentAudit{N: 32, Live: 33, Missing: 1, Corrupt: 1}, 2},
+		// No surplus: the lost shares are exactly the deficit.
+		{SegmentAudit{N: 32, Live: 30, Missing: 1, Corrupt: 1}, 2},
+		// A degraded commit is topped up to N as well.
+		{SegmentAudit{N: 32, Live: 26, Missing: 2, Degraded: true}, 6},
+	} {
+		if got := tc.a.RepairShares(); got != tc.want {
+			t.Errorf("RepairShares(%+v) = %d, want %d", tc.a, got, tc.want)
+		}
+	}
+}
+
 func TestDaemonRunOnceHealsLossAndCorruption(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, inners := newDaemonClient(t, reg, "s1", "s2", "s3", "s4")

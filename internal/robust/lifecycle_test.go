@@ -155,13 +155,15 @@ func TestRebalanceDrainMigratesAllShares(t *testing.T) {
 		nil, "s1", "s2", "s3", "s4")
 	ctx := context.Background()
 	data := randData(48<<10, 92)
-	if _, err := c.Write(ctx, "drained", data, nil); err != nil {
+	ws, err := c.Write(ctx, "drained", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.SetServerState("s2", metadata.ServerDraining); err != nil {
+	drained := holdersByShare(ws.PerServer)[0]
+	if err := meta.SetServerState(drained, metadata.ServerDraining); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.DrainProgress("s2")
+	st, err := c.DrainProgress(drained)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +174,12 @@ func TestRebalanceDrainMigratesAllShares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebalance: %v (stats %+v)", err, stats)
 	}
-	st, err = c.DrainProgress("s2")
+	st, err = c.DrainProgress(drained)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Shares != 0 {
-		t.Fatalf("drain incomplete: %d shares still on s2 after %+v", st.Shares, stats)
+		t.Fatalf("drain incomplete: %d shares still on %s after %+v", st.Shares, drained, stats)
 	}
 	if before > 0 && stats.Moved == 0 {
 		t.Fatalf("drain completed with zero moves (held %d before): %+v", before, stats)
@@ -186,7 +188,7 @@ func TestRebalanceDrainMigratesAllShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := seg.Placement["s2"]; hit {
+	if _, hit := seg.Placement[drained]; hit {
 		t.Fatal("placement still references the drained server")
 	}
 	if got, _, err := c.Read(ctx, "drained"); err != nil || !bytes.Equal(got, data) {
@@ -203,10 +205,12 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	c, meta := newLifecycleClient(t, Options{BlockBytes: 1 << 10, MaxServerShare: 0.35, Obs: reg},
 		nil, "s1", "s2", "s3", "s4")
 	ctx := context.Background()
-	if _, err := c.Write(ctx, "ratelimited", randData(32<<10, 93), nil); err != nil {
+	ws, err := c.Write(ctx, "ratelimited", randData(32<<10, 93), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.SetServerState("s1", metadata.ServerDraining); err != nil {
+	drained := holdersByShare(ws.PerServer)[0]
+	if err := meta.SetServerState(drained, metadata.ServerDraining); err != nil {
 		t.Fatal(err)
 	}
 	// Burst of one share, refill fast enough that each subsequent move
@@ -235,7 +239,7 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	}
 	// Throughput respected the budget: moved bytes never exceed burst
 	// plus rate x (observed throttle time + execution slack).
-	if st, _ := c.DrainProgress("s1"); st.Shares != 0 {
+	if st, _ := c.DrainProgress(drained); st.Shares != 0 {
 		t.Fatalf("drain incomplete under throttling: %d left", st.Shares)
 	}
 }
@@ -276,10 +280,11 @@ func TestRebalanceRejoinConverges(t *testing.T) {
 func TestRebalanceSkipsStaleMoves(t *testing.T) {
 	c, meta := newLifecycleClient(t, Options{BlockBytes: 1 << 10}, nil, "s1", "s2", "s3")
 	ctx := context.Background()
-	if _, err := c.Write(ctx, "stale", randData(16<<10, 95), nil); err != nil {
+	ws, err := c.Write(ctx, "stale", randData(16<<10, 95), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.SetServerState("s1", metadata.ServerDraining); err != nil {
+	if err := meta.SetServerState(holdersByShare(ws.PerServer)[0], metadata.ServerDraining); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := meta.LookupSegment("stale")
@@ -293,8 +298,12 @@ func TestRebalanceSkipsStaleMoves(t *testing.T) {
 	// The placement changes under the plan: a concurrent repair (here,
 	// a manual rewrite) rehomes the planned share before execution.
 	mv := moves[0]
+	home := "s3"
+	if mv.From == home {
+		home = "s2"
+	}
 	seg.Placement[mv.From] = removeIndex(seg.Placement[mv.From], mv.Index)
-	seg.Placement["s3"] = append(seg.Placement["s3"], mv.Index)
+	seg.Placement[home] = append(seg.Placement[home], mv.Index)
 	if err := meta.UpdateSegment(seg); err != nil {
 		t.Fatal(err)
 	}

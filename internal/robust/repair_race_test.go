@@ -94,17 +94,19 @@ func TestRepairIdempotent(t *testing.T) {
 	c, _ := newTestClient(t, 5, Options{BlockBytes: 4 << 10, MaxServerShare: 0.3})
 	ctx := context.Background()
 	data := randData(64<<10, 42)
-	if _, err := c.Write(ctx, "seg", data, nil); err != nil {
+	ws, err := c.Write(ctx, "seg", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.DetachStore("mem-02")
+	victim := holdersByShare(ws.PerServer)[0]
+	c.DetachStore(victim)
 
 	first, err := c.Repair(ctx, "seg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Regenerated == 0 && first.Pruned == 0 {
-		t.Fatalf("first repair did nothing: %+v (did mem-02 hold no shares?)", first)
+		t.Fatalf("first repair did nothing: %+v (%s held %d shares)", first, victim, ws.PerServer[victim])
 	}
 	before, err := c.Stat("seg")
 	if err != nil {

@@ -39,19 +39,21 @@ func TestHealthAfterLoss(t *testing.T) {
 	c, _ := newTestClient(t, 6, Options{BlockBytes: 4 << 10, MaxServerShare: 0.25})
 	ctx := context.Background()
 	data := randData(128<<10, 21)
-	if _, err := c.Write(ctx, "h2", data, nil); err != nil {
+	ws, err := c.Write(ctx, "h2", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.DetachStore("mem-00")
+	victim := holdersByShare(ws.PerServer)[0]
+	c.DetachStore(victim)
 	rep, err := c.Health(ctx, "h2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Missing == 0 {
-		t.Fatal("loss not detected")
+	if rep.Missing != ws.PerServer[victim] {
+		t.Fatalf("missing = %d, %s held %d", rep.Missing, victim, ws.PerServer[victim])
 	}
-	if len(rep.DeadAddrs) != 1 || rep.DeadAddrs[0] != "mem-00" {
-		t.Fatalf("dead addrs = %v", rep.DeadAddrs)
+	if len(rep.DeadAddrs) != 1 || rep.DeadAddrs[0] != victim {
+		t.Fatalf("dead addrs = %v, want [%s]", rep.DeadAddrs, victim)
 	}
 	if !rep.Decodable {
 		t.Fatal("segment should survive one server loss at D=3")
@@ -67,9 +69,10 @@ func TestRepairRestoresRedundancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = stores
-	// Lose two servers.
-	c.DetachStore("mem-00")
-	c.DetachStore("mem-01")
+	// Lose the two biggest holders.
+	lost := holdersByShare(ws.PerServer)[:2]
+	c.DetachStore(lost[0])
+	c.DetachStore(lost[1])
 	before, _ := c.Health(ctx, "r")
 	if before.Missing == 0 {
 		t.Fatal("test needs actual loss")

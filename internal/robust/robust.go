@@ -436,7 +436,7 @@ func splitBlocks(data []byte, blockBytes int64) [][]byte {
 
 // buildGraph reconstructs a segment's coding graph from its metadata.
 func buildGraph(coding metadata.Coding) (*ltcode.Graph, error) {
-	p := ltcode.Params{K: coding.K, C: coding.C, Delta: coding.Delta}
+	p := ltcode.Params{K: coding.K, C: coding.C, Delta: coding.Delta, MinSpike: coding.MinSpike}
 	n := coding.GraphN
 	if n == 0 {
 		n = coding.N
@@ -447,9 +447,9 @@ func buildGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 // graphKey identifies a coding graph: construction is deterministic
 // in these fields, so equal keys yield identical graphs.
 type graphKey struct {
-	k, n     int
-	c, delta float64
-	seed     int64
+	k, n, minSpike int
+	c, delta       float64
+	seed           int64
 }
 
 // graphCacheCap bounds the per-client graph memo. Graphs are a few
@@ -466,7 +466,7 @@ func (c *Client) cachedGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 	if n == 0 {
 		n = coding.N
 	}
-	key := graphKey{k: coding.K, n: n, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
+	key := graphKey{k: coding.K, n: n, minSpike: coding.MinSpike, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
 	c.graphMu.Lock()
 	g, ok := c.graphs[key]
 	c.graphMu.Unlock()

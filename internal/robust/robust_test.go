@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -31,6 +32,26 @@ func newTestClient(t *testing.T, n int, opts Options) (*Client, []*blockstore.Me
 		meta.RegisterServer(metadata.Server{Addr: addr})
 	}
 	return c, stores
+}
+
+// holdersByShare lists the servers in a per-server share count, most
+// shares first and ties by address. Rateless placement decides by
+// goroutine timing which servers end up holding shares, so loss tests
+// pick their victims from the placement that resulted.
+func holdersByShare(counts map[string]int) []string {
+	var out []string
+	for addr, n := range counts {
+		if n > 0 {
+			out = append(out, addr)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if counts[out[i]] != counts[out[j]] {
+			return counts[out[i]] > counts[out[j]]
+		}
+		return out[i] < out[j]
+	})
+	return out
 }
 
 func randData(n int, seed int64) []byte {
@@ -62,6 +83,66 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if rs.Reception < 0 || rs.Reception > 1.5 {
 		t.Fatalf("reception overhead %v implausible", rs.Reception)
+	}
+}
+
+func TestSpikeFloorRecordedAndLegacyGraphsRead(t *testing.T) {
+	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+	ctx := context.Background()
+	data := randData(32<<10, 3) // K=32: Luby's spike would sit on degree 1
+	if _, err := c.Write(ctx, "new", data, nil); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.meta.LookupSegment("new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Coding.MinSpike != ltMinSpike {
+		t.Fatalf("new segment records MinSpike %d, want %d", seg.Coding.MinSpike, ltMinSpike)
+	}
+
+	// A segment written before the floor existed records MinSpike 0 and
+	// must keep decoding against Luby's graph, not the capped one.
+	legacy := seg.Coding
+	legacy.MinSpike = 0
+	legacy.GraphSeed = 77
+	lg, err := c.cachedGraph(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := legacy
+	capped.MinSpike = ltMinSpike
+	cg, err := c.cachedGraph(capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for i := range lg.Neighbors {
+		same = same && fmt.Sprint(lg.Neighbors[i]) == fmt.Sprint(cg.Neighbors[i])
+	}
+	if same {
+		t.Fatal("the spike floor did not change the K=32 graph; the legacy case proves nothing")
+	}
+	blocks := splitBlocks(data, legacy.BlockBytes)
+	placement := map[string][]int{}
+	for i := 0; i < legacy.N; i++ {
+		addr := fmt.Sprintf("mem-%02d", i%len(stores))
+		if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare(lg.EncodeBlock(i, blocks))); err != nil {
+			t.Fatal(err)
+		}
+		placement[addr] = append(placement[addr], i)
+	}
+	if err := c.meta.CreateSegment(metadata.Segment{
+		Name: "old", Size: int64(len(data)), Coding: legacy, Placement: placement, Version: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.Read(ctx, "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("legacy segment read back wrong data")
 	}
 }
 

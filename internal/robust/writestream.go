@@ -137,6 +137,14 @@ func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size i
 	return c.writeSegment(ctx, name, size, next, recycle, servers)
 }
 
+// ltMinSpike is the soliton spike floor new segments are coded with
+// (ltcode.Params.MinSpike). Segments hold tens of blocks, where Luby's
+// spike sits on degree 1 and the code is near-replication: with it a
+// 32-block segment lost to two of six servers failed to decode from
+// its surviving 2K blocks in most placements. The floor is recorded
+// in the segment's coding, so older segments keep their graphs.
+const ltMinSpike = 3
+
 // writeSegment is the write path shared by Write and WriteFrom: it
 // consumes chunks from next (io.EOF ends the stream), encodes and
 // ratelessly spreads each one, and commits the segment record once
@@ -285,6 +293,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		total += int64(len(data))
 		graph, gerr := c.cachedGraph(metadata.Coding{
 			K: k, C: c.opts.LTC, Delta: c.opts.LTDelta, GraphSeed: seed, GraphN: graphN,
+			MinSpike: ltMinSpike,
 		})
 		if gerr != nil {
 			cleanup()
@@ -345,6 +354,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		BlockBytes: c.opts.BlockBytes,
 		C:          c.opts.LTC,
 		Delta:      c.opts.LTDelta,
+		MinSpike:   ltMinSpike,
 		ShareCRC:   sealed,
 	}
 	var chunkStride int
@@ -378,6 +388,13 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 	}
 	return stats, nil
 }
+
+// spreadBackoffMin and spreadBackoffMax bound how long a write worker
+// whose whole run failed waits before claiming more work.
+const (
+	spreadBackoffMin = time.Millisecond
+	spreadBackoffMax = 32 * time.Millisecond
+)
 
 // spreadPlan is one chunk's coding work handed to the rateless engine.
 type spreadPlan struct {
@@ -537,6 +554,11 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 				// and completes them before returning, the fallback
 				// loops call it inline — so overBudget needs no atomics.
 				var overBudget bool
+				// runOK records whether any entry of the current run
+				// committed; a run that lost every entry backs the
+				// worker off before it claims more work.
+				var runOK bool
+				var backoff time.Duration
 				handle := func(j int, errj error) {
 					if errj != nil {
 						atomic.AddInt64(count, -1)
@@ -553,6 +575,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 						retry <- puts[j].Index - p.base // hand it to a healthier worker
 						return
 					}
+					runOK = true
 					atomic.AddInt64(&bytesSent, int64(len(puts[j].Data)))
 					if !firstCommit.Swap(true) {
 						onFirstCommit(addr)
@@ -630,7 +653,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 							Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks, p.sealed),
 						})
 					}
-					overBudget = false
+					overBudget, runOK = false, false
 					// One health outcome per wire operation: the stream
 					// and the batch are one round trip each, the fallback
 					// loop stays one per put.
@@ -673,6 +696,21 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 					atomic.AddInt64(&inflight, -int64(len(puts)))
 					if overBudget {
 						cancel()
+						return
+					}
+					// A server failing whole runs — dead, refusing, or
+					// erroring every put — would otherwise re-claim work
+					// as fast as it fails and burn the chunk's failure
+					// budget before slower healthy servers commit.
+					// Exponential backoff, reset by any commit, keeps its
+					// share of the budget small; the re-queued indices go
+					// to other workers meanwhile.
+					if runOK {
+						backoff = 0
+						continue
+					}
+					backoff = min(max(2*backoff, spreadBackoffMin), spreadBackoffMax)
+					if sleepCtx(wctx, backoff) != nil {
 						return
 					}
 				}

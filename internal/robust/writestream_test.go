@@ -238,22 +238,24 @@ func TestWriteChunkedShortWriteCleansUp(t *testing.T) {
 }
 
 func TestChunkedRepairHealthUpdate(t *testing.T) {
-	c, stores := newTestClient(t, 5, streamOptions())
+	// Surviving a lost server takes a share cap: uncapped, the first
+	// worker to start can claim a whole chunk in one run.
+	opts := streamOptions()
+	opts.MaxServerShare = 0.3
+	c, _ := newTestClient(t, 5, opts)
 	ctx := context.Background()
 	data := randData(28<<10, 6) // 3 full chunks + 4 KB tail
 
-	if _, err := c.WriteFrom(ctx, "fixme", bytes.NewReader(data), int64(len(data)), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Lose one server's shares outright.
-	victim := stores[0]
-	idx, err := victim.List(ctx, "fixme")
+	ws, err := c.WriteFrom(ctx, "fixme", bytes.NewReader(data), int64(len(data)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) == 0 {
-		t.Skip("victim store holds no shares; rateless race left it empty")
+
+	// Lose the biggest holder's shares outright.
+	victim, _ := c.store(holdersByShare(ws.PerServer)[0])
+	idx, err := victim.List(ctx, "fixme")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, i := range idx {
 		if err := victim.Delete(ctx, "fixme", i); err != nil {
