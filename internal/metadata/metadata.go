@@ -19,7 +19,11 @@ import (
 // client to rebuild the same coding graph (the graph is a
 // deterministic function of these fields).
 type Coding struct {
-	Algorithm  string  // "lt" (the improved LT codes) or "replication"
+	// Algorithm names the code and fixes how its graph is built from
+	// the fields below: "lt" is Luby's robust soliton, "lt-spike3" the
+	// same with its spike floored at degree 3. A client rebuilds only
+	// graphs of algorithms it knows and refuses the rest.
+	Algorithm  string
 	K          int     // original blocks
 	N          int     // stored coded blocks
 	BlockBytes int64   // coded block size
@@ -27,10 +31,6 @@ type Coding struct {
 	Delta      float64 // LT soliton parameter
 	GraphSeed  int64   // seed the writer used to build the coding graph
 	GraphN     int     // total graph size (>= N; rateless writes overshoot)
-	// MinSpike is the soliton spike floor the graph was built with
-	// (ltcode.Params.MinSpike); zero for segments written before it,
-	// whose records omitempty keeps byte-identical.
-	MinSpike int `json:",omitempty"`
 	// ShareCRC records that every stored coded block is framed with a
 	// client-side CRC-32C envelope (robust.Options share checksums):
 	// readers must verify-and-strip it, and repairers must re-seal

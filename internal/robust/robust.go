@@ -434,9 +434,43 @@ func splitBlocks(data []byte, blockBytes int64) [][]byte {
 	return out
 }
 
+// Coding algorithms (metadata.Coding.Algorithm). The name fixes the
+// graph construction, so reads, Update, Repair and the repair daemon
+// refuse a segment whose algorithm they do not know rather than
+// decode, or regenerate shares, against the wrong graph.
+const (
+	// algLT is Luby's robust soliton, which segments written before
+	// the spike floor record.
+	algLT = "lt"
+	// algLTSpike3 caps the soliton's R so its spike sits at degree 3
+	// or above (ltcode.Params.MinSpike). Segments hold tens of blocks,
+	// where Luby's spike sits on degree 1 and the code is
+	// near-replication: with it a 32-block segment lost to two of six
+	// servers failed to decode from its surviving 2K blocks in most
+	// placements. New segments are written with it.
+	algLTSpike3 = "lt-spike3"
+)
+
+// graphParams maps a coding record onto the LT parameters its
+// algorithm builds the graph with.
+func graphParams(coding metadata.Coding) (ltcode.Params, error) {
+	p := ltcode.Params{K: coding.K, C: coding.C, Delta: coding.Delta}
+	switch coding.Algorithm {
+	case algLT:
+	case algLTSpike3:
+		p.MinSpike = 3
+	default:
+		return ltcode.Params{}, fmt.Errorf("robust: unknown coding algorithm %q", coding.Algorithm)
+	}
+	return p, nil
+}
+
 // buildGraph reconstructs a segment's coding graph from its metadata.
 func buildGraph(coding metadata.Coding) (*ltcode.Graph, error) {
-	p := ltcode.Params{K: coding.K, C: coding.C, Delta: coding.Delta, MinSpike: coding.MinSpike}
+	p, err := graphParams(coding)
+	if err != nil {
+		return nil, err
+	}
 	n := coding.GraphN
 	if n == 0 {
 		n = coding.N
@@ -447,9 +481,10 @@ func buildGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 // graphKey identifies a coding graph: construction is deterministic
 // in these fields, so equal keys yield identical graphs.
 type graphKey struct {
-	k, n, minSpike int
-	c, delta       float64
-	seed           int64
+	alg      string
+	k, n     int
+	c, delta float64
+	seed     int64
 }
 
 // graphCacheCap bounds the per-client graph memo. Graphs are a few
@@ -466,7 +501,7 @@ func (c *Client) cachedGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 	if n == 0 {
 		n = coding.N
 	}
-	key := graphKey{k: coding.K, n: n, minSpike: coding.MinSpike, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
+	key := graphKey{alg: coding.Algorithm, k: coding.K, n: n, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
 	c.graphMu.Lock()
 	g, ok := c.graphs[key]
 	c.graphMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,21 +98,21 @@ func TestSpikeFloorRecordedAndLegacyGraphsRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Coding.MinSpike != ltMinSpike {
-		t.Fatalf("new segment records MinSpike %d, want %d", seg.Coding.MinSpike, ltMinSpike)
+	if seg.Coding.Algorithm != algLTSpike3 {
+		t.Fatalf("new segment records algorithm %q, want %q", seg.Coding.Algorithm, algLTSpike3)
 	}
 
-	// A segment written before the floor existed records MinSpike 0 and
-	// must keep decoding against Luby's graph, not the capped one.
+	// A segment written before the floor existed records "lt" and must
+	// keep decoding against Luby's graph, not the capped one.
 	legacy := seg.Coding
-	legacy.MinSpike = 0
+	legacy.Algorithm = algLT
 	legacy.GraphSeed = 77
 	lg, err := c.cachedGraph(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	capped := legacy
-	capped.MinSpike = ltMinSpike
+	capped.Algorithm = algLTSpike3
 	cg, err := c.cachedGraph(capped)
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +144,57 @@ func TestSpikeFloorRecordedAndLegacyGraphsRead(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("legacy segment read back wrong data")
+	}
+}
+
+func TestUnknownCodingAlgorithmRefused(t *testing.T) {
+	// A segment coded with an algorithm this client does not know must
+	// be refused by every path that rebuilds its graph: decoding it, or
+	// regenerating its shares, against a guessed graph returns wrong
+	// bytes or stores bad shares under valid checksums.
+	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+	ctx := context.Background()
+	if _, err := c.Write(ctx, "obj", randData(32<<10, 4), nil); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.meta.LookupSegment("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg.Coding.Algorithm = "lt-future"
+	if err := c.meta.UpdateSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	// Lose one share, so Repair has something to regenerate.
+	want := make([]int, len(stores))
+	for i := range stores {
+		want[i] = len(seg.Placement[fmt.Sprintf("mem-%02d", i)])
+	}
+	victim := 0
+	for want[victim] == 0 {
+		victim++
+	}
+	if err := stores[victim].Delete(ctx, "obj", seg.Placement[fmt.Sprintf("mem-%02d", victim)][0]); err != nil {
+		t.Fatal(err)
+	}
+	want[victim]--
+	if _, _, err := c.Read(ctx, "obj"); err == nil || !strings.Contains(err.Error(), "unknown coding algorithm") {
+		t.Fatalf("Read = %v, want an unknown-algorithm error", err)
+	}
+	if _, err := c.Health(ctx, "obj"); err == nil || !strings.Contains(err.Error(), "unknown coding algorithm") {
+		t.Fatalf("Health = %v, want an unknown-algorithm error", err)
+	}
+	if _, err := c.Repair(ctx, "obj"); err == nil || !strings.Contains(err.Error(), "unknown coding algorithm") {
+		t.Fatalf("Repair = %v, want an unknown-algorithm error", err)
+	}
+	for i, st := range stores {
+		held, err := st.List(ctx, "obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(held) != want[i] {
+			t.Fatalf("mem-%02d holds %d shares after the refused repair, want %d", i, len(held), want[i])
+		}
 	}
 }
 

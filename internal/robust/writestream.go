@@ -137,14 +137,6 @@ func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size i
 	return c.writeSegment(ctx, name, size, next, recycle, servers)
 }
 
-// ltMinSpike is the soliton spike floor new segments are coded with
-// (ltcode.Params.MinSpike). Segments hold tens of blocks, where Luby's
-// spike sits on degree 1 and the code is near-replication: with it a
-// 32-block segment lost to two of six servers failed to decode from
-// its surviving 2K blocks in most placements. The floor is recorded
-// in the segment's coding, so older segments keep their graphs.
-const ltMinSpike = 3
-
 // writeSegment is the write path shared by Write and WriteFrom: it
 // consumes chunks from next (io.EOF ends the stream), encodes and
 // ratelessly spreads each one, and commits the segment record once
@@ -292,8 +284,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		}
 		total += int64(len(data))
 		graph, gerr := c.cachedGraph(metadata.Coding{
-			K: k, C: c.opts.LTC, Delta: c.opts.LTDelta, GraphSeed: seed, GraphN: graphN,
-			MinSpike: ltMinSpike,
+			Algorithm: algLTSpike3, K: k, C: c.opts.LTC, Delta: c.opts.LTDelta, GraphSeed: seed, GraphN: graphN,
 		})
 		if gerr != nil {
 			cleanup()
@@ -348,13 +339,12 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 	}
 
 	cod := metadata.Coding{
-		Algorithm:  "lt",
+		Algorithm:  algLTSpike3,
 		K:          totK,
 		N:          totN,
 		BlockBytes: c.opts.BlockBytes,
 		C:          c.opts.LTC,
 		Delta:      c.opts.LTDelta,
-		MinSpike:   ltMinSpike,
 		ShareCRC:   sealed,
 	}
 	var chunkStride int

@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/metadata"
@@ -30,6 +31,7 @@ type legacyServer struct {
 	mu     sync.Mutex
 	blocks map[string][]byte
 	ops    map[byte]int // op byte -> times served
+	caps   uint32       // nonzero: answer CAPS with this mask (set under mu)
 }
 
 func startLegacyServer(t *testing.T) *legacyServer {
@@ -106,6 +108,11 @@ func (s *legacyServer) handle(op byte, seg string, idx int, payload []byte) (byt
 		return 0, nil
 	case 5: // PING
 		return 0, nil
+	case 10: // CAPS
+		if s.caps != 0 {
+			return 0, binary.BigEndian.AppendUint32(nil, s.caps)
+		}
+		return 1, []byte("unknown op 0x0a")
 	default: // LIST, SCRUB, CAPS, batch ops: this server predates them
 		return 1, []byte(fmt.Sprintf("unknown op 0x%02x", op))
 	}
@@ -285,6 +292,127 @@ func TestMuxClientAgainstLegacyServerFallsBack(t *testing.T) {
 	snap := counters(reg)
 	if snap["transport_client_mux_dials_total"] != 0 {
 		t.Errorf("mux dials = %d against a legacy server, want 0", snap["transport_client_mux_dials_total"])
+	}
+}
+
+// TestMuxClientAgainstLegacyMuxServerStaysOnV1: a server whose CAPS
+// advertise the mux and PUTSTREAM (bits 3 and 4) but not sized
+// responses (bit 5) predates the RESP length field, so the client must
+// never upgrade to it: single ops stay on v1 and both streaming paths
+// report ErrMuxUnavailable without delivering anything.
+func TestMuxClientAgainstLegacyMuxServerStaysOnV1(t *testing.T) {
+	srv := startLegacyServer(t)
+	srv.mu.Lock()
+	srv.caps = 1<<3 | 1<<4
+	srv.mu.Unlock()
+	reg := obs.NewRegistry()
+	client, err := transport.Dial(srv.ln.Addr().String(), transport.ClientOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+
+	delivered := 0
+	err = client.GetStream(ctx, "seg", []int{0}, func(int, []byte, error) { delivered++ })
+	if !errors.Is(err, transport.ErrMuxUnavailable) || delivered != 0 {
+		t.Fatalf("GetStream = %v (%d delivered), want ErrMuxUnavailable and 0", err, delivered)
+	}
+	acked := 0
+	puts := []blockstore.BatchPut{{Index: 0, Data: []byte("streamed")}}
+	err = client.PutStream(ctx, "seg", puts, func(int, error) { acked++ })
+	if !errors.Is(err, transport.ErrMuxUnavailable) || acked != 0 {
+		t.Fatalf("PutStream = %v (%d acked), want ErrMuxUnavailable and 0", err, acked)
+	}
+	if err := client.Put(ctx, "seg", 1, []byte("v1 payload")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.Get(ctx, "seg", 1)
+	if err != nil || !bytes.Equal(got, []byte("v1 payload")) {
+		t.Fatalf("round trip over a pre-length mux server: %q, %v", got, err)
+	}
+	if n := srv.served(11); n != 0 {
+		t.Errorf("server saw %d MUXUP attempts, want 0 (no sized-response capability)", n)
+	}
+	if n := counters(reg)["transport_client_mux_dials_total"]; n != 0 {
+		t.Errorf("mux dials = %d, want 0", n)
+	}
+}
+
+// TestLegacyMuxClientGetsUnsizedResponses: a v2 client that predates
+// the RESP length field proposes the original 8-byte MUXUP settings
+// and parses RESP as [flags][status][chunk]. The server must answer in
+// that form, acking 8-byte settings and never setting the length flag,
+// or the client would read the length as payload. The frames are
+// hand-rolled against the documented layout.
+func TestLegacyMuxClientGetsUnsizedResponses(t *testing.T) {
+	addr := startV2Server(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	payload := make([]byte, 300<<10) // three RESP chunks, inside one window
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	if st, _ := v1Exchange(t, conn, 1, "seg", 0, payload); st != 0 {
+		t.Fatalf("PUT status = %d", st)
+	}
+	var settings []byte
+	settings = binary.BigEndian.AppendUint32(settings, 1<<20) // window
+	settings = binary.BigEndian.AppendUint32(settings, 8)     // streams
+	st, ack := v1Exchange(t, conn, 11, "-", 0, settings)
+	if st != 0 || len(ack) != 8 {
+		t.Fatalf("MUXUP ack = status %d, %d settings bytes; want 0 and 8", st, len(ack))
+	}
+
+	// REQ frame: [4B len][1B kind=1][4B id][1B flags=FIN][v1 GET body].
+	body := []byte{2}
+	body = binary.BigEndian.AppendUint16(body, 3)
+	body = append(body, "seg"...)
+	body = binary.BigEndian.AppendUint32(body, 0)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+4+1+len(body)))
+	frame = append(frame, 1)
+	frame = binary.BigEndian.AppendUint32(frame, 1)
+	frame = append(frame, 1)
+	frame = append(frame, body...)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []byte
+	for {
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		f := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		if len(f) < 5 || f[0] != 2 { // WINDOW grants for the request, etc.
+			continue
+		}
+		if len(f) < 7 {
+			t.Fatalf("short RESP frame (%d bytes)", len(f))
+		}
+		flags, status := f[5], f[6]
+		if status != 0 {
+			t.Fatalf("GET status = %d: %q", status, f[7:])
+		}
+		if flags&^1 != 0 {
+			t.Fatalf("RESP flags = %#x, want only FIN for a client that did not propose lengths", flags)
+		}
+		got = append(got, f[7:]...)
+		if flags&1 != 0 {
+			break
+		}
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("GET over the mux returned %d bytes, want the %d stored", len(got), len(payload))
 	}
 }
 

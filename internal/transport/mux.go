@@ -41,6 +41,10 @@ import (
 // payload length in the 4-byte field after the status, so the client
 // allocates the response once at its final size and reads every chunk
 // straight into place; streamed responses (PUTSTREAM acks) omit it.
+// LEN is negotiated: the server sends it only on a connection whose
+// MUXUP proposal carried muxFeatureLen, and a client upgrades only to
+// a server whose CAPS advertise capMuxLen, so neither end meets the
+// field unless it reads it.
 // Chunk payload bytes are debited from the
 // sender's per-stream credit window; the receiver returns credit with
 // WINDOW frames as it consumes chunks, and stops granting the moment
@@ -475,29 +479,52 @@ func (q *ctlQueue) run(w *lockedWriter, onErr func(error)) {
 }
 
 // muxSettings are the negotiated per-connection parameters: the
-// initial per-stream window (bytes, each direction) and the maximum
-// number of concurrently open streams.
+// initial per-stream window (bytes, each direction), the maximum
+// number of concurrently open streams, and the optional wire features
+// both ends speak (muxFeature* bits).
 type muxSettings struct {
 	window     int
 	maxStreams int
+	features   uint32
 }
 
-// encodeMuxSettings packs the MUXUP request/response payload.
+// muxFeatureLen: the server marks the first RESP frame of a buffered
+// response with muxFlagLen and its total length. A server sends the
+// field only to a client that proposed it, because a client that
+// predates it would read the 4 bytes as payload.
+const muxFeatureLen = uint32(1 << 0)
+
+// Lengths of a MUXUP payload: the original window+streams form, and
+// the form that appends a 4-byte feature mask.
+const (
+	muxSettingsLen         = 8
+	muxSettingsFeaturesLen = 12
+)
+
+// encodeMuxSettings packs the MUXUP request/response payload. Settings
+// without features keep the original 8-byte form, so a server answers
+// a client that predates the feature mask in the form it can parse.
 func encodeMuxSettings(s muxSettings) []byte {
-	return []byte{
-		byte(s.window >> 24), byte(s.window >> 16), byte(s.window >> 8), byte(s.window),
-		byte(s.maxStreams >> 24), byte(s.maxStreams >> 16), byte(s.maxStreams >> 8), byte(s.maxStreams),
+	out := make([]byte, muxSettingsLen, muxSettingsFeaturesLen)
+	binary.BigEndian.PutUint32(out[0:], uint32(s.window))
+	binary.BigEndian.PutUint32(out[4:], uint32(s.maxStreams))
+	if s.features != 0 {
+		out = binary.BigEndian.AppendUint32(out, s.features)
 	}
+	return out
 }
 
-// decodeMuxSettings unpacks a MUXUP payload.
+// decodeMuxSettings unpacks a MUXUP payload in either form.
 func decodeMuxSettings(payload []byte) (muxSettings, error) {
-	if len(payload) != 8 {
+	if len(payload) != muxSettingsLen && len(payload) != muxSettingsFeaturesLen {
 		return muxSettings{}, fmt.Errorf("transport: malformed mux settings (%d bytes)", len(payload))
 	}
 	s := muxSettings{
-		window:     int(uint32(payload[0])<<24 | uint32(payload[1])<<16 | uint32(payload[2])<<8 | uint32(payload[3])),
-		maxStreams: int(uint32(payload[4])<<24 | uint32(payload[5])<<16 | uint32(payload[6])<<8 | uint32(payload[7])),
+		window:     int(binary.BigEndian.Uint32(payload[0:])),
+		maxStreams: int(binary.BigEndian.Uint32(payload[4:])),
+	}
+	if len(payload) == muxSettingsFeaturesLen {
+		s.features = binary.BigEndian.Uint32(payload[8:])
 	}
 	if s.window <= 0 || s.maxStreams <= 0 {
 		return muxSettings{}, fmt.Errorf("transport: non-positive mux settings")
@@ -506,8 +533,8 @@ func decodeMuxSettings(payload []byte) (muxSettings, error) {
 }
 
 // negotiate clamps the peer's proposed settings to local bounds: both
-// sides end up with the min of the two proposals, so neither can be
-// pushed past what it offered.
+// sides end up with the min of the two proposals and the features both
+// offered, so neither can be pushed past what it offered.
 func (s muxSettings) negotiate(peer muxSettings) muxSettings {
 	out := s
 	if peer.window < out.window {
@@ -516,5 +543,6 @@ func (s muxSettings) negotiate(peer muxSettings) muxSettings {
 	if peer.maxStreams < out.maxStreams {
 		out.maxStreams = peer.maxStreams
 	}
+	out.features &= peer.features
 	return out
 }

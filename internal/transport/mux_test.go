@@ -137,14 +137,23 @@ func TestDecodeMuxFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestMuxSettingsRoundTripAndNegotiate(t *testing.T) {
-	s := muxSettings{window: 1 << 20, maxStreams: 64}
-	got, err := decodeMuxSettings(encodeMuxSettings(s))
-	if err != nil || got != s {
-		t.Fatalf("round trip = %+v, %v; want %+v", got, err, s)
+	for _, s := range []muxSettings{
+		{window: 1 << 20, maxStreams: 64},
+		{window: 1 << 20, maxStreams: 64, features: muxFeatureLen},
+	} {
+		enc := encodeMuxSettings(s)
+		got, err := decodeMuxSettings(enc)
+		if err != nil || got != s {
+			t.Fatalf("round trip = %+v, %v; want %+v", got, err, s)
+		}
+		if s.features == 0 && len(enc) != 8 {
+			t.Fatalf("featureless settings encode to %d bytes, want the original 8", len(enc))
+		}
 	}
 	for name, payload := range map[string][]byte{
 		"short":        make([]byte, 7),
 		"long":         make([]byte, 9),
+		"longer":       make([]byte, 13),
 		"zero-window":  encodeMuxSettings(muxSettings{window: 0, maxStreams: 4}),
 		"zero-streams": encodeMuxSettings(muxSettings{window: 4, maxStreams: 0}),
 	} {
@@ -160,6 +169,15 @@ func TestMuxSettingsRoundTripAndNegotiate(t *testing.T) {
 	}
 	if got := b.negotiate(a); got != want {
 		t.Fatalf("negotiate (reversed) = %+v, want %+v", got, want)
+	}
+	// A feature is on only when both ends offer it.
+	a.features, b.features = muxFeatureLen, 0
+	if got := a.negotiate(b); got.features != 0 {
+		t.Fatalf("negotiate kept features %#x the peer did not offer", got.features)
+	}
+	b.features = muxFeatureLen
+	if got := a.negotiate(b); got.features != muxFeatureLen {
+		t.Fatalf("negotiate features = %#x, want %#x", got.features, muxFeatureLen)
 	}
 }
 
@@ -347,7 +365,9 @@ func FuzzMuxFrameDecode(f *testing.F) {
 
 func FuzzMuxSettingsDecode(f *testing.F) {
 	f.Add(encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}))
+	f.Add(encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}))
 	f.Add(make([]byte, 8))
+	f.Add(make([]byte, 12))
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s, err := decodeMuxSettings(payload)

@@ -100,7 +100,7 @@ func (s *muxStream) isFinished() bool {
 // muxDefaults are the client's proposed settings (clamped by
 // ClientOptions and by the server during negotiation).
 func (c *Client) muxProposal() muxSettings {
-	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
+	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}
 	if c.muxWindow > 0 {
 		s.window = c.muxWindow
 	}
@@ -111,8 +111,10 @@ func (c *Client) muxProposal() muxSettings {
 }
 
 // muxFor returns a live mux connection when the server is known to
-// speak transport v2 (CAPS already probed, capMux set) and the mux is
-// enabled; nil sends the caller down the v1 path. Establishment
+// speak transport v2 with sized responses (CAPS already probed,
+// capMux and capMuxLen set) and the mux is enabled; nil sends the
+// caller down the v1 path, as it does for a v2 server that predates
+// capMuxLen. Establishment
 // happens at most once at a time; a caller that finds no live
 // connection while one is being established waits for it (bounded by
 // ctx) instead of falling back, so a cold client's first burst rides
@@ -123,7 +125,7 @@ func (c *Client) muxFor(ctx context.Context) *muxConn {
 	if c.muxDisabled {
 		return nil
 	}
-	if v := c.caps.Load(); v == 0 || (v>>1)&capMux == 0 {
+	if v := c.caps.Load(); v == 0 || (v>>1)&capMuxData != capMuxData {
 		return nil
 	}
 	c.muxMu.Lock()
@@ -235,6 +237,10 @@ func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
 	if err != nil {
 		conn.Close()
 		return nil, err
+	}
+	if settings.features&muxFeatureLen == 0 {
+		conn.Close()
+		return nil, fmt.Errorf("%w: server declined sized responses", ErrMuxUnavailable)
 	}
 	conn.SetDeadline(time.Time{})
 	m := &muxConn{
@@ -606,7 +612,7 @@ func (m *muxConn) close() {
 // speak transport v2; callers then fall back to batch windows.
 // deliver may be called from multiple goroutines.
 func (c *Client) GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error {
-	if c.capabilities(ctx)&capMux == 0 {
+	if c.capabilities(ctx)&capMuxData != capMuxData {
 		return ErrMuxUnavailable
 	}
 	if c.muxFor(ctx) == nil {
@@ -648,7 +654,7 @@ func (c *Client) GetStream(ctx context.Context, segment string, indices []int, d
 // through acked for the remaining entries instead.
 func (c *Client) PutStream(ctx context.Context, segment string, puts []blockstore.BatchPut, acked func(i int, err error)) error {
 	caps := c.capabilities(ctx)
-	if caps&capMux == 0 || caps&capPutStream == 0 {
+	if caps&capMuxData != capMuxData || caps&capPutStream == 0 {
 		return ErrMuxUnavailable
 	}
 	m := c.muxFor(ctx)

@@ -16,7 +16,7 @@ import (
 
 // serverMuxDefaults bound what a server will accept during MUXUP
 // negotiation regardless of the client's proposal.
-var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
+var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}
 
 // upgradeMux answers one MUXUP request. A malformed proposal is
 // refused in-band (the connection stays on v1); a valid one is
@@ -353,13 +353,15 @@ func (m *muxServerConn) serveStream(ctx context.Context, st *muxServerStream, re
 // writeResponse streams one response as chunked RESP frames, taking
 // per-stream credit before each chunk so a slow or abandoned reader
 // stalls only this stream. The status rides on every frame (first
-// wins client-side), so even an empty response carries it; the first
-// frame of a non-empty response also announces its total length.
+// wins client-side), so even an empty response carries it; on a
+// connection that negotiated muxFeatureLen the first frame of a
+// non-empty response also announces its total length.
 func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [][]byte) {
 	total := 0
 	for _, ch := range chunks {
 		total += len(ch)
 	}
+	sized := m.settings.features&muxFeatureLen != 0
 	stalled := func() { m.s.m.muxStalls.Inc() }
 	var head [muxRespChunkOverhead + muxRespLenOverhead]byte
 	head[1] = status
@@ -372,7 +374,7 @@ func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [
 			}
 			h := head[:muxRespChunkOverhead]
 			head[0] = 0
-			if written == 0 {
+			if written == 0 && sized {
 				head[0] = muxFlagLen
 				binary.BigEndian.PutUint32(head[muxRespChunkOverhead:], uint32(total))
 				h = head[:]

@@ -1,6 +1,9 @@
 package transport
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Scratch-buffer pool for the batch hot path. Batch requests and
 // responses are assembled as small header chunks that reference the
@@ -37,45 +40,31 @@ func putScratch(b *[]byte) {
 // writes, which must outlive the writeFrameVec call they are built in.
 var frameHdrPool = sync.Pool{New: func() any { return new([4]byte) }}
 
-// PUTSTREAM entry buffers are leased at exactly the entry's size (a
-// stream's entries are nearly always one size: a share, block plus
-// envelope) from one sync.Pool per size, so a recycled buffer carries
-// no rounding waste. Only the first maxEntryPoolSizes distinct sizes
-// get a pool; other sizes are allocated per entry and dropped.
-const maxEntryPoolSizes = 8
+// PUTSTREAM entry buffers come from one sync.Pool per power-of-two
+// capacity class: class k holds buffers whose capacity lies in
+// [2^(k-1), 2^k). A lease takes a buffer from its size's class and
+// reslices it to exactly n when its capacity suffices, else allocates
+// n bytes into it; a release files the buffer under its capacity. A
+// stream's entries are nearly always one size (a share: block plus
+// envelope), so steady traffic reuses exact-size buffers, a buffer
+// never holds an entry less than half its capacity, and no mix of
+// sizes can turn pooling off for the rest.
+var entryPools [bits.UintSize + 1]sync.Pool
 
-var entryPools struct {
-	mu    sync.Mutex
-	sizes map[int]*sync.Pool
-}
-
-// entryPool returns the pool for n-byte buffers, nil when the size
-// table is full.
-func entryPool(n int) *sync.Pool {
-	entryPools.mu.Lock()
-	defer entryPools.mu.Unlock()
-	p := entryPools.sizes[n]
-	if p == nil && len(entryPools.sizes) < maxEntryPoolSizes {
-		if entryPools.sizes == nil {
-			entryPools.sizes = make(map[int]*sync.Pool)
-		}
-		p = &sync.Pool{New: func() any {
-			b := make([]byte, n)
-			return &b
-		}}
-		entryPools.sizes[n] = p
+func init() {
+	for i := range entryPools {
+		entryPools[i].New = func() any { return new([]byte) }
 	}
-	return p
 }
 
 // leaseEntryBuf returns a buffer of exactly n bytes (n > 0).
 func leaseEntryBuf(n int) *[]byte {
-	p := entryPool(n)
-	if p == nil {
-		b := make([]byte, n)
-		return &b
+	b := entryPools[bits.Len(uint(n))].Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
 	}
-	return p.Get().(*[]byte)
+	*b = (*b)[:n]
+	return b
 }
 
 // releaseEntryBuf returns a leased buffer; nil is a no-op.
@@ -83,7 +72,5 @@ func releaseEntryBuf(b *[]byte) {
 	if b == nil {
 		return
 	}
-	if p := entryPool(len(*b)); p != nil {
-		p.Put(b)
-	}
+	entryPools[bits.Len(uint(cap(*b)))].Put(b)
 }

@@ -141,3 +141,34 @@ func TestServerAddr(t *testing.T) {
 		t.Fatal("Addr after Serve is nil")
 	}
 }
+
+// TestEntryBufPoolSurvivesOddSizes: entry buffers of many distinct
+// sizes pass through the pool, yet the common share size still leases
+// without allocating afterwards — no early mix of sizes, hostile or
+// not, turns pooling off — and every lease has exactly its size.
+func TestEntryBufPoolSurvivesOddSizes(t *testing.T) {
+	for n := 1; n <= 1<<20; n = n*3 + 1 {
+		b := leaseEntryBuf(n)
+		if len(*b) != n {
+			t.Fatalf("leaseEntryBuf(%d) has length %d", n, len(*b))
+		}
+		releaseEntryBuf(b)
+	}
+	const share = 64<<10 + 13
+	for _, n := range []int{share, share - 1000, share} {
+		b := leaseEntryBuf(n)
+		if len(*b) != n {
+			t.Fatalf("leaseEntryBuf(%d) has length %d", n, len(*b))
+		}
+		releaseEntryBuf(b)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops puts at random")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		releaseEntryBuf(leaseEntryBuf(share))
+	})
+	if allocs != 0 {
+		t.Fatalf("leasing a %d-byte entry after odd sizes allocated %.0f times per run, want 0", share, allocs)
+	}
+}

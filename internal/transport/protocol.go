@@ -74,7 +74,12 @@ const (
 	capDeleteBatch = uint32(1 << 2)
 	capMux         = uint32(1 << 3) // server accepts opMuxUpgrade (transport v2)
 	capPutStream   = uint32(1 << 4) // server handles opPutStream incrementally on mux streams
+	capMuxLen      = uint32(1 << 5) // server sends RESP lengths to a client that proposes muxFeatureLen
 )
+
+// capMuxData is what a client needs from a server before it upgrades:
+// the mux itself and sized responses, which it requires.
+const capMuxData = capMux | capMuxLen
 
 // Response status codes.
 const (

@@ -276,7 +276,7 @@ func batchStatus(err error) (byte, []byte) {
 // already referencing it); entry bytes are referenced in place.
 func (s *Server) dispatchBatch(ctx context.Context, req request, scratch *[]byte) (byte, [][]byte) {
 	if req.op == opCaps {
-		return statusOK, [][]byte{encodeCaps(capPutBatch | capGetBatch | capDeleteBatch | capMux | capPutStream)}
+		return statusOK, [][]byte{encodeCaps(capPutBatch | capGetBatch | capDeleteBatch | capMux | capPutStream | capMuxLen)}
 	}
 	// Admission control guards the batch data paths exactly like the
 	// single-block ones: one admit per request, sized by its payload.
