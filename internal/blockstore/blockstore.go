@@ -53,13 +53,13 @@ type BatchPut struct {
 }
 
 // Batcher is implemented by stores that can move many blocks per
-// call: transport.Client maps it onto the batch wire ops (many
-// blocks per round trip), MemStore onto a single lock crossing and
-// one backing allocation per batch. Every method returns a slice of
-// per-entry errors parallel to its input — one bad block never fails
-// the batch, and a store-wide failure fills every slot. The robust
-// client's read/write/delete paths use the fast path when a store
-// offers it and fall back to single-block loops otherwise.
+// call: transport.Client maps it onto its streams and the DELETEBATCH
+// op, MemStore onto a single lock crossing and one backing allocation
+// per batch. Every method returns a slice of per-entry errors parallel
+// to its input — one bad block never fails the batch, and a
+// store-wide failure fills every slot. The robust client serves its
+// run and window calls to a local store through these methods when the
+// store has them, and block by block otherwise.
 //
 // Like Put, PutBatch must not retain entry data after it returns.
 type Batcher interface {

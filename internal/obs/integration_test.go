@@ -77,9 +77,8 @@ func TestMetricsEndpointReflectsAccess(t *testing.T) {
 		`(?m)^robust_write_latency_seconds_count 1$`,
 		`(?m)^robust_read_blocks_total [1-9]\d*$`,
 		`(?m)^robust_write_blocks_total [1-9]\d*$`,
-		`(?m)^transport_client_dials_total [1-9]\d*$`,
-		// A v2/v2 pair reads over mux streams (per-stream GETs feeding
-		// the decoder as frames arrive), not GETBATCH windows.
+		// Reads ride mux streams: per-stream GETs feeding the decoder
+		// as frames arrive.
 		`(?m)^transport_server_get_total [1-9]\d*$`,
 		`(?m)^transport_client_mux_dials_total [1-9]\d*$`,
 		`(?m)^transport_client_mux_streams_total [1-9]\d*$`,

@@ -75,15 +75,15 @@ func muxChaosWorkload(t *testing.T, client *Client, name string, data []byte, ro
 
 // TestChaosMuxStalledReadScrubWriteShareConn runs a stalled read, a
 // scrub, and a write concurrently where every server connection is a
-// single multiplexed conn (MuxConns 1) under injected stalls and
+// single multiplexed conn (MaxConns 1) under injected stalls and
 // connection resets: per-stream isolation must keep the siblings
 // correct, and a reset must burn only the one conn it hits (the next
-// exchange re-upgrades).
+// exchange redials).
 func TestChaosMuxStalledReadScrubWriteShareConn(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 6,
 		Options{BlockBytes: 8 << 10, Redundancy: 4, MaxServerShare: 0.25, HedgeReads: true, Obs: reg},
-		transport.ClientOptions{MaxRetries: 3, RequestTimeout: 2 * time.Second, MuxConns: 1, Obs: reg})
+		transport.ClientOptions{MaxRetries: 3, RequestTimeout: 2 * time.Second, MaxConns: 1, Obs: reg})
 	ctx := context.Background()
 	data := randData(256<<10, 90)
 
@@ -127,7 +127,7 @@ func TestSoakMuxChaosHighFaultRates(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 8,
 		Options{BlockBytes: 8 << 10, Redundancy: 5, MaxServerShare: 0.2, HedgeReads: true, Obs: reg},
-		transport.ClientOptions{MaxRetries: 5, RequestTimeout: 5 * time.Second, MuxConns: 2, Obs: reg})
+		transport.ClientOptions{MaxRetries: 5, RequestTimeout: 5 * time.Second, MaxConns: 2, Obs: reg})
 	ctx := context.Background()
 	data := randData(512<<10, 92)
 

@@ -117,14 +117,16 @@ func TestChaosStalledAndCorruptingRead(t *testing.T) {
 	// server is the biggest holder left and the only one answering at
 	// once, so its corrupt shares reach the client before the healthy
 	// ones can finish the decode: a read that completes on healthy
-	// shares alone would prove nothing about rejection.
+	// shares alone would prove nothing about rejection. The healthy
+	// latency leaves the rotting server's answers a wide lead even on
+	// one busy CPU (at 2 ms it lost the race about once in 300 runs).
 	servers[0].storeInj.SetConfig(faultinject.Config{StallProb: 1, Stall: stall})
 	servers[1].storeInj.SetConfig(faultinject.Config{StallProb: 1, Stall: stall})
 	rest := append([]*chaosServer(nil), servers[2:]...)
 	sort.SliceStable(rest, func(i, j int) bool { return ws.PerServer[rest[i].addr] > ws.PerServer[rest[j].addr] })
 	rest[0].storeInj.SetConfig(faultinject.Config{CorruptProb: 1, Ops: []string{"get"}})
 	for _, cs := range rest[1:] {
-		cs.storeInj.SetConfig(faultinject.Config{Latency: 2 * time.Millisecond, Ops: []string{"get"}})
+		cs.storeInj.SetConfig(faultinject.Config{Latency: 20 * time.Millisecond, Ops: []string{"get"}})
 	}
 
 	start := time.Now()

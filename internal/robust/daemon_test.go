@@ -275,6 +275,16 @@ func TestDaemonRunOnceHealsLossAndCorruption(t *testing.T) {
 	}
 }
 
+// bucketWait is the wait a token bucket owes for debt bytes at rate
+// bytes per second, in take's unit conversion.
+func bucketWait(debt, rate int64) time.Duration {
+	return time.Duration(float64(debt) / float64(rate) * float64(time.Second))
+}
+
+// TestDaemonThrottleUsesBucket: the repair pass charges the bucket the
+// repair's share bytes before repairing. On a clock that never moves
+// the bucket never refills, so the wait is exactly the charge beyond
+// the burst at the configured rate.
 func TestDaemonThrottleUsesBucket(t *testing.T) {
 	c, inners := newDaemonClient(t, nil, "s1", "s2", "s3", "s4")
 	ctx := context.Background()
@@ -289,11 +299,16 @@ func TestDaemonThrottleUsesBucket(t *testing.T) {
 	if err := inners["s1"].Delete(ctx, "seg", seg.Placement["s1"][0]); err != nil {
 		t.Fatal(err)
 	}
-	// Rate so high the deficit's charge clears in well under a test
-	// tick, but with a tiny burst so the wait is still non-zero.
+	audit, err := c.Audit(ctx, "seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rate, burst = 1 << 30, 1
+	clk := &tbClock{t: time.Unix(0, 0)}
 	d := NewDaemon(c, DaemonOptions{
-		RepairRateBytesPerSec: 1 << 30,
-		RepairBurstBytes:      1,
+		RepairRateBytesPerSec: rate,
+		RepairBurstBytes:      burst,
+		Now:                   clk.Now,
 	})
 	stats, err := d.RunOnce(ctx)
 	if err != nil {
@@ -302,8 +317,9 @@ func TestDaemonThrottleUsesBucket(t *testing.T) {
 	if stats.Repaired != 1 {
 		t.Fatalf("stats = %+v, want one repair", stats)
 	}
-	if stats.Throttled <= 0 {
-		t.Fatal("expected a throttle wait with a 1-byte burst")
+	cost := int64(audit.RepairShares()) * c.opts.BlockBytes
+	if want := bucketWait(cost-burst, rate); stats.Throttled != want {
+		t.Fatalf("throttled %v for a %d-byte repair, want %v", stats.Throttled, cost, want)
 	}
 }
 

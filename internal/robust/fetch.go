@@ -3,6 +3,7 @@ package robust
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,257 +121,209 @@ func (f *fetcher) hedgeDelay() time.Duration {
 	return d
 }
 
-// getVerified performs one share fetch attempt with CRC verification
-// and a single refetch on corruption: transit corruption is usually
-// transient, disk corruption is not — one retry tells them apart
-// without letting a rotten server stall the read.
-func (f *fetcher) getVerified(ctx context.Context, addr string, store storeGetter, idx int) ([]byte, error) {
-	start := time.Now()
-	payload, err := store.Get(ctx, f.name, idx)
-	f.c.reportOutcome(addr, err)
-	if err != nil {
-		return nil, err
-	}
-	f.tracker.add(time.Since(start))
-	if !f.sealed {
-		return payload, nil
-	}
+// open verifies a sealed share's envelope, refetching the share once
+// through the single-block op on a mismatch: transit corruption is
+// usually transient, disk corruption is not — one retry tells them
+// apart without letting a rotten server stall the read.
+func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int, payload []byte) ([]byte, error) {
 	data, err := openShare(payload)
 	if err == nil {
 		return data, nil
 	}
 	f.corrupt.Add(1)
 	f.c.m.readCorruptShares.Inc()
-	// Refetch once.
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, errors.Join(err, cerr)
+	}
 	payload, gerr := store.Get(ctx, f.name, idx)
 	f.c.reportOutcome(addr, gerr)
 	if gerr != nil {
 		return nil, errors.Join(err, gerr)
 	}
-	data, err2 := openShare(payload)
-	if err2 != nil {
+	if data, err = openShare(payload); err != nil {
 		f.corrupt.Add(1)
 		f.c.m.readCorruptShares.Inc()
-		return nil, err2
+		return nil, err
 	}
 	return data, nil
 }
 
-// batchGetter is the batched read-path slice of blockstore.Batcher.
-type batchGetter interface {
-	GetBatch(ctx context.Context, segment string, indices []int) ([][]byte, []error)
+// window fetches one read worker's windows of shares from its holder.
+// It is reused across the worker's windows, so the fault-free path
+// allocates nothing per window.
+type window struct {
+	f       *fetcher
+	addr    string
+	store   backend
+	deliver func(int, []byte)
+	primary func(int, []byte, error) // share for the holder's own stream
+
+	// Per-window state. ctx and cancel are set before any stream starts;
+	// the rest is guarded by mu, since GetStream may deliver from
+	// several goroutines and a hedge races the primary.
+	ctx     context.Context
+	cancel  context.CancelFunc // stops the racing streams; nil without a hedge
+	start   time.Time
+	mu      sync.Mutex
+	indices []int
+	done    []bool  // by position in indices
+	errs    []error // the holder's failures, by position
+	ndone   int
 }
 
-// getBatchVerified fetches a window of shares in one round trip and
-// verifies every entry's envelope, refetching corrupt entries once
-// through the single-block op (transit corruption is usually
-// transient, disk corruption is not). errs[i] is each entry's final
-// outcome; datas[i] is nil whenever errs[i] is set.
-func (f *fetcher) getBatchVerified(ctx context.Context, addr string, bg batchGetter, store storeGetter, indices []int) ([][]byte, []error) {
-	start := time.Now()
-	datas, errs := bg.GetBatch(ctx, f.name, indices)
-	outcome := f.c.batchOutcome(errs)
-	f.c.reportOutcome(addr, outcome)
-	if outcome == nil {
-		// The tracker learns batch round-trip times here, so the hedge
-		// delay self-calibrates to window latency, not share latency.
-		f.tracker.add(time.Since(start))
-	}
-	for i := range datas {
-		if errs[i] != nil {
-			datas[i] = nil
-			continue
-		}
-		if !f.sealed {
-			continue
-		}
-		data, err := openShare(datas[i])
-		if err == nil {
-			datas[i] = data
-			continue
-		}
-		f.corrupt.Add(1)
-		f.c.m.readCorruptShares.Inc()
-		// Verification above is pure in-memory work and still counts
-		// after cancellation (the drain path reads these stats); only
-		// the refetch round trip is skipped once the read is done.
-		if cerr := ctx.Err(); cerr != nil {
-			datas[i], errs[i] = nil, errors.Join(err, cerr)
-			continue
-		}
-		payload, gerr := store.Get(ctx, f.name, indices[i])
-		f.c.reportOutcome(addr, gerr)
-		if gerr != nil {
-			datas[i], errs[i] = nil, errors.Join(err, gerr)
-			continue
-		}
-		data, err2 := openShare(payload)
-		if err2 != nil {
-			f.corrupt.Add(1)
-			f.c.m.readCorruptShares.Inc()
-			datas[i], errs[i] = nil, err2
-			continue
-		}
-		datas[i] = data
-	}
-	return datas, errs
+// hedgeState is one hedge's holder and how it fared.
+type hedgeState struct {
+	addr  string
+	store backend
+	err   error // one of its failures
+	won   bool  // it delivered a share first
 }
 
-// batchFrom fetches a window from a holder that may or may not offer
-// the batch fast path (a hedge target can be an old server).
-func (f *fetcher) batchFrom(ctx context.Context, addr string, store storeGetter, indices []int) ([][]byte, []error) {
-	if bg, ok := store.(batchGetter); ok {
-		return f.getBatchVerified(ctx, addr, bg, store, indices)
-	}
-	datas := make([][]byte, len(indices))
-	errs := make([]error, len(indices))
-	for i, idx := range indices {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		datas[i], errs[i] = f.getVerified(ctx, addr, store, idx)
-	}
-	return datas, errs
+var errShareNotDelivered = errors.New("robust: share not delivered")
+
+func (f *fetcher) newWindow(addr string, store backend, deliver func(int, []byte)) *window {
+	w := &window{f: f, addr: addr, store: store, deliver: deliver}
+	w.primary = func(idx int, payload []byte, err error) { w.share(nil, idx, payload, err) }
+	return w
 }
 
-// deliverWindow hands a window's successful entries to deliver and
-// returns the failure count — zero when the read was canceled, since
-// a canceled fetch says nothing about the holder.
-func deliverWindow(ctx context.Context, indices []int, datas [][]byte, errs []error, deliver func(int, []byte)) int {
-	failed := 0
-	for i := range indices {
-		if errs[i] != nil {
-			failed++
-			continue
-		}
-		deliver(indices[i], datas[i])
+// fetch retrieves one window of shares through the holder's GetStream,
+// verifying each share and handing it to deliver the moment it arrives
+// — no window barrier between the wire and the decoder. With hedging
+// on, once the window outlives the hedge trigger the shares still
+// outstanding are promoted to an alternate holder's GetStream; the
+// first copy of each share wins, and once every share is in, the other
+// stream is canceled. Returns the number of shares not delivered (0
+// when the read was canceled, which says nothing about the holder).
+func (w *window) fetch(ctx context.Context, indices []int) int {
+	w.ctx, w.cancel, w.start = ctx, nil, time.Now()
+	w.indices, w.ndone = indices, 0
+	w.done = append(w.done[:0], make([]bool, len(indices))...)
+	w.errs = append(w.errs[:0], make([]error, len(indices))...)
+	if w.f.hedge {
+		w.race(ctx)
+	} else {
+		w.store.GetStream(ctx, w.f.name, indices, w.primary)
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if ctx.Err() != nil {
 		return 0
 	}
-	return failed
+	// One health outcome per window: any share proves the holder
+	// answered.
+	var out error
+	if w.ndone == 0 {
+		for p, e := range w.errs {
+			if e == nil {
+				w.errs[p] = errShareNotDelivered
+			}
+		}
+		out = w.f.c.batchOutcome(w.errs)
+	}
+	w.f.c.reportOutcome(w.addr, out)
+	return len(indices) - w.ndone
 }
 
-// fetchBatch retrieves a window of shares from one holder, delivering
-// each verified payload and returning how many shares failed. Stores
-// without the batch fast path keep the per-share pipeline (including
-// per-share hedging). Batch windows hedge at window granularity: when
-// the primary batch outlives the p99-ish trigger the whole remaining
-// window is promoted to the alternate holder, the first responder
-// wins, and the loser fills any entries the winner missed.
-func (f *fetcher) fetchBatch(ctx context.Context, addr string, store storeGetter, indices []int, deliver func(int, []byte)) int {
-	bg, ok := store.(batchGetter)
-	if !ok || len(indices) == 1 {
-		failed := 0
-		for _, idx := range indices {
-			payload, err := f.fetch(ctx, addr, store, idx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return failed
-				}
-				failed++
-				continue
-			}
-			deliver(idx, payload)
-		}
-		return failed
-	}
-	if !f.hedge {
-		datas, errs := f.getBatchVerified(ctx, addr, bg, store, indices)
-		return deliverWindow(ctx, indices, datas, errs, deliver)
-	}
-	type batchRes struct {
-		datas  [][]byte
-		errs   []error
-		hedged bool
-	}
-	res := make(chan batchRes, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
+// race runs the holder's stream against the hedge trigger.
+func (w *window) race(ctx context.Context) {
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w.ctx, w.cancel = wctx, cancel
+	primaryDone := make(chan struct{})
 	go func() {
-		datas, errs := f.getBatchVerified(pctx, addr, bg, store, indices)
-		res <- batchRes{datas, errs, false}
+		defer close(primaryDone)
+		w.store.GetStream(wctx, w.f.name, w.indices, w.primary)
 	}()
-	timer := time.NewTimer(f.hedgeDelay())
+	timer := time.NewTimer(w.f.hedgeDelay())
 	defer timer.Stop()
-	var (
-		winner    batchRes
-		gotWinner bool
-		scancel   context.CancelFunc
-	)
 	select {
-	case winner = <-res:
-		gotWinner = true
+	case <-primaryDone:
 	case <-ctx.Done():
 	case <-timer.C:
+		w.hedge(wctx)
 	}
-	outstanding := 1
-	if gotWinner {
-		outstanding--
-	}
-	if !gotWinner && ctx.Err() == nil {
-		// Primary is slow: promote the whole remaining window.
-		f.hedges.Add(1)
-		f.c.m.readHedges.Inc()
-		var sctx context.Context
-		sctx, scancel = context.WithCancel(ctx)
-		defer scancel()
-		haddr, hstore := f.altStore(addr, indices[0], store)
-		outstanding++
-		go func() {
-			datas, errs := f.batchFrom(sctx, haddr, hstore, indices)
-			res <- batchRes{datas, errs, true}
-		}()
-		select {
-		case winner = <-res:
-			gotWinner = true
-			outstanding--
-		case <-ctx.Done():
-		}
-		if gotWinner {
-			if winner.hedged {
-				f.hedgeWins.Add(1)
-				f.c.m.readHedgeWins.Inc()
-			} else {
-				f.c.m.readHedgeLosses.Inc()
-			}
+	<-primaryDone
+}
+
+// hedge promotes the window's outstanding shares to an alternate
+// holder (or, lacking one, fresh streams to the same holder) and runs
+// that stream to completion while the primary keeps going.
+func (w *window) hedge(ctx context.Context) {
+	w.mu.Lock()
+	remaining := make([]int, 0, len(w.indices)-w.ndone)
+	for p, idx := range w.indices {
+		if !w.done[p] {
+			remaining = append(remaining, idx)
 		}
 	}
-	if !gotWinner {
-		// Canceled before any response: join the in-flight calls.
-		pcancel()
-		if scancel != nil {
-			scancel()
-		}
-		for ; outstanding > 0; outstanding-- {
-			<-res
-		}
-		return 0
+	w.mu.Unlock()
+	if len(remaining) == 0 || ctx.Err() != nil {
+		return
 	}
-	if outstanding > 0 {
-		anyFailed := false
-		for _, e := range winner.errs {
-			if e != nil {
-				anyFailed = true
-				break
-			}
-		}
-		if anyFailed {
-			// Let the loser fill the entries the winner missed.
-			loser := <-res
-			for i := range indices {
-				if winner.errs[i] != nil && loser.errs[i] == nil {
-					winner.datas[i], winner.errs[i] = loser.datas[i], nil
-				}
-			}
+	f := w.f
+	f.hedges.Add(1)
+	f.c.m.readHedges.Inc()
+	h := &hedgeState{}
+	h.addr, h.store = f.altStore(w.addr, remaining[0], w.store)
+	h.store.GetStream(ctx, f.name, remaining, func(idx int, payload []byte, err error) {
+		w.share(h, idx, payload, err)
+	})
+	w.mu.Lock()
+	won, out := h.won, h.err
+	w.mu.Unlock()
+	if won {
+		out = nil
+		f.hedgeWins.Add(1)
+		f.c.m.readHedgeWins.Inc()
+	} else {
+		f.c.m.readHedgeLosses.Inc()
+	}
+	f.c.reportOutcome(h.addr, out)
+}
+
+// share verifies one arriving share and hands it over unless another
+// copy arrived first; h is the hedge it came from, nil for the
+// holder's own stream. The window's last share stops the streams and
+// teaches the hedge tracker the window's time, so the hedge delay
+// calibrates to window latency, not share latency.
+func (w *window) share(h *hedgeState, idx int, payload []byte, err error) {
+	addr, store := w.addr, w.store
+	if h != nil {
+		addr, store = h.addr, h.store
+	}
+	if err == nil && w.f.sealed {
+		payload, err = w.f.open(w.ctx, addr, store, idx, payload)
+	}
+	w.mu.Lock()
+	p := slices.Index(w.indices, idx)
+	if p < 0 || w.done[p] {
+		w.mu.Unlock()
+		return
+	}
+	if err != nil {
+		if h != nil {
+			h.err = err
 		} else {
-			pcancel()
-			scancel()
-			<-res // drain the loser
+			w.errs[p] = err
+		}
+		w.mu.Unlock()
+		return
+	}
+	w.done[p], w.errs[p] = true, nil
+	w.ndone++
+	if h != nil {
+		h.won = true
+	}
+	all := w.ndone == len(w.indices)
+	w.mu.Unlock()
+	w.deliver(idx, payload)
+	if all {
+		w.f.tracker.add(time.Since(w.start))
+		if w.cancel != nil {
+			w.cancel()
 		}
 	}
-	return deliverWindow(ctx, indices, winner.datas, winner.errs, deliver)
 }
 
 // serverStates returns the registry's lifecycle states, fetched once
@@ -391,12 +344,11 @@ func (f *fetcher) serverStates() map[string]metadata.ServerState {
 // placement has one — preferring Active holders, since a Draining
 // server is being evacuated and a Removed one is on its way out of
 // the placement entirely; otherwise the hedge goes back to the same
-// store, where a fresh connection from the pool dodges per-connection
-// stalls.
-func (f *fetcher) altStore(primaryAddr string, idx int, primary storeGetter) (string, storeGetter) {
+// store, where fresh streams dodge whatever stalled the first ones.
+func (f *fetcher) altStore(primaryAddr string, idx int, primary backend) (string, backend) {
 	states := f.serverStates()
 	var fallbackAddr string
-	var fallback storeGetter
+	var fallback backend
 	for _, addr := range f.holders[idx] {
 		if addr == primaryAddr || f.c.excluded(addr) {
 			continue
@@ -416,75 +368,4 @@ func (f *fetcher) altStore(primaryAddr string, idx int, primary storeGetter) (st
 		return fallbackAddr, fallback
 	}
 	return primaryAddr, primary
-}
-
-// fetch retrieves one share, hedging the request once its latency
-// crosses the p99-ish trigger: the hedge races the original, first
-// answer wins, the loser is canceled and drained.
-func (f *fetcher) fetch(ctx context.Context, addr string, store storeGetter, idx int) ([]byte, error) {
-	if !f.hedge {
-		return f.getVerified(ctx, addr, store, idx)
-	}
-	type result struct {
-		data   []byte
-		err    error
-		hedged bool
-	}
-	res := make(chan result, 2)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		data, err := f.getVerified(pctx, addr, store, idx)
-		res <- result{data, err, false}
-	}()
-	timer := time.NewTimer(f.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case r := <-res:
-		return r.data, r.err
-	case <-ctx.Done():
-		pcancel()
-		<-res // join the worker; Get returns promptly once canceled
-		return nil, ctx.Err()
-	case <-timer.C:
-	}
-	// Primary is slow: launch the hedge.
-	f.hedges.Add(1)
-	f.c.m.readHedges.Inc()
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	haddr, hstore := f.altStore(addr, idx, store)
-	go func() {
-		data, err := f.getVerified(sctx, haddr, hstore, idx)
-		res <- result{data, err, true}
-	}()
-	first := <-res
-	if first.err == nil {
-		pcancel()
-		scancel()
-		<-res // drain the loser
-		if first.hedged {
-			f.hedgeWins.Add(1)
-			f.c.m.readHedgeWins.Inc()
-		} else {
-			f.c.m.readHedgeLosses.Inc()
-		}
-		return first.data, nil
-	}
-	second := <-res
-	if second.err == nil {
-		if second.hedged {
-			f.hedgeWins.Add(1)
-			f.c.m.readHedgeWins.Inc()
-		} else {
-			f.c.m.readHedgeLosses.Inc()
-		}
-		return second.data, nil
-	}
-	// Both failed; prefer the more informative (non-cancellation)
-	// error.
-	if errors.Is(first.err, context.Canceled) {
-		return nil, second.err
-	}
-	return nil, first.err
 }

@@ -213,13 +213,17 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	if err := meta.SetServerState(drained, metadata.ServerDraining); err != nil {
 		t.Fatal(err)
 	}
-	// Burst of one share, refill fast enough that each subsequent move
-	// waits ~1ms: the throttle engages measurably without slowing the
-	// test measurably.
+	// A burst of one share on a clock that never moves: the bucket
+	// never refills, so move k (from 1) owes k-1 shares' bytes and
+	// waits exactly that debt at the configured rate.
+	const rate = 1 << 30
+	share := c.opts.BlockBytes
+	clk := &tbClock{t: time.Unix(0, 0)}
 	d := NewDaemon(c, DaemonOptions{
 		Rebalance:             true,
-		RepairRateBytesPerSec: 1 << 20,
-		RepairBurstBytes:      1 << 10,
+		RepairRateBytesPerSec: rate,
+		RepairBurstBytes:      share,
+		Now:                   clk.Now,
 		Obs:                   reg,
 	})
 	stats, err := d.RebalanceOnce(ctx)
@@ -229,16 +233,18 @@ func TestRebalanceRespectsRateLimit(t *testing.T) {
 	if stats.Moved < 2 {
 		t.Fatalf("expected multiple moves, got %+v", stats)
 	}
-	if stats.Throttled == 0 {
-		t.Fatalf("token bucket never engaged: %+v", stats)
+	var want time.Duration
+	for k := 1; k <= stats.Planned; k++ {
+		want += bucketWait(int64(k-1)*share, rate)
 	}
-	snap := reg.Snapshot()
-	h, ok := snap.Histograms["rebalance_throttle_seconds"]
-	if !ok || h.Count == 0 {
-		t.Fatal("rebalance_throttle_seconds histogram empty")
+	if stats.Throttled != want {
+		t.Fatalf("throttled %v over %d moves, want %v", stats.Throttled, stats.Planned, want)
 	}
-	// Throughput respected the budget: moved bytes never exceed burst
-	// plus rate x (observed throttle time + execution slack).
+	// Every move but the first waited, and each wait was observed.
+	h := reg.Snapshot().Histograms["rebalance_throttle_seconds"]
+	if h.Count != int64(stats.Planned-1) {
+		t.Fatalf("rebalance_throttle_seconds count = %d, want %d", h.Count, stats.Planned-1)
+	}
 	if st, _ := c.DrainProgress(drained); st.Shares != 0 {
 		t.Fatalf("drain incomplete under throttling: %d left", st.Shares)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/ltcode"
 )
 
@@ -66,10 +65,6 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	window := c.opts.BatchBlocks
-	if window < 1 {
-		window = 1
-	}
 	var (
 		wg     sync.WaitGroup
 		failed atomic.Int64
@@ -83,10 +78,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	// all attached ones: a read against suspect servers can still
 	// succeed (and its outcomes refresh the detector), a read against
 	// nobody cannot.
-	targets := make(map[string]blockstore.Store, len(seg.Placement))
-	skipped := make(map[string]blockstore.Store)
+	targets := make(map[string]attached, len(seg.Placement))
+	skipped := make(map[string]attached)
 	for addr := range seg.Placement {
-		store, ok := c.store(addr)
+		store, ok := c.attachment(addr)
 		if !ok {
 			continue // server gone; speculative access shrugs
 		}
@@ -113,7 +108,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		idx     int
 		payload []byte
 	}
-	shares := make(chan deliveredShare, 4*window)
+	shares := make(chan deliveredShare, 4*max(c.opts.BatchBlocks, 1))
 	decodeDone := make(chan struct{})
 	received := make(map[string]int, len(targets))
 	rejected := 0
@@ -152,15 +147,17 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		}
 	}()
 	for addr, indices := range seg.Placement {
-		store, ok := targets[addr]
+		a, ok := targets[addr]
 		if !ok {
 			continue
 		}
 		// Split the server's block list among its worker pipelines;
-		// each pipeline walks its share of the list in batch windows.
+		// each pipeline walks its share of the list in windows of the
+		// store's run length, so a store that moves one block per call
+		// gets a window, and a hedge, per block.
 		for w := 0; w < c.opts.PerServerParallel; w++ {
 			wg.Add(1)
-			go func(addr string, store storeGetter, mine []int) {
+			go func(addr string, store backend, run int, mine []int) {
 				defer wg.Done()
 				deliver := func(idx int, payload []byte) {
 					if !firstByte.Swap(true) {
@@ -171,7 +168,8 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 					case <-rctx.Done():
 					}
 				}
-				for lo := 0; lo < len(mine); lo += window {
+				win := fx.newWindow(addr, store, deliver)
+				for lo := 0; lo < len(mine); lo += run {
 					if rctx.Err() != nil {
 						return
 					}
@@ -182,13 +180,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 						cancel()
 						return
 					}
-					hi := lo + window
-					if hi > len(mine) {
-						hi = len(mine)
-					}
-					failed.Add(int64(fx.fetchWindow(rctx, addr, store, mine[lo:hi], deliver)))
+					hi := min(lo+run, len(mine))
+					failed.Add(int64(win.fetch(rctx, mine[lo:hi])))
 				}
-			}(addr, store, stripeSlice(indices, w, c.opts.PerServerParallel))
+			}(addr, a.backend, a.run, stripeSlice(indices, w, c.opts.PerServerParallel))
 		}
 	}
 	wg.Wait()
@@ -249,14 +244,9 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	return out, stats, nil
 }
 
-// storeGetter is the read-path slice of blockstore.Store.
-type storeGetter interface {
-	Get(ctx context.Context, segment string, index int) ([]byte, error)
-}
-
 // stripeSlice deals element i of xs to worker i mod workers.
 func stripeSlice(xs []int, worker, workers int) []int {
-	var out []int
+	out := make([]int, 0, (len(xs)-worker+workers-1)/workers)
 	for i := worker; i < len(xs); i += workers {
 		out = append(out, xs[i])
 	}

@@ -335,7 +335,7 @@ func TestRepairPromotesDegradedSegment(t *testing.T) {
 	// Capacity returns (servers recovered / new disks attached).
 	for _, addr := range c.Servers() {
 		st, _ := c.store(addr)
-		st.(*capStore).remaining.Store(1 << 20)
+		st.(localBackend).Store.(*capStore).remaining.Store(1 << 20)
 	}
 
 	rs, err := c.Repair(ctx, "deg")

@@ -90,14 +90,13 @@ type Options struct {
 	// share fetches, clamped to [1ms, 2s], starting at 30ms before
 	// any sample exists.
 	HedgeDelay time.Duration
-	// BatchBlocks is the number of coded blocks moved per backend
-	// round trip on the hot paths when a store offers the batch fast
-	// path (blockstore.Batcher): write workers claim runs of
-	// BatchBlocks indices and ship each run as one batched put, and
-	// readers fetch windows of BatchBlocks shares per holder (a hedge
-	// promotes the whole remaining window to the alternate holder).
-	// Stores without the fast path keep the per-block pipelines.
-	// 1 disables batching; default 16.
+	// BatchBlocks is the number of coded blocks moved per store call
+	// on the hot paths: write workers claim runs of BatchBlocks indices
+	// and ship each run as one streaming put, and readers fetch windows
+	// of BatchBlocks shares per holder as one streaming get (a hedge
+	// promotes the window's outstanding shares to another holder). A
+	// store that moves one block per call gets runs and windows of
+	// one. 1 moves every block on its own call; default 16.
 	BatchBlocks int
 	// DegradedWrites enables graceful degradation: a write that
 	// cannot commit the full target N (servers unreachable) still
@@ -227,7 +226,7 @@ type Client struct {
 	health HealthTracker
 
 	mu     sync.RWMutex
-	stores map[string]blockstore.Store
+	stores map[string]attached
 
 	graphMu sync.Mutex
 	graphs  map[graphKey]*ltcode.Graph
@@ -247,7 +246,7 @@ func NewClient(meta metadata.API, opts Options) (*Client, error) {
 		obs:    opts.Obs,
 		m:      newClientMetrics(opts.Obs),
 		health: opts.Health,
-		stores: make(map[string]blockstore.Store),
+		stores: make(map[string]attached),
 		graphs: make(map[graphKey]*ltcode.Graph),
 	}, nil
 }
@@ -257,14 +256,22 @@ func (c *Client) Meta() metadata.API { return c.meta }
 
 // AttachStore registers a storage backend under an address. The
 // backend may be a local store or a transport.Client for a remote
-// server.
+// server. This is the one place the client looks at what a store can
+// do: a store with the streaming methods is used as is, any other is
+// adapted to them (see backend), and a store that moves one block per
+// call gets write runs and read windows of one block.
 func (c *Client) AttachStore(addr string, store blockstore.Store) error {
 	if addr == "" || store == nil {
 		return fmt.Errorf("robust: AttachStore needs an address and a store")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stores[addr] = store
+	be, batches := asBackend(store)
+	run := 1
+	if batches {
+		run = max(c.opts.BatchBlocks, 1)
+	}
+	c.stores[addr] = attached{be, run}
 	return nil
 }
 
@@ -288,11 +295,23 @@ func (c *Client) Servers() []string {
 	return out
 }
 
-func (c *Client) store(addr string) (blockstore.Store, bool) {
+func (c *Client) store(addr string) (backend, bool) {
+	a, ok := c.attachment(addr)
+	return a.backend, ok
+}
+
+func (c *Client) attachment(addr string) (attached, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s, ok := c.stores[addr]
-	return s, ok
+	a, ok := c.stores[addr]
+	return a, ok
+}
+
+// attached is one attached store: its backend and its run length, the
+// coded blocks per write run and per read window.
+type attached struct {
+	backend
+	run int
 }
 
 // reportOutcome feeds one request outcome to the failure detector. A
@@ -524,8 +543,8 @@ func (c *Client) cachedGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 	return g, nil
 }
 
-// batchOutcome condenses a batch's per-entry errors into the one
-// outcome reported to the failure detector: any successful entry
+// batchOutcome condenses a run's or window's per-entry errors into the
+// one outcome reported to the failure detector: any successful entry
 // proves the server answered, and among failures a non-cancellation
 // error is preferred (reportOutcome treats cancellations as
 // signal-free).

@@ -56,12 +56,20 @@ func TestChaosSelfHealingEvictRepairRejoin(t *testing.T) {
 	defer daemon.Stop()
 
 	data := randData(64<<10, 99) // K=16
-	if _, err := client.Write(ctx, "seg", data, nil); err != nil {
+	ws, err := client.Write(ctx, "seg", data, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill one server outright: connections drop, probes fail.
-	dead := servers[0]
+	// Kill a server that holds shares outright (the rateless write
+	// decides which do): connections drop, probes fail.
+	victim := holdersByShare(ws.PerServer)[0]
+	var dead *chaosServer
+	for _, cs := range servers {
+		if cs.addr == victim {
+			dead = cs
+		}
+	}
 	dead.srv.Close()
 
 	// The detector walks it Up → Suspect → Down and evicts it.

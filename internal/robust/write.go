@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"repro/internal/blockstore"
 )
 
 // Write stores data as an erasure-coded segment, speculatively and
@@ -42,21 +40,6 @@ func floorInt(k int, floor float64) int {
 	return int(math.Ceil((1 + floor) * float64(k)))
 }
 
-// storePutter is the write-path slice of blockstore.Store.
-type storePutter interface {
-	Put(ctx context.Context, segment string, index int, data []byte) error
-}
-
-// putBatcher is the batched write-path slice of blockstore.Batcher.
-type putBatcher interface {
-	PutBatch(ctx context.Context, segment string, puts []blockstore.BatchPut) []error
-}
-
-// batchDeleter is the batched delete slice of blockstore.Batcher.
-type batchDeleter interface {
-	DeleteBatch(ctx context.Context, segment string, indices []int) []error
-}
-
 func countPlacement(p map[string][]int) map[string]int {
 	out := make(map[string]int, len(p))
 	for addr, idx := range p {
@@ -66,8 +49,7 @@ func countPlacement(p map[string][]int) map[string]int {
 }
 
 // Delete removes a segment's blocks from every holder — in parallel,
-// one goroutine per server, using the batch delete when the store
-// offers it — then drops its metadata. Per-server failures are
+// one batch delete per server — then drops its metadata. Per-server failures are
 // aggregated with errors.Join; block deletions on unreachable servers
 // are reported but do not abort the operation.
 func (c *Client) Delete(ctx context.Context, name string) error {
@@ -92,7 +74,7 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 			continue
 		}
 		wg.Add(1)
-		go func(store blockstore.Store, indices []int) {
+		go func(store backend, indices []int) {
 			defer wg.Done()
 			if err := deleteBlocks(ctx, store, name, indices); err != nil {
 				mu.Lock()
@@ -108,20 +90,7 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return errors.Join(errs...)
 }
 
-// deleteBlocks removes one server's blocks, batched when possible.
-func deleteBlocks(ctx context.Context, store blockstore.Store, name string, indices []int) error {
-	if bd, ok := store.(batchDeleter); ok && len(indices) > 1 {
-		return errors.Join(bd.DeleteBatch(ctx, name, indices)...)
-	}
-	var errs []error
-	for _, i := range indices {
-		if cerr := ctx.Err(); cerr != nil {
-			errs = append(errs, cerr)
-			break
-		}
-		if err := store.Delete(ctx, name, i); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+// deleteBlocks removes one server's blocks in one batch delete.
+func deleteBlocks(ctx context.Context, store backend, name string, indices []int) error {
+	return errors.Join(store.DeleteBatch(ctx, name, indices)...)
 }

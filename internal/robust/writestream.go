@@ -17,15 +17,6 @@ import (
 	"repro/internal/placement"
 )
 
-// streamPutter is the pipelined write fast path a backend may offer;
-// transport.Client implements it with the mux PUTSTREAM op. The
-// contract matches transport.Client.PutStream: a non-nil return means
-// no entry was acknowledged (the caller retries them all another
-// way), nil means every entry received exactly one acked call.
-type streamPutter interface {
-	PutStream(ctx context.Context, segment string, puts []blockstore.BatchPut, acked func(i int, err error)) error
-}
-
 // WriteFrom stores size bytes read from r as an erasure-coded
 // segment, like Write, but pipelined: with ChunkBytes set the input
 // is consumed in fixed-size chunks, and each chunk is LT-encoded and
@@ -409,9 +400,8 @@ type spreadResult struct {
 // index whose put fails goes to a shared retry queue so another
 // (healthier) server picks it up, bounded by a global failure budget.
 // Indices travel the wire and land in the placement as p.base+local.
-// Backends offering the streaming fast path get whole runs shipped
-// over one PUTSTREAM op with per-entry acks; others keep the batch or
-// per-block pipelines.
+// Each run of claimed indices goes to its server as one PutStream with
+// per-entry acks.
 func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, servers []string, p spreadPlan, onFirstCommit func(addr string)) spreadResult {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -503,14 +493,11 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 		var zero int64
 		serverCount[addr] = &zero
 	}
-	batchRun := c.opts.BatchBlocks
-	if batchRun < 1 {
-		batchRun = 1
-	}
 	bufLen := shareBufLen(c.opts.BlockBytes)
 	var wg sync.WaitGroup
 	for _, addr := range servers {
-		store, _ := c.store(addr)
+		a, _ := c.attachment(addr)
+		store, maxRun := a.backend, a.run
 		count := serverCount[addr]
 		var zcount *int64
 		if zoneCounts != nil {
@@ -518,14 +505,8 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 		}
 		for w := 0; w < c.opts.PerServerParallel; w++ {
 			wg.Add(1)
-			go func(addr string, store storePutter) {
+			go func(addr string, store backend) {
 				defer wg.Done()
-				batcher, _ := store.(putBatcher)
-				streamer, _ := store.(streamPutter)
-				maxRun := batchRun
-				if batcher == nil && streamer == nil {
-					maxRun = 1 // no batch fast path: keep the per-block pipeline
-				}
 				indices := make([]int, 0, maxRun)
 				puts := make([]blockstore.BatchPut, 0, maxRun)
 				runErrs := make([]error, maxRun)
@@ -541,8 +522,8 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 				}()
 				// handle resolves one entry's outcome. It runs serially
 				// within a run — PutStream delivers acks one at a time
-				// and completes them before returning, the fallback
-				// loops call it inline — so overBudget needs no atomics.
+				// and completes them before returning — so overBudget
+				// needs no atomics.
 				var overBudget bool
 				// runOK records whether any entry of the current run
 				// committed; a run that lost every entry backs the
@@ -580,16 +561,19 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 						cancel() // enough blocks on disk: stop the rest
 					}
 				}
+				acked := func(j int, e error) {
+					runErrs[j] = e
+					handle(j, e)
+				}
 				for {
 					if wctx.Err() != nil {
 						return
 					}
 					// Size the run by the outstanding commit need, so a
-					// batch never claims blocks nobody has to store: an
+					// run never claims blocks nobody has to store: an
 					// unbounded run would overshoot the target by whole
-					// batches (the floor of 1 keeps each worker probing,
-					// exactly like the per-block pipeline, in case an
-					// in-flight put on another server fails).
+					// runs (the floor of 1 keeps each worker probing in
+					// case an in-flight put on another server fails).
 					want := int(int64(n) - atomic.LoadInt64(&committed) - atomic.LoadInt64(&inflight))
 					if want < 1 {
 						want = 1
@@ -644,45 +628,15 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 						})
 					}
 					overBudget, runOK = false, false
-					// One health outcome per wire operation: the stream
-					// and the batch are one round trip each, the fallback
-					// loop stays one per put.
-					streamed := false
-					if streamer != nil && len(puts) > 1 {
-						acked := func(j int, e error) {
-							runErrs[j] = e
-							handle(j, e)
-						}
-						if serr := streamer.PutStream(wctx, name, puts, acked); serr == nil {
-							// Every entry was acked exactly once; runErrs
-							// is fully populated for the health verdict.
-							c.reportOutcome(addr, c.batchOutcome(runErrs[:len(puts)]))
-							streamed = true
-						}
-						// A non-nil return guarantees zero acks were
-						// delivered: fall back to the batch or per-block
-						// path and re-send the whole run.
-					}
-					if !streamed {
-						var errs []error
-						if batcher != nil && len(puts) > 1 {
-							errs = batcher.PutBatch(wctx, name, puts)
-							c.reportOutcome(addr, c.batchOutcome(errs))
-						} else {
-							errs = runErrs[:len(puts)]
-							for j := range puts {
-								if cerr := wctx.Err(); cerr != nil {
-									errs[j] = cerr // commit target reached or caller gone
-									continue
-								}
-								errs[j] = store.Put(wctx, name, puts[j].Index, puts[j].Data)
-								c.reportOutcome(addr, errs[j])
-							}
-						}
+					if serr := store.PutStream(wctx, name, puts, acked); serr != nil {
+						// Nothing was acked: every entry goes back to the
+						// re-route for a healthier server.
 						for j := range puts {
-							handle(j, errs[j])
+							acked(j, serr)
 						}
 					}
+					// One health outcome per run.
+					c.reportOutcome(addr, c.batchOutcome(runErrs[:len(puts)]))
 					atomic.AddInt64(&inflight, -int64(len(puts)))
 					if overBudget {
 						cancel()

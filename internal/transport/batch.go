@@ -2,47 +2,23 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/blockstore"
 )
 
-// Client implements blockstore.Batcher: many blocks per round trip
-// with per-index statuses, the wire half of the pipelined batch
-// transport (DESIGN.md §10). Against a server that predates the batch
-// ops the client degrades to loops of single-block operations — the
-// capability is probed once (CAPS) and cached for the client's
-// lifetime.
+// Client implements blockstore.Batcher. PutBatch and GetBatch collect
+// the results of one PutStream or GetStream; DeleteBatch is a wire op
+// of its own, many indices per round trip with per-index statuses.
 var _ blockstore.Batcher = (*Client)(nil)
 
-// maxBatchEntries bounds the entries packed into one wire batch, so a
-// huge logical batch still yields frames a server can buffer and a
-// GET response stays far from MaxFrame.
+// maxBatchEntries bounds the indices packed into one DELETEBATCH, so a
+// huge logical batch still yields requests a server can buffer.
 const maxBatchEntries = 512
 
-// capabilities returns the server's batch capability mask, probing it
-// once. A transport failure during the probe is not cached — the next
-// batch call probes again; a server answering the probe with any
-// error status is cached as having no batch support.
-func (c *Client) capabilities(ctx context.Context) uint32 {
-	if v := c.caps.Load(); v != 0 {
-		return v >> 1
-	}
-	status, payload, err := c.roundTripIdem(ctx, opCaps, "-", 0, nil)
-	if err != nil {
-		return 0
-	}
-	var mask uint32
-	if status == statusOK {
-		if m, derr := decodeCaps(payload); derr == nil {
-			mask = m
-		}
-	}
-	c.caps.Store(1 | mask<<1)
-	return mask
-}
-
-// batchEntryError maps one batch response entry onto an error.
+// batchEntryError maps one result entry onto an error.
 func batchEntryError(status byte, msg []byte) error {
 	switch status {
 	case statusOK:
@@ -64,113 +40,34 @@ func fillErrs(errs []error, err error) []error {
 	return errs
 }
 
-// PutBatch implements blockstore.Batcher: all entries travel in as
-// few request frames as MaxBatchBytes allows, each answered with
-// per-index statuses so one bad block never fails its batch. The
-// entry data buffers are not retained after PutBatch returns (they
-// may come from a caller's pool). PUT is not idempotent, so batches
-// are not retried — the caller re-routes failed entries, exactly as
-// it does for single puts.
+// PutBatch implements blockstore.Batcher over one PutStream, returning
+// each entry's outcome.
 func (c *Client) PutBatch(ctx context.Context, segment string, puts []blockstore.BatchPut) []error {
 	errs := make([]error, len(puts))
-	if len(puts) == 0 {
-		return errs
+	if err := c.PutStream(ctx, segment, puts, func(i int, err error) { errs[i] = err }); err != nil {
+		fillErrs(errs, err)
 	}
-	if len(segment) > 0xFFFF {
-		return fillErrs(errs, fmt.Errorf("transport: segment name too long (%d bytes)", len(segment)))
-	}
-	if c.capabilities(ctx)&capPutBatch == 0 {
-		c.m.batchFallbacks.Inc()
-		for i, p := range puts {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-				continue
-			}
-			errs[i] = c.Put(ctx, segment, p.Index, p.Data)
-		}
-		return errs
-	}
-	// Window by bytes and entry count so each wire frame stays well
-	// under MaxFrame.
-	start, bytes := 0, 0
-	for i, p := range puts {
-		if cerr := ctx.Err(); cerr != nil {
-			// Entries before start are already on the wire and keep
-			// their results; the rest never will be sent.
-			fillErrs(errs[start:], cerr)
-			return errs
-		}
-		esz := putBatchEntryOverhead + len(p.Data)
-		if i > start && (bytes+esz > c.maxBatchBytes || i-start >= maxBatchEntries) {
-			c.putBatchWire(ctx, segment, puts[start:i], errs[start:i])
-			start, bytes = i, 0
-		}
-		bytes += esz
-	}
-	c.putBatchWire(ctx, segment, puts[start:], errs[start:])
 	return errs
 }
 
-// putBatchWire sends one PUTBATCH frame and fills errs per entry.
-func (c *Client) putBatchWire(ctx context.Context, segment string, puts []blockstore.BatchPut, errs []error) {
-	for _, p := range puts {
-		if p.Index < 0 {
-			fillErrs(errs, fmt.Errorf("transport: negative block index"))
-			return
-		}
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	growScratch(scratch, requestHeaderLen(segment)+putBatchEntryOverhead*len(puts))
-	chunks := make([][]byte, 0, 1+2*len(puts))
-	*scratch = appendRequestHeader(*scratch, opPutBatch, segment, len(puts))
-	chunks = append(chunks, *scratch)
-	for _, p := range puts {
-		off := len(*scratch)
-		*scratch = appendPutEntryHeader(*scratch, p.Index, len(p.Data))
-		chunks = append(chunks, (*scratch)[off:len(*scratch)])
-		if len(p.Data) > 0 {
-			chunks = append(chunks, p.Data)
-		}
-	}
-	status, payload, err := c.exchange(ctx, chunks)
-	if err != nil {
-		fillErrs(errs, err)
-		return
-	}
-	c.finishBatch(puts, nil, errs, status, payload, nil)
-}
-
-// GetBatch implements blockstore.Batcher. GETs are idempotent, so
-// each wire batch retries transport failures like single GETs do.
+// GetBatch implements blockstore.Batcher over one GetStream.
 func (c *Client) GetBatch(ctx context.Context, segment string, indices []int) ([][]byte, []error) {
 	datas := make([][]byte, len(indices))
 	errs := make([]error, len(indices))
-	if len(indices) == 0 {
-		return datas, errs
+	pos := make(map[int][]int, len(indices))
+	for i, idx := range indices {
+		pos[idx] = append(pos[idx], i)
 	}
-	if c.capabilities(ctx)&capGetBatch == 0 {
-		c.m.batchFallbacks.Inc()
-		for i, idx := range indices {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-				continue
-			}
-			datas[i], errs[i] = c.Get(ctx, segment, idx)
-		}
-		return datas, errs
-	}
-	for start := 0; start < len(indices); start += maxBatchEntries {
-		if cerr := ctx.Err(); cerr != nil {
-			fillErrs(errs[start:], cerr)
-			break
-		}
-		end := start + maxBatchEntries
-		if end > len(indices) {
-			end = len(indices)
-		}
-		c.indexBatchWire(ctx, opGetBatch, segment, indices[start:end], datas[start:end], errs[start:end])
-	}
+	// deliver runs concurrently, once per index; each call claims one
+	// of the slots its index occupies.
+	var mu sync.Mutex
+	c.GetStream(ctx, segment, indices, func(idx int, data []byte, err error) {
+		mu.Lock()
+		i := pos[idx][0]
+		pos[idx] = pos[idx][1:]
+		mu.Unlock()
+		datas[i], errs[i] = data, err
+	})
 	return datas, errs
 }
 
@@ -178,40 +75,22 @@ func (c *Client) GetBatch(ctx context.Context, segment string, indices []int) ([
 // and retry like single deletes.
 func (c *Client) DeleteBatch(ctx context.Context, segment string, indices []int) []error {
 	errs := make([]error, len(indices))
-	if len(indices) == 0 {
-		return errs
-	}
-	if c.capabilities(ctx)&capDeleteBatch == 0 {
-		c.m.batchFallbacks.Inc()
-		for i, idx := range indices {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-				continue
-			}
-			errs[i] = c.Delete(ctx, segment, idx)
-		}
-		return errs
-	}
 	for start := 0; start < len(indices); start += maxBatchEntries {
 		if cerr := ctx.Err(); cerr != nil {
 			fillErrs(errs[start:], cerr)
 			break
 		}
-		end := start + maxBatchEntries
-		if end > len(indices) {
-			end = len(indices)
-		}
-		c.indexBatchWire(ctx, opDeleteBatch, segment, indices[start:end], nil, errs[start:end])
+		end := min(start+maxBatchEntries, len(indices))
+		c.deleteBatchWire(ctx, segment, indices[start:end], errs[start:end])
 	}
 	return errs
 }
 
-// indexBatchWire sends one GETBATCH/DELETEBATCH frame (payload = the
-// index list) and fills datas/errs per entry; datas is nil for
-// deletes.
-func (c *Client) indexBatchWire(ctx context.Context, op byte, segment string, indices []int, datas [][]byte, errs []error) {
-	if len(segment) > 0xFFFF {
-		fillErrs(errs, fmt.Errorf("transport: segment name too long (%d bytes)", len(segment)))
+// deleteBatchWire sends one DELETEBATCH request (payload = the index
+// list) and fills errs per entry.
+func (c *Client) deleteBatchWire(ctx context.Context, segment string, indices []int, errs []error) {
+	if err := checkRequestHeader(segment, 0); err != nil {
+		fillErrs(errs, err)
 		return
 	}
 	for _, idx := range indices {
@@ -222,28 +101,21 @@ func (c *Client) indexBatchWire(ctx context.Context, op byte, segment string, in
 	}
 	scratch := getScratch()
 	defer putScratch(scratch)
-	growScratch(scratch, requestHeaderLen(segment)+4*len(indices))
-	*scratch = appendRequestHeader(*scratch, op, segment, len(indices))
+	*scratch = appendRequestHeader(*scratch, opDeleteBatch, segment, len(indices))
 	for _, idx := range indices {
-		*scratch = append(*scratch,
-			byte(idx>>24), byte(idx>>16), byte(idx>>8), byte(idx))
+		*scratch = binary.BigEndian.AppendUint32(*scratch, uint32(idx))
 	}
 	status, payload, err := c.exchangeIdem(ctx, [][]byte{*scratch})
 	if err != nil {
 		fillErrs(errs, err)
 		return
 	}
-	c.finishBatch(nil, indices, errs, status, payload, datas)
+	c.finishBatch(indices, errs, status, payload)
 }
 
-// finishBatch parses one batch response and distributes per-entry
-// results. Either puts or indices names the request order; datas,
-// when non-nil, receives GET payloads.
-func (c *Client) finishBatch(puts []blockstore.BatchPut, indices []int, errs []error, status byte, payload []byte, datas [][]byte) {
-	n := len(indices)
-	if puts != nil {
-		n = len(puts)
-	}
+// finishBatch parses one DELETEBATCH response and distributes the
+// per-entry results in request order.
+func (c *Client) finishBatch(indices []int, errs []error, status byte, payload []byte) {
 	if status != statusOK {
 		fillErrs(errs, statusToError(status, payload))
 		return
@@ -253,28 +125,16 @@ func (c *Client) finishBatch(puts []blockstore.BatchPut, indices []int, errs []e
 		fillErrs(errs, fmt.Errorf("transport: malformed batch response: %w", err))
 		return
 	}
-	if len(results) != n {
+	if len(results) != len(indices) {
 		fillErrs(errs, fmt.Errorf("transport: malformed batch response (%d/%d entries)",
-			len(results), n))
+			len(results), len(indices)))
 		return
 	}
 	for i, res := range results {
-		want := 0
-		if puts != nil {
-			want = puts[i].Index
-		} else {
-			want = indices[i]
-		}
-		if res.index != want {
-			errs[i] = fmt.Errorf("transport: batch response index %d, want %d", res.index, want)
+		if res.index != indices[i] {
+			errs[i] = fmt.Errorf("transport: batch response index %d, want %d", res.index, indices[i])
 			continue
 		}
 		errs[i] = batchEntryError(res.status, res.bytes)
-		if datas != nil && errs[i] == nil {
-			datas[i] = res.bytes
-		}
 	}
-	c.m.batches.Inc()
-	c.m.batchBlocks.Add(int64(n))
-	c.m.batchRTSaved.Add(int64(n - 1))
 }

@@ -3,16 +3,50 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 )
 
-// Fuzz and property tests for the batch frame codecs (DESIGN.md §10).
-// The decoders face payloads from the network: they must reject
-// oversized and truncated entries, never panic, and never refer to
-// bytes outside the payload they were handed.
+// Fuzz and property tests for the entry codecs: PUTSTREAM request
+// entries and the result entries of DELETEBATCH responses and
+// PUTSTREAM acks. The decoders face payloads from the network: they
+// must reject oversized and truncated entries, never panic, and never
+// refer to bytes outside the payload they were handed.
 
-// validPutBatch builds a well-formed PUTBATCH payload.
+// putEntry is one PUTSTREAM entry as the store receives it.
+type putEntry struct {
+	index int
+	data  []byte
+}
+
+// decodePutEntries runs a PUTSTREAM request payload through the
+// server's entry assembler as one FIN chunk and drains it the way
+// servePutStream does, including its check of the declared count.
+func decodePutEntries(count int, payload []byte) ([]putEntry, error) {
+	ps, _ := newTestPutStream(count, MaxFrame)
+	if err := feedPutStream(ps, payload, true); err != nil {
+		return nil, err
+	}
+	var out []putEntry
+	for {
+		idx, data, err := nextPutEntry(ps)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, putEntry{index: idx, data: data})
+	}
+	if len(out) != count {
+		return nil, fmt.Errorf("stream carried %d entries, declared %d", len(out), count)
+	}
+	return out, nil
+}
+
+// validPutBatch builds a well-formed PUTSTREAM payload.
 func validPutBatch(entries ...[]byte) (int, []byte) {
 	var buf []byte
 	for i, data := range entries {
@@ -49,7 +83,7 @@ func FuzzDecodePutEntries(f *testing.F) {
 			if e.index < 0 {
 				t.Fatalf("negative index %d accepted", e.index)
 			}
-			total += putBatchEntryOverhead + len(e.data)
+			total += putEntryOverhead + len(e.data)
 		}
 		if total != len(payload) {
 			t.Fatalf("entries cover %d of %d payload bytes", total, len(payload))
@@ -88,7 +122,7 @@ func FuzzDecodeBatchResults(f *testing.F) {
 }
 
 // TestQuickPutEntriesRoundTrip checks encode→decode is the identity
-// for all valid PUTBATCH payloads.
+// for all valid PUTSTREAM payloads.
 func TestQuickPutEntriesRoundTrip(t *testing.T) {
 	f := func(blocks [][]byte) bool {
 		var buf []byte
@@ -112,7 +146,7 @@ func TestQuickPutEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickBatchResultsRoundTrip checks the batch response codec the
+// TestQuickBatchResultsRoundTrip checks the result entry codec the
 // same way, cycling through every wire status.
 func TestQuickBatchResultsRoundTrip(t *testing.T) {
 	statuses := []byte{statusOK, statusErr, statusNotFound, statusBusy, statusUnsupported}

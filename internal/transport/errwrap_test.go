@@ -50,7 +50,7 @@ func TestWrapExchangeErrCancellationWins(t *testing.T) {
 // error so callers can still unwrap to the root cause.
 func TestFinishBatchWrapsDecodeError(t *testing.T) {
 	errs := make([]error, 2)
-	(&Client{}).finishBatch(nil, []int{0, 1}, errs, statusOK, []byte{0xff}, nil)
+	(&Client{}).finishBatch([]int{0, 1}, errs, statusOK, []byte{0xff})
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("errs[%d] = nil, want malformed-response error", i)

@@ -8,20 +8,13 @@ import (
 	"sync"
 )
 
-// Transport v2: a framed, multiplexed connection (DESIGN.md §12).
+// The multiplexed framing (DESIGN.md §12) is the only framing: after
+// the preface every exchange is its own stream — request IDs,
+// out-of-order responses, chunked bodies so a 16 MB GET never
+// head-of-line-blocks a PING, and per-stream windowed flow control so
+// one slow consumer stalls only its own stream.
 //
-// A v1 connection carries one request/response exchange at a time, so
-// a scrub, a ping, and a read against the same server serialize
-// behind each other even with batch ops. Transport v2 upgrades a
-// connection (negotiated through CAPS + MUXUP, with clean fallback
-// for legacy peers) to a stream-multiplexed framing where every
-// exchange is its own stream: request IDs, out-of-order responses,
-// chunked bodies so a 16 MB GET never head-of-line-blocks a PING, and
-// per-stream windowed flow control so one slow consumer stalls only
-// its own stream.
-//
-// v2 frame layout (all integers big-endian), reusing the v1 outer
-// length prefix:
+// Frame layout (all integers big-endian):
 //
 //	[4B frame length][1B kind][4B stream id][body...]
 //
@@ -32,26 +25,22 @@ import (
 //	WINDOW body = [4B credit bytes]                          either direction
 //	RESET  body = [error text]                               either direction
 //
-// The concatenated REQ chunks of a stream form exactly one v1 request
+// The concatenated REQ chunks of a stream form exactly one request
 // body (op, segment, index, payload); the concatenated RESP chunks
 // form the response payload, with the status carried on every RESP
 // frame (the first one wins). flags bit 0 (FIN) marks a stream's last
-// chunk in that direction. flags bit 1 (LEN), set only on the first
-// RESP frame of a buffered response, announces the response's total
+// chunk in that direction. flags bit 1 (LEN), set on the first RESP
+// frame of every buffered response, announces the response's total
 // payload length in the 4-byte field after the status, so the client
 // allocates the response once at its final size and reads every chunk
 // straight into place; streamed responses (PUTSTREAM acks) omit it.
-// LEN is negotiated: the server sends it only on a connection whose
-// MUXUP proposal carried muxFeatureLen, and a client upgrades only to
-// a server whose CAPS advertise capMuxLen, so neither end meets the
-// field unless it reads it.
-// Chunk payload bytes are debited from the
-// sender's per-stream credit window; the receiver returns credit with
-// WINDOW frames as it consumes chunks, and stops granting the moment
-// it abandons a stream — a stalled or timed-out stream therefore
-// quiesces without poisoning its neighbors. RESET aborts one stream
-// in both directions (the receiver cancels the stream's server-side
-// context); only a malformed frame kills the connection.
+// Chunk payload bytes are debited from the sender's per-stream credit
+// window; the receiver returns credit with WINDOW frames as it
+// consumes chunks, and stops granting the moment it abandons a stream
+// — a stalled or timed-out stream therefore quiesces without
+// poisoning its neighbors. RESET aborts one stream in both directions
+// (the receiver cancels the stream's server-side context); only a
+// malformed frame kills the connection.
 //
 // Buffer ownership: a frame's bytes are valid only until the next
 // frame is read off the connection. The read loops parse each frame
@@ -70,7 +59,7 @@ type muxFrame struct {
 	n      int // chunk bytes following the head
 }
 
-// v2 frame kinds.
+// Frame kinds.
 const (
 	muxKindReq    = byte(1)
 	muxKindResp   = byte(2)
@@ -107,12 +96,12 @@ const (
 	muxReadBuffer = 8 << 10
 )
 
-// muxHdrPool pools the [kind][id] header bytes of outgoing v2 frames;
-// like frameHdrPool, a leased header must survive until the vectored
-// write drains, which the synchronous writeFrameVec guarantees.
+// muxHdrPool pools the head bytes of outgoing frames, which escape to
+// the connection's writer; a head returns to the pool once its frame
+// is written.
 var muxHdrPool = sync.Pool{New: func() any { return new([muxMaxHeadLen]byte) }}
 
-// writeMuxFrame writes one v2 frame under the caller's write lock.
+// writeMuxFrame writes one frame under the caller's write lock.
 // head is the kind-specific prefix placed between the stream id and
 // the chunk (flags for REQ, flags+status for RESP, nothing for the
 // control kinds).
@@ -139,7 +128,7 @@ func encodeMuxWindow(credit int) [4]byte {
 	return [4]byte{byte(credit >> 24), byte(credit >> 16), byte(credit >> 8), byte(credit)}
 }
 
-// parseMuxHead decodes the head of a v2 frame whose body (the bytes
+// parseMuxHead decodes the head of a frame whose body (the bytes
 // after the outer length prefix) is frameLen bytes long. head holds
 // the body's first min(frameLen, muxMaxHeadLen) bytes. It returns the
 // frame, with n set to the length of the chunk after the head, and the
@@ -198,7 +187,7 @@ func parseMuxHead(head []byte, frameLen int) (muxFrame, int, error) {
 	return f, hl, nil
 }
 
-// muxReader reads v2 frames off one connection without allocating per
+// muxReader reads frames off one connection without allocating per
 // frame. next parses a frame's head in place in the read buffer and
 // leaves the chunk on the wire; the consumer then reads the chunk
 // straight into the buffer that keeps it (Read), or into the reader's
@@ -289,15 +278,21 @@ func (r *muxReader) readFull(p []byte) error {
 }
 
 // chunk reads the rest of the current frame's chunk into the scratch
-// buffer. The bytes are valid only until the next call to next.
+// buffer, growing it as bytes arrive rather than trusting the frame's
+// length. The bytes are valid only until the next call to next.
 func (r *muxReader) chunk() ([]byte, error) {
-	if cap(r.scratch) < r.remain {
-		r.scratch = make([]byte, r.remain)
+	b := r.scratch[:0]
+	for r.remain > 0 {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):min(cap(b), len(b)+r.remain)])
+		b = b[:len(b)+n]
+		if err != nil {
+			return nil, err
+		}
 	}
-	b := r.scratch[:r.remain]
-	if err := r.readFull(b); err != nil {
-		return nil, err
-	}
+	r.scratch = b
 	return b, nil
 }
 
@@ -479,70 +474,72 @@ func (q *ctlQueue) run(w *lockedWriter, onErr func(error)) {
 }
 
 // muxSettings are the negotiated per-connection parameters: the
-// initial per-stream window (bytes, each direction), the maximum
-// number of concurrently open streams, and the optional wire features
-// both ends speak (muxFeature* bits).
+// initial per-stream window (bytes, each direction) and the maximum
+// number of concurrently open streams.
 type muxSettings struct {
 	window     int
 	maxStreams int
-	features   uint32
 }
 
-// muxFeatureLen: the server marks the first RESP frame of a buffered
-// response with muxFlagLen and its total length. A server sends the
-// field only to a client that proposed it, because a client that
-// predates it would read the 4 bytes as payload.
-const muxFeatureLen = uint32(1 << 0)
+// muxSettingsLen is the encoded settings size: [4B window][4B streams].
+const muxSettingsLen = 8
 
-// Lengths of a MUXUP payload: the original window+streams form, and
-// the form that appends a 4-byte feature mask.
-const (
-	muxSettingsLen         = 8
-	muxSettingsFeaturesLen = 12
-)
-
-// encodeMuxSettings packs the MUXUP request/response payload. Settings
-// without features keep the original 8-byte form, so a server answers
-// a client that predates the feature mask in the form it can parse.
+// encodeMuxSettings packs settings for the preface.
 func encodeMuxSettings(s muxSettings) []byte {
-	out := make([]byte, muxSettingsLen, muxSettingsFeaturesLen)
+	out := make([]byte, muxSettingsLen)
 	binary.BigEndian.PutUint32(out[0:], uint32(s.window))
 	binary.BigEndian.PutUint32(out[4:], uint32(s.maxStreams))
-	if s.features != 0 {
-		out = binary.BigEndian.AppendUint32(out, s.features)
-	}
 	return out
 }
 
-// decodeMuxSettings unpacks a MUXUP payload in either form.
+// decodeMuxSettings unpacks settings, rejecting non-positive ones.
 func decodeMuxSettings(payload []byte) (muxSettings, error) {
-	if len(payload) != muxSettingsLen && len(payload) != muxSettingsFeaturesLen {
+	if len(payload) != muxSettingsLen {
 		return muxSettings{}, fmt.Errorf("transport: malformed mux settings (%d bytes)", len(payload))
 	}
-	s := muxSettings{
-		window:     int(binary.BigEndian.Uint32(payload[0:])),
-		maxStreams: int(binary.BigEndian.Uint32(payload[4:])),
-	}
-	if len(payload) == muxSettingsFeaturesLen {
-		s.features = binary.BigEndian.Uint32(payload[8:])
-	}
-	if s.window <= 0 || s.maxStreams <= 0 {
+	w, n := binary.BigEndian.Uint32(payload[0:]), binary.BigEndian.Uint32(payload[4:])
+	// Both are signed 31-bit on the wire, whatever the host int width.
+	if w == 0 || n == 0 || w > 0x7FFFFFFF || n > 0x7FFFFFFF {
 		return muxSettings{}, fmt.Errorf("transport: non-positive mux settings")
 	}
-	return s, nil
+	return muxSettings{window: int(w), maxStreams: int(n)}, nil
 }
 
 // negotiate clamps the peer's proposed settings to local bounds: both
-// sides end up with the min of the two proposals and the features both
-// offered, so neither can be pushed past what it offered.
+// sides end up with the min of the two proposals, so neither can be
+// pushed past what it offered.
 func (s muxSettings) negotiate(peer muxSettings) muxSettings {
-	out := s
-	if peer.window < out.window {
-		out.window = peer.window
+	return muxSettings{window: min(s.window, peer.window), maxStreams: min(s.maxStreams, peer.maxStreams)}
+}
+
+// The connection preface: [4B magic][settings], sent by the client
+// with its proposal as the first bytes of a connection and answered by
+// the server with the settings it chose. The magic exceeds MaxFrame,
+// so no frame length prefix can pass for a preface.
+const (
+	muxPrefaceMagic = uint32(0x52534d32) // "RSM2"
+	muxPrefaceLen   = 4 + muxSettingsLen
+)
+
+// encodePreface packs a preface carrying s.
+func encodePreface(s muxSettings) []byte {
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, muxPrefaceLen), muxPrefaceMagic)
+	return append(out, encodeMuxSettings(s)...)
+}
+
+// decodePreface validates a preface and returns its settings.
+func decodePreface(b []byte) (muxSettings, error) {
+	if len(b) != muxPrefaceLen || binary.BigEndian.Uint32(b) != muxPrefaceMagic {
+		return muxSettings{}, fmt.Errorf("transport: not a connection preface")
 	}
-	if peer.maxStreams < out.maxStreams {
-		out.maxStreams = peer.maxStreams
+	return decodeMuxSettings(b[4:])
+}
+
+// readPreface reads and validates the peer's preface.
+func readPreface(r io.Reader) (muxSettings, error) {
+	var b [muxPrefaceLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return muxSettings{}, err
 	}
-	out.features &= peer.features
-	return out
+	return decodePreface(b[:])
 }

@@ -60,8 +60,7 @@ func (r *recordingHealth) counts() (int, int) {
 }
 
 // startMuxPair runs a server over the given store and returns a
-// connected client with caps already probed, so the mux path is
-// engaged for every subsequent operation.
+// connected client.
 func startMuxPair(t *testing.T, store blockstore.Store, copts ClientOptions) *Client {
 	t.Helper()
 	srv := NewServer(store, ServerOptions{})
@@ -79,9 +78,6 @@ func startMuxPair(t *testing.T, store blockstore.Store, copts ClientOptions) *Cl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	if client.capabilities(context.Background())&capMux == 0 {
-		t.Fatal("server did not advertise capMux")
-	}
 	return client
 }
 
@@ -91,13 +87,10 @@ func startMuxPair(t *testing.T, store blockstore.Store, copts ClientOptions) *Cl
 // every stream reassembles to exactly its own payload.
 func TestMuxInterleavedStreamReassembly(t *testing.T) {
 	client := startMuxPair(t, blockstore.NewMemStore(), ClientOptions{
-		MuxConns:  1,
+		MaxConns:  1,
 		MuxWindow: 8 << 10, // tiny window: every sizable block needs several chunks
 	})
 	ctx := context.Background()
-	if client.muxFor(ctx) == nil {
-		t.Fatal("mux did not engage after caps probe")
-	}
 
 	const streams = 24
 	var wg sync.WaitGroup
@@ -130,7 +123,7 @@ func TestMuxInterleavedStreamReassembly(t *testing.T) {
 	}
 
 	if v := client.m.muxDials.Value(); v != 1 {
-		t.Errorf("muxDials = %d, want 1 (all streams share one upgraded conn)", v)
+		t.Errorf("muxDials = %d, want 1 (all streams share one conn)", v)
 	}
 	if v := client.m.muxStreams.Value(); v < 2*streams {
 		t.Errorf("muxStreams = %d, want >= %d (one per put + one per get)", v, 2*streams)
@@ -143,8 +136,7 @@ func TestMuxInterleavedStreamReassembly(t *testing.T) {
 // TestMuxStreamTimeoutDoesNotPoisonConn is the regression test for
 // per-stream timeout isolation: a stalled GET times out and is
 // reported to the health tracker, while concurrent and subsequent
-// streams on the SAME mux connection keep working — the v1 path would
-// have discarded the pooled connection.
+// streams on the SAME mux connection keep working.
 func TestMuxStreamTimeoutDoesNotPoisonConn(t *testing.T) {
 	mem := blockstore.NewMemStore()
 	gate := make(chan struct{})
@@ -152,7 +144,7 @@ func TestMuxStreamTimeoutDoesNotPoisonConn(t *testing.T) {
 	defer close(gate)
 	health := &recordingHealth{}
 	client := startMuxPair(t, store, ClientOptions{
-		MuxConns:       1,
+		MaxConns:       1,
 		RequestTimeout: 250 * time.Millisecond,
 		Health:         health,
 	})
@@ -209,8 +201,8 @@ func TestMuxStreamTimeoutDoesNotPoisonConn(t *testing.T) {
 	}
 }
 
-// rawMuxPeer is a hand-rolled v2 client for hostile-input tests: it
-// performs the MUXUP handshake and then speaks raw frames.
+// rawMuxPeer is a hand-rolled client for hostile-input tests: it
+// exchanges prefaces and then speaks raw frames.
 type rawMuxPeer struct {
 	t    *testing.T
 	conn net.Conn
@@ -223,22 +215,11 @@ func dialRawMux(t *testing.T, addr string) *rawMuxPeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	body, err := encodeRequest(opMuxUpgrade, "-", 0, encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: 8}))
-	if err != nil {
+	if _, err := conn.Write(encodePreface(muxSettings{window: defaultMuxWindow, maxStreams: 8})); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) < 1 || resp[0] != statusOK {
-		t.Fatalf("MUXUP refused: %q", resp)
-	}
-	if _, err := decodeMuxSettings(resp[1:]); err != nil {
-		t.Fatalf("bad MUXUP ack: %v", err)
+	if _, err := readPreface(conn); err != nil {
+		t.Fatalf("bad preface answer: %v", err)
 	}
 	return &rawMuxPeer{t: t, conn: conn}
 }

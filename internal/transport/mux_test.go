@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// testFrame is a decoded v2 frame with its chunk copied out of the
+// testFrame is a decoded frame with its chunk copied out of the
 // reader's scratch buffer.
 type testFrame struct {
 	muxFrame
@@ -43,7 +43,7 @@ func respLenHead(flags, status byte, total uint32) []byte {
 	return head
 }
 
-// encodeMuxTestFrame writes one v2 frame through the production writer
+// encodeMuxTestFrame writes one frame through the production writer
 // and returns its body (length prefix stripped), i.e. exactly what
 // decodeMuxFrame receives.
 func encodeMuxTestFrame(t *testing.T, kind byte, id uint32, head, chunk []byte) []byte {
@@ -137,18 +137,13 @@ func TestDecodeMuxFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestMuxSettingsRoundTripAndNegotiate(t *testing.T) {
-	for _, s := range []muxSettings{
-		{window: 1 << 20, maxStreams: 64},
-		{window: 1 << 20, maxStreams: 64, features: muxFeatureLen},
-	} {
-		enc := encodeMuxSettings(s)
-		got, err := decodeMuxSettings(enc)
-		if err != nil || got != s {
-			t.Fatalf("round trip = %+v, %v; want %+v", got, err, s)
-		}
-		if s.features == 0 && len(enc) != 8 {
-			t.Fatalf("featureless settings encode to %d bytes, want the original 8", len(enc))
-		}
+	s := muxSettings{window: 1 << 20, maxStreams: 64}
+	enc := encodeMuxSettings(s)
+	if got, err := decodeMuxSettings(enc); err != nil || got != s || len(enc) != muxSettingsLen {
+		t.Fatalf("round trip = %+v, %v (%d bytes); want %+v", got, err, len(enc), s)
+	}
+	if got, err := decodePreface(encodePreface(s)); err != nil || got != s {
+		t.Fatalf("preface round trip = %+v, %v; want %+v", got, err, s)
 	}
 	for name, payload := range map[string][]byte{
 		"short":        make([]byte, 7),
@@ -156,6 +151,7 @@ func TestMuxSettingsRoundTripAndNegotiate(t *testing.T) {
 		"longer":       make([]byte, 13),
 		"zero-window":  encodeMuxSettings(muxSettings{window: 0, maxStreams: 4}),
 		"zero-streams": encodeMuxSettings(muxSettings{window: 4, maxStreams: 0}),
+		"sign-bit":     {0x80, 0, 0, 0, 0, 0, 0, 1},
 	} {
 		if _, err := decodeMuxSettings(payload); err == nil {
 			t.Errorf("decodeMuxSettings(%s) accepted bad settings", name)
@@ -169,15 +165,6 @@ func TestMuxSettingsRoundTripAndNegotiate(t *testing.T) {
 	}
 	if got := b.negotiate(a); got != want {
 		t.Fatalf("negotiate (reversed) = %+v, want %+v", got, want)
-	}
-	// A feature is on only when both ends offer it.
-	a.features, b.features = muxFeatureLen, 0
-	if got := a.negotiate(b); got.features != 0 {
-		t.Fatalf("negotiate kept features %#x the peer did not offer", got.features)
-	}
-	b.features = muxFeatureLen
-	if got := a.negotiate(b); got.features != muxFeatureLen {
-		t.Fatalf("negotiate features = %#x, want %#x", got.features, muxFeatureLen)
 	}
 }
 
@@ -309,6 +296,17 @@ func FuzzMuxFrameDecode(f *testing.F) {
 	f.Add([]byte{muxKindReset, 0, 0, 0, 4, 'e', 'r', 'r'})
 	f.Add([]byte{muxKindReq, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, 1})
+	// Request bodies as they ride REQ chunks: a PUTSTREAM header and
+	// entry, a DELETEBATCH index list, and a streamed PUTSTREAM ack.
+	put, _ := encodeRequest(opPutStream, "seg", 1, appendPutEntryHeader(nil, 3, 2))
+	f.Add(append(append([]byte{muxKindReq, 0, 0, 0, 5, muxFlagFIN}, put...), 'o', 'k'))
+	del, _ := encodeRequest(opDeleteBatch, "seg", 2, encodeIndices([]int{4, 5}))
+	f.Add(append([]byte{muxKindReq, 0, 0, 0, 6, muxFlagFIN}, del...))
+	f.Add(append([]byte{muxKindResp, 0, 0, 0, 5, 0, statusOK}, appendBatchResultHeader(nil, 3, statusOK, 0)...))
+	// An old-protocol request body read as a frame: op 1 (PUT) looks
+	// like a REQ kind.
+	old, _ := encodeRequest(opPut, "seg", 0, []byte("data"))
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeMuxFrame(body)
 		if err != nil {
@@ -365,9 +363,9 @@ func FuzzMuxFrameDecode(f *testing.F) {
 
 func FuzzMuxSettingsDecode(f *testing.F) {
 	f.Add(encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}))
-	f.Add(encodeMuxSettings(muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}))
+	f.Add(encodeMuxSettings(muxSettings{window: 1, maxStreams: 1}))
 	f.Add(make([]byte, 8))
-	f.Add(make([]byte, 12))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s, err := decodeMuxSettings(payload)

@@ -13,12 +13,6 @@ import (
 	"repro/internal/blockstore"
 )
 
-// ErrMuxUnavailable reports that a streaming operation needs the
-// multiplexed transport but the server does not speak it (or the
-// upgrade could not be established right now). Callers fall back to
-// the batch or single-op paths.
-var ErrMuxUnavailable = errors.New("transport: mux transport unavailable")
-
 // errMuxConnClosed reports an exchange cut short by its mux
 // connection dying (read error, protocol violation, or Close); the
 // request may or may not have reached the server.
@@ -97,10 +91,10 @@ func (s *muxStream) isFinished() bool {
 	return s.finished
 }
 
-// muxDefaults are the client's proposed settings (clamped by
-// ClientOptions and by the server during negotiation).
+// muxProposal is the client's proposed settings (clamped by the
+// server in its preface answer).
 func (c *Client) muxProposal() muxSettings {
-	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}
+	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
 	if c.muxWindow > 0 {
 		s.window = c.muxWindow
 	}
@@ -110,24 +104,14 @@ func (c *Client) muxProposal() muxSettings {
 	return s
 }
 
-// muxFor returns a live mux connection when the server is known to
-// speak transport v2 with sized responses (CAPS already probed,
-// capMux and capMuxLen set) and the mux is enabled; nil sends the
-// caller down the v1 path, as it does for a v2 server that predates
-// capMuxLen. Establishment
-// happens at most once at a time; a caller that finds no live
-// connection while one is being established waits for it (bounded by
-// ctx) instead of falling back, so a cold client's first burst rides
-// the mux too. Failures are not retried for muxRedialBackoff, so a
-// flapping upgrade cannot stall the data path — it degrades to v1 and
-// heals later.
-func (c *Client) muxFor(ctx context.Context) *muxConn {
-	if c.muxDisabled {
-		return nil
-	}
-	if v := c.caps.Load(); v == 0 || (v>>1)&capMuxData != capMuxData {
-		return nil
-	}
+// muxFor returns a live connection, round robin, opening one while the
+// client has fewer than maxConns. One establishment runs at a time: a
+// caller that finds no live connection while one is being opened waits
+// for it (bounded by ctx), so a cold client's first burst shares the
+// first connection. After a failed establishment the client keeps
+// using its live connections for muxRedialBackoff before trying to
+// grow again; with none live the caller gets the error.
+func (c *Client) muxFor(ctx context.Context) (*muxConn, error) {
 	c.muxMu.Lock()
 	for c.muxEstablishing && !c.muxClosed && !c.hasLiveMux() {
 		ready := c.muxReady
@@ -135,27 +119,26 @@ func (c *Client) muxFor(ctx context.Context) *muxConn {
 		select {
 		case <-ready:
 		case <-ctx.Done():
-			return nil
+			return nil, ctx.Err()
 		}
 		c.muxMu.Lock()
 	}
 	if c.muxClosed {
 		c.muxMu.Unlock()
-		return nil
+		return nil, errClientClosed
 	}
-	// Reap dead conns, then pick the live conn with a free slot bias
-	// (round robin).
 	live := c.muxConns[:0]
 	for _, m := range c.muxConns {
 		if !m.isDead() {
 			live = append(live, m)
 		}
 	}
+	clear(c.muxConns[len(live):])
 	c.muxConns = live
-	if len(live) >= c.muxMaxConns || c.muxEstablishing || time.Now().Before(c.muxRetryAt) {
+	if len(live) > 0 && (len(live) >= c.maxConns || c.muxEstablishing || time.Now().Before(c.muxRetryAt)) {
 		m := c.pickMuxLocked()
 		c.muxMu.Unlock()
-		return m
+		return m, nil
 	}
 	c.muxEstablishing = true
 	ready := make(chan struct{})
@@ -167,20 +150,22 @@ func (c *Client) muxFor(ctx context.Context) *muxConn {
 	defer c.muxMu.Unlock()
 	c.muxEstablishing = false
 	close(ready)
-	if err != nil {
+	switch {
+	case err != nil:
 		c.muxRetryAt = time.Now().Add(muxRedialBackoff)
-		c.m.muxFallbacks.Inc()
-		return c.pickMuxLocked()
-	}
-	if c.muxClosed {
+		if len(c.muxConns) > 0 {
+			return c.pickMuxLocked(), nil
+		}
+		return nil, err
+	case c.muxClosed:
 		m.fatal(errClientClosed)
-		return nil
+		return nil, errClientClosed
 	}
 	c.muxConns = append(c.muxConns, m)
-	return m
+	return m, nil
 }
 
-// hasLiveMux reports whether any mux conn is still up (muxMu held).
+// hasLiveMux reports whether any connection is still up (muxMu held).
 func (c *Client) hasLiveMux() bool {
 	for _, m := range c.muxConns {
 		if !m.isDead() {
@@ -190,57 +175,42 @@ func (c *Client) hasLiveMux() bool {
 	return false
 }
 
-// pickMuxLocked round-robins over the mux conns (muxMu held; the
-// caller reaped dead ones), nil when there are none.
+// pickMuxLocked round-robins over the connections (muxMu held; the
+// caller reaped dead ones and checked there is at least one).
 func (c *Client) pickMuxLocked() *muxConn {
-	n := len(c.muxConns)
-	if n == 0 {
-		return nil
-	}
-	m := c.muxConns[c.muxNext%n]
+	m := c.muxConns[c.muxNext%len(c.muxConns)]
 	c.muxNext++
 	return m
 }
 
-// muxRedialBackoff spaces out failed upgrade attempts.
+// muxRedialBackoff spaces out failed attempts to open another
+// connection while live ones carry the traffic.
 const muxRedialBackoff = 500 * time.Millisecond
 
-// establishMux dials a dedicated connection and performs the MUXUP
-// handshake: a v1 exchange proposing settings, answered with the
-// server's (clamped) choice, after which the connection speaks v2.
+// establishMux dials a connection and exchanges prefaces: the client
+// proposes its settings and the server answers with the ones it
+// chose, after which both ends speak frames. The exchange is bounded
+// by the dial timeout and the request timeout, and abandoned when ctx
+// ends.
 func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	conn, err := (&net.Dialer{Timeout: c.dialTimeout}).DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		c.m.dialErrors.Inc()
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(c.dialTimeout))
-	body, err := encodeRequest(opMuxUpgrade, "-", 0, encodeMuxSettings(c.muxProposal()))
-	if err != nil {
-		conn.Close()
-		return nil, err
+	limit := c.dialTimeout
+	if c.reqTimeout > 0 {
+		limit = min(limit, c.reqTimeout)
 	}
-	if err := writeFrame(conn, body); err != nil {
+	conn.SetDeadline(time.Now().Add(limit))
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	settings, err := c.exchangePreface(conn)
+	if !stop() || err != nil {
 		conn.Close()
-		return nil, err
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if len(resp) < 1 || resp[0] != statusOK {
-		conn.Close()
-		return nil, fmt.Errorf("%w: upgrade refused", ErrMuxUnavailable)
-	}
-	settings, err := decodeMuxSettings(resp[1:])
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if settings.features&muxFeatureLen == 0 {
-		conn.Close()
-		return nil, fmt.Errorf("%w: server declined sized responses", ErrMuxUnavailable)
+		if err == nil {
+			err = ctx.Err()
+		}
+		return nil, c.wrapExchangeErr(err, ctx.Err() != nil, ctx)
 	}
 	conn.SetDeadline(time.Time{})
 	m := &muxConn{
@@ -260,6 +230,20 @@ func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
 	return m, nil
 }
 
+// exchangePreface sends the client's preface and reads the server's.
+// The server may only narrow the proposal.
+func (c *Client) exchangePreface(conn net.Conn) (muxSettings, error) {
+	proposal := c.muxProposal()
+	if _, err := conn.Write(encodePreface(proposal)); err != nil {
+		return muxSettings{}, err
+	}
+	chosen, err := readPreface(conn)
+	if err != nil {
+		return muxSettings{}, err
+	}
+	return proposal.negotiate(chosen), nil
+}
+
 func (m *muxConn) isDead() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -268,7 +252,7 @@ func (m *muxConn) isDead() bool {
 
 // fatal kills the connection: every in-flight stream fails with err,
 // late frames are ignored, and the next exchange establishes a fresh
-// mux (or falls back to v1). Safe to call from any goroutine, once or
+// connection. Safe to call from any goroutine, once or
 // many times.
 func (m *muxConn) fatal(err error) {
 	m.mu.Lock()
@@ -449,12 +433,10 @@ func (s *muxStream) readResp(r *muxReader, f muxFrame) error {
 }
 
 // exchange runs one request/response over its own stream. chunks is
-// the v1-encoded request body (header + payload pieces); contents
-// must stay valid until exchange returns. Timeouts and cancellations
-// abandon only this stream: a RESET tells the server to drop the
-// work, credit stops flowing, and the connection keeps serving its
-// other streams — the v1 path would have discarded the pooled
-// connection instead.
+// the request body (header + payload pieces); contents must stay
+// valid until exchange returns. Timeouts and cancellations abandon
+// only this stream: a RESET tells the server to drop the work, credit
+// stops flowing, and the connection keeps serving its other streams.
 func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, error) {
 	select {
 	case m.slots <- struct{}{}:
@@ -603,21 +585,15 @@ func (m *muxConn) close() {
 	<-m.done
 }
 
-// GetStream fetches many blocks concurrently over the multiplexed
-// transport, delivering each block the moment its response frames
-// complete — out of order, exactly as the decoder wants them. Every
-// index becomes its own stream (with the usual idempotent retry
-// policy), so a stalled block stalls only itself. Returns
-// ErrMuxUnavailable without calling deliver when the server does not
-// speak transport v2; callers then fall back to batch windows.
-// deliver may be called from multiple goroutines.
+// GetStream fetches many blocks concurrently, delivering each block
+// the moment its response frames complete — out of order, exactly as
+// the decoder wants them. Every index becomes its own stream (with the
+// usual idempotent retry policy), so a stalled block stalls only
+// itself. deliver runs exactly once per index, possibly from several
+// goroutines at once, and GetStream returns once every index is
+// delivered; the error return is always nil and exists for the
+// robust client's store interface.
 func (c *Client) GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error {
-	if c.capabilities(ctx)&capMuxData != capMuxData {
-		return ErrMuxUnavailable
-	}
-	if c.muxFor(ctx) == nil {
-		return ErrMuxUnavailable
-	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, defaultMuxStreams/2)
 	for _, idx := range indices {
@@ -646,23 +622,14 @@ func (c *Client) GetStream(ctx context.Context, segment string, indices []int, d
 // must not block or call back into the Client. Entry data is not
 // retained after PutStream returns.
 //
-// The contract mirrors GetStream's: a non-nil return means acked was
-// never called — the server lacks the capability (ErrMuxUnavailable)
-// or the stream failed before any ack — and every entry may be safely
-// retried on the batch or single-op paths. Once the first ack lands,
-// PutStream returns nil and any mid-stream failure is delivered
-// through acked for the remaining entries instead.
+// A non-nil return means acked was never called: the request could
+// not be sent or the stream failed before its first ack, and no entry
+// is known to be stored. Once the first ack lands, PutStream returns
+// nil and any mid-stream failure is delivered through acked for the
+// remaining entries instead.
 func (c *Client) PutStream(ctx context.Context, segment string, puts []blockstore.BatchPut, acked func(i int, err error)) error {
-	caps := c.capabilities(ctx)
-	if caps&capMuxData != capMuxData || caps&capPutStream == 0 {
-		return ErrMuxUnavailable
-	}
-	m := c.muxFor(ctx)
-	if m == nil {
-		return ErrMuxUnavailable
-	}
-	if len(segment) > 0xFFFF {
-		return fmt.Errorf("transport: segment name too long (%d bytes)", len(segment))
+	if err := checkRequestHeader(segment, 0); err != nil {
+		return err
 	}
 	for _, p := range puts {
 		if p.Index < 0 {
@@ -671,6 +638,14 @@ func (c *Client) PutStream(ctx context.Context, segment string, puts []blockstor
 	}
 	if len(puts) == 0 {
 		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	m, err := c.muxFor(ctx)
+	if err != nil {
+		c.m.errors.Inc()
+		return err
 	}
 	return m.putStream(ctx, segment, puts, acked)
 }
@@ -800,11 +775,11 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 		watch.Wait()
 	}()
 
-	// The request reuses the PUTBATCH wire shape (header into pooled
-	// scratch, entry data referenced in place); only the op differs.
+	// Entry headers go into pooled scratch; entry data is referenced
+	// in place.
 	scratch := getScratch()
 	defer putScratch(scratch)
-	growScratch(scratch, requestHeaderLen(segment)+putBatchEntryOverhead*len(puts))
+	growScratch(scratch, requestHeaderLen(segment)+putEntryOverhead*len(puts))
 	chunks := make([][]byte, 0, 1+2*len(puts))
 	*scratch = appendRequestHeader(*scratch, opPutStream, segment, len(puts))
 	chunks = append(chunks, *scratch)

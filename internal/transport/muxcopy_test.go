@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -61,7 +62,7 @@ func TestGetAllocatesResponseOnce(t *testing.T) {
 	const size = 256 << 10
 	block := make([]byte, size)
 	rand.New(rand.NewSource(1)).Read(block)
-	client := startMuxPair(t, &staticStore{Store: blockstore.NewMemStore(), block: block}, ClientOptions{MuxConns: 1})
+	client := startMuxPair(t, &staticStore{Store: blockstore.NewMemStore(), block: block}, ClientOptions{MaxConns: 1})
 	ctx := context.Background()
 	per := allocBytesPerOp(20, func() {
 		got, err := client.Get(ctx, "seg", 0)
@@ -83,7 +84,7 @@ func TestPutStreamServerAllocatesNoFrameBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	client := startMuxPair(t, discardStore{blockstore.NewMemStore()}, ClientOptions{MuxConns: 1})
+	client := startMuxPair(t, discardStore{blockstore.NewMemStore()}, ClientOptions{MaxConns: 1})
 	puts := make([]blockstore.BatchPut, 16)
 	for i := range puts {
 		puts[i] = blockstore.BatchPut{Index: i, Data: bytes.Repeat([]byte{byte(i)}, 256<<10)}
@@ -114,7 +115,7 @@ func TestPutStreamServerAllocatesNoFrameBuffers(t *testing.T) {
 // whole entry. The borrowing entry's credit now returns as it lands.
 func TestPutStreamEntryLargerThanWindow(t *testing.T) {
 	mem := blockstore.NewMemStore()
-	client := startMuxPair(t, mem, ClientOptions{MuxConns: 1})
+	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rng := rand.New(rand.NewSource(2))
@@ -146,7 +147,7 @@ func TestPutStreamEntryLargerThanWindow(t *testing.T) {
 // connection's reused read buffers.
 func TestMuxConcurrentGetAndPutStreamByteExact(t *testing.T) {
 	mem := blockstore.NewMemStore()
-	client := startMuxPair(t, mem, ClientOptions{MuxConns: 1, MuxWindow: 64 << 10})
+	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1, MuxWindow: 64 << 10})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	blocks := make([][]byte, 24)
@@ -222,9 +223,8 @@ func TestMuxConcurrentGetAndPutStreamByteExact(t *testing.T) {
 	}
 }
 
-// TestMuxColdStartWaitsForEstablishment: the first burst of a fresh
-// client rides the mux. Callers that arrive while the first MUXUP is
-// in flight wait for it instead of falling back to v1.
+// TestMuxColdStartWaitsForEstablishment: callers that arrive while a
+// client's connection is being opened wait for it and ride it.
 func TestMuxColdStartWaitsForEstablishment(t *testing.T) {
 	mem := blockstore.NewMemStore()
 	if err := mem.Put(context.Background(), "seg", 0, []byte("payload")); err != nil {
@@ -238,15 +238,16 @@ func TestMuxColdStartWaitsForEstablishment(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	client, err := Dial(ln.Addr().String(), ClientOptions{})
+	creg := obs.NewRegistry()
+	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1, Obs: creg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
 	ctx := context.Background()
-	if client.capabilities(ctx)&capMux == 0 {
-		t.Fatal("server did not advertise capMux")
-	}
+	// Kill the connection Dial opened, so the burst finds none live.
+	client.muxConns[0].fatal(errors.New("test: cold start"))
+	streamsBefore := reg.Counter("transport_server_mux_streams_total").Value()
 	const burst = 8
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -259,8 +260,11 @@ func TestMuxColdStartWaitsForEstablishment(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := reg.Counter("transport_server_mux_streams_total").Value(); got != burst {
-		t.Fatalf("%d of %d cold-start Gets rode the mux", got, burst)
+	if got := reg.Counter("transport_server_mux_streams_total").Value() - streamsBefore; got != burst {
+		t.Fatalf("%d of %d cold-start Gets reached the server", got, burst)
+	}
+	if got := creg.Counter("transport_client_mux_dials_total").Value(); got != 2 {
+		t.Fatalf("%d connections opened, want 2: the burst must share one", got)
 	}
 	if got := reg.Counter("transport_server_get_total").Value(); got != burst {
 		t.Fatalf("server served %d Gets, want %d", got, burst)

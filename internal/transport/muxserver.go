@@ -14,34 +14,20 @@ import (
 	"repro/internal/admission"
 )
 
-// serverMuxDefaults bound what a server will accept during MUXUP
-// negotiation regardless of the client's proposal.
-var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams, features: muxFeatureLen}
+// serverMuxDefaults bound what a server will accept in a preface
+// regardless of the client's proposal.
+var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
 
-// upgradeMux answers one MUXUP request. A malformed proposal is
-// refused in-band (the connection stays on v1); a valid one is
-// acknowledged with the clamped settings, after which the connection
-// speaks v2 frames until it drops. Returns served=true when the
-// connection was consumed by the mux loop.
-func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (served bool, err error) {
-	peer, derr := decodeMuxSettings(req.payload)
-	if derr != nil {
-		return false, writeFrame(conn, []byte{statusErr}, []byte(derr.Error()))
-	}
-	chosen := serverMuxDefaults.negotiate(peer)
-	ack := make([]byte, 0, 9)
-	ack = append(ack, statusOK)
-	ack = append(ack, encodeMuxSettings(chosen)...)
-	if err := writeFrame(conn, ack); err != nil {
-		return false, err
-	}
+// serveMux runs the frame loop of one connection whose prefaces have
+// been exchanged, until the connection drops.
+func (s *Server) serveMux(ctx context.Context, conn net.Conn, settings muxSettings) {
 	m := &muxServerConn{
 		s:        s,
 		conn:     conn,
 		w:        &lockedWriter{w: conn},
 		r:        newMuxReader(conn),
 		ctl:      newCtlQueue(),
-		settings: chosen,
+		settings: settings,
 		ctx:      ctx,
 		streams:  make(map[uint32]*muxServerStream),
 	}
@@ -54,7 +40,6 @@ func (s *Server) upgradeMux(ctx context.Context, conn net.Conn, req request) (se
 	// control write still in flight so the writer goroutine can exit.
 	conn.Close()
 	<-m.ctl.done
-	return true, nil
 }
 
 // muxServerConn is the server half of one multiplexed connection: the
@@ -86,7 +71,7 @@ type muxServerStream struct {
 	done   bool
 }
 
-// serve is the connection's v2 read loop. Like Server.handle, the
+// serve is the connection's read loop. Like Server.handle, the
 // loop lives exactly as long as the connection: a dropped conn (or
 // Server.Close) unblocks the frame reader, and teardown cancels every
 // in-flight stream.
@@ -277,11 +262,19 @@ func (m *muxServerConn) resetStream(id uint32, msg []byte) {
 	}
 }
 
-// finishStream retires a completed stream.
-func (m *muxServerConn) finishStream(st *muxServerStream) {
+// retire drops a stream from the connection's table. A stream retires
+// before its final frame goes out: a client that sees the FIN may open
+// its next stream at once, and that one must not find the old one
+// still counted against the stream limit.
+func (m *muxServerConn) retire(st *muxServerStream) {
 	m.mu.Lock()
 	delete(m.streams, st.id)
 	m.mu.Unlock()
+}
+
+// finishStream retires a completed stream and releases its resources.
+func (m *muxServerConn) finishStream(st *muxServerStream) {
+	m.retire(st)
 	st.send.close(fmt.Errorf("transport: mux stream %d finished", st.id))
 	if st.stream != nil {
 		// If the consumer quit early (broken conn mid-ack) the read
@@ -325,72 +318,41 @@ func (m *muxServerConn) serveStream(ctx context.Context, st *muxServerStream, re
 	defer m.finishStream(st)
 	m.s.m.muxInflight.Add(1)
 	defer m.s.m.muxInflight.Add(-1)
-	var status byte
-	var chunks [][]byte
-	switch req.op {
-	case opPutBatch, opGetBatch, opDeleteBatch, opCaps:
-		start := time.Now()
-		m.s.m.ops[req.op].Inc()
-		scratch := getScratch()
-		defer putScratch(scratch)
-		status, chunks = m.s.dispatchBatch(ctx, req, scratch)
-		m.s.m.opSeconds[req.op].Observe(time.Since(start).Seconds())
-		if status != statusOK {
-			m.s.m.errors.Inc()
-		}
-	case opMuxUpgrade:
-		status, chunks = statusErr, [][]byte{[]byte("transport: connection already multiplexed")}
-	default:
-		st2, payload := m.s.dispatch(ctx, req)
-		status = st2
-		if len(payload) > 0 {
-			chunks = [][]byte{payload}
-		}
-	}
-	m.writeResponse(st, status, chunks)
+	status, payload := m.s.dispatch(ctx, req)
+	m.writeResponse(st, status, payload)
 }
 
 // writeResponse streams one response as chunked RESP frames, taking
 // per-stream credit before each chunk so a slow or abandoned reader
 // stalls only this stream. The status rides on every frame (first
-// wins client-side), so even an empty response carries it; on a
-// connection that negotiated muxFeatureLen the first frame of a
-// non-empty response also announces its total length.
-func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, chunks [][]byte) {
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
+// wins client-side), so even an empty response carries it, and the
+// first frame of a non-empty response announces its total length.
+func (m *muxServerConn) writeResponse(st *muxServerStream, status byte, payload []byte) {
+	if len(payload) == 0 {
+		m.retire(st)
+		writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, status}, nil)
+		return
 	}
-	sized := m.settings.features&muxFeatureLen != 0
 	stalled := func() { m.s.m.muxStalls.Inc() }
 	var head [muxRespChunkOverhead + muxRespLenOverhead]byte
-	head[1] = status
-	written := 0
-	for _, ch := range chunks {
-		for len(ch) > 0 {
-			n, err := st.send.take(len(ch), stalled)
-			if err != nil {
-				return // stream reset or connection down
-			}
-			h := head[:muxRespChunkOverhead]
-			head[0] = 0
-			if written == 0 && sized {
-				head[0] = muxFlagLen
-				binary.BigEndian.PutUint32(head[muxRespChunkOverhead:], uint32(total))
-				h = head[:]
-			}
-			if written+n == total {
-				head[0] |= muxFlagFIN
-			}
-			if err := writeMuxFrame(m.w, muxKindResp, st.id, h, ch[:n]); err != nil {
-				return
-			}
-			written += n
-			ch = ch[n:]
+	head[0], head[1] = muxFlagLen, status
+	binary.BigEndian.PutUint32(head[muxRespChunkOverhead:], uint32(len(payload)))
+	h := head[:]
+	for rest := payload; len(rest) > 0; {
+		n, err := st.send.take(len(rest), stalled)
+		if err != nil {
+			return // stream reset or connection down
 		}
-	}
-	if total == 0 {
-		writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, status}, nil)
+		if n == len(rest) {
+			h[0] |= muxFlagFIN
+			m.retire(st)
+		}
+		if err := writeMuxFrame(m.w, muxKindResp, st.id, h, rest[:n]); err != nil {
+			return
+		}
+		rest = rest[n:]
+		h = head[:muxRespChunkOverhead]
+		head[0] = 0
 	}
 }
 
@@ -415,7 +377,7 @@ type muxPutStream struct {
 	grant    func(n int)
 
 	// Assembly state, touched only by the connection's read loop.
-	hdr  [putBatchEntryOverhead]byte
+	hdr  [putEntryOverhead]byte
 	hdrN int
 	cur  *putStreamEntry // entry being assembled
 
@@ -458,12 +420,12 @@ func (p *muxPutStream) readFrom(r *muxReader, fin bool) error {
 			return nil
 		}
 		if p.cur == nil {
-			n := min(putBatchEntryOverhead-p.hdrN, r.remain)
+			n := min(putEntryOverhead-p.hdrN, r.remain)
 			if err := r.readFull(p.hdr[p.hdrN : p.hdrN+n]); err != nil {
 				return err
 			}
 			p.hdrN += n
-			if p.hdrN < putBatchEntryOverhead {
+			if p.hdrN < putEntryOverhead {
 				continue
 			}
 			if err := p.begin(); err != nil {
@@ -512,7 +474,7 @@ func (p *muxPutStream) begin() error {
 	p.mu.Lock()
 	p.live = append(p.live, e)
 	p.mu.Unlock()
-	return p.landed(e, putBatchEntryOverhead)
+	return p.landed(e, putEntryOverhead)
 }
 
 // landed accounts for n wire bytes of e that just arrived, granting
@@ -652,6 +614,7 @@ func (m *muxServerConn) servePutStream(ctx context.Context, st *muxServerStream,
 		m.resetStream(st.id, []byte(fmt.Sprintf("transport: put stream ended after %d of %d entries", count, ps.declared)))
 		return
 	}
+	m.retire(st)
 	writeMuxFrame(m.w, muxKindResp, st.id, []byte{muxFlagFIN, statusOK}, nil)
 }
 

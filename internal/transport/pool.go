@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// Scratch-buffer pool for the batch hot path. Batch requests and
-// responses are assembled as small header chunks that reference the
-// caller's block buffers (vectored writes), so the only per-batch
-// allocations would be those headers — pooling them makes the
-// steady-state transport cost of a batch approach zero allocations.
-// Payload buffers are NOT pooled here: a GET response body is handed
-// to the caller, which may retain it (the decoder does).
+// Scratch-buffer pool for request headers. Requests are sent as small
+// header chunks that reference the caller's block buffers, so the only
+// per-request allocations would be those headers — pooling them makes
+// the steady-state transport cost of a request approach zero
+// allocations. Payload buffers are NOT pooled here: a GET response
+// body is handed to the caller, which may retain it (the decoder
+// does).
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -27,7 +27,7 @@ func getScratch() *[]byte {
 }
 
 // putScratch returns a scratch buffer to the pool. Oversized buffers
-// (a batch of huge error messages) are dropped so the pool's
+// (a huge delete batch) are dropped so the pool's
 // steady-state footprint stays bounded.
 func putScratch(b *[]byte) {
 	if cap(*b) > 1<<20 {
@@ -36,9 +36,13 @@ func putScratch(b *[]byte) {
 	scratchPool.Put(b)
 }
 
-// frameHdrPool pools the 4-byte frame-length headers used by vectored
-// writes, which must outlive the writeFrameVec call they are built in.
-var frameHdrPool = sync.Pool{New: func() any { return new([4]byte) }}
+// growScratch pre-sizes scratch so subsequent appends never relocate
+// the backing array out from under chunks that already reference it.
+func growScratch(scratch *[]byte, need int) {
+	if cap(*scratch) < need {
+		*scratch = make([]byte, 0, need)
+	}
+}
 
 // PUTSTREAM entry buffers come from one sync.Pool per power-of-two
 // capacity class: class k holds buffers whose capacity lies in

@@ -10,6 +10,8 @@ import (
 	"repro/internal/blockstore"
 )
 
+// The client's pool is its connections times their negotiated stream
+// limit: requests beyond it wait for a free stream.
 func TestClientPoolCapBlocksAndRecovers(t *testing.T) {
 	store := blockstore.NewSlowStore(blockstore.NewMemStore(),
 		blockstore.SlowProfile{BaseLatency: 100 * time.Millisecond}, 1)
@@ -20,13 +22,14 @@ func TestClientPoolCapBlocksAndRecovers(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 2})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 2, MuxMaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	ctx := context.Background()
-	// Six concurrent puts through a 2-connection pool: all must finish.
+	// Six concurrent puts through two single-stream connections: all
+	// must finish.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 6)
 	start := time.Now()
@@ -60,16 +63,16 @@ func TestClientPoolWaiterHonorsContext(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1, MuxMaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Occupy the single connection.
+	// Occupy the single stream.
 	go client.Put(context.Background(), "s", 0, []byte("slow"))
 	time.Sleep(50 * time.Millisecond)
 	// A second request must give up when its context expires while
-	// waiting for the pool.
+	// waiting for a stream.
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -91,7 +94,7 @@ func TestCloseUnblocksPoolWaiters(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1})
+	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1, MuxMaxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

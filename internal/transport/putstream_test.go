@@ -116,7 +116,7 @@ func TestQuickPutStreamEntryRoundTrip(t *testing.T) {
 // a hang.
 func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{7}, 64)})
-	for _, cut := range []int{3, putBatchEntryOverhead + 10} {
+	for _, cut := range []int{3, putEntryOverhead + 10} {
 		ps, _ := newTestPutStream(1, defaultMuxWindow)
 		if err := feedPutStream(ps, wire[:cut], true); err != nil {
 			t.Fatalf("cut=%d: feed: %v", cut, err)
@@ -135,7 +135,7 @@ func TestPutStreamTruncatedEntryFailsClean(t *testing.T) {
 // than MaxFrame bytes is a protocol violation, caught before any
 // buffer is leased.
 func TestPutStreamOversizedEntryRejected(t *testing.T) {
-	var hdr [putBatchEntryOverhead]byte
+	var hdr [putEntryOverhead]byte
 	binary.BigEndian.PutUint32(hdr[0:4], 0)
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(MaxFrame+1))
 	ps, _ := newTestPutStream(1, defaultMuxWindow)
@@ -154,7 +154,7 @@ func TestPutStreamFeedOverflow(t *testing.T) {
 	// Entry 0 borrows (granted as it lands); entries 1 and 2, headers
 	// included, fill the window exactly; one more entry header is past
 	// the client's credit.
-	half := window/2 - putBatchEntryOverhead
+	half := window/2 - putEntryOverhead
 	fill := buildPutEntries([][]byte{make([]byte, 32<<10), make([]byte, half), make([]byte, half)})
 	if err := feedPutStream(ps, fill, false); err != nil {
 		t.Fatalf("feed within the window failed: %v", err)
@@ -174,7 +174,7 @@ func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
 	ps, _ := newTestPutStream(2, defaultMuxWindow)
 	// Half an entry: the consumer blocks waiting for the rest.
 	wire := buildPutEntries([][]byte{bytes.Repeat([]byte{3}, 32)})
-	if err := feedPutStream(ps, wire[:putBatchEntryOverhead+5], false); err != nil {
+	if err := feedPutStream(ps, wire[:putEntryOverhead+5], false); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
@@ -202,8 +202,8 @@ func TestPutStreamFailWakesBlockedConsumer(t *testing.T) {
 func TestPutStreamCreditBorrowing(t *testing.T) {
 	const window = 16 << 10
 	ps, granted := newTestPutStream(2, window)
-	big := buildPutEntries([][]byte{make([]byte, 3*window), make([]byte, window-putBatchEntryOverhead)})
-	first := putBatchEntryOverhead + 3*window
+	big := buildPutEntries([][]byte{make([]byte, 3*window), make([]byte, window-putEntryOverhead)})
+	first := putEntryOverhead + 3*window
 	// The first entry is three windows long: it must complete with
 	// every byte granted on arrival.
 	for off := 0; off < first; off += window / 2 {
@@ -327,7 +327,7 @@ func TestPutStreamDuplicateStreamIDResets(t *testing.T) {
 func TestPutStreamTruncatedWireResets(t *testing.T) {
 	peer := startRawPutStreamServer(t, blockstore.NewMemStore())
 	entry := buildPutEntries([][]byte{bytes.Repeat([]byte{9}, 128)})
-	peer.sendPutStreamReq(3, "seg", 1, entry[:putBatchEntryOverhead+30], true)
+	peer.sendPutStreamReq(3, "seg", 1, entry[:putEntryOverhead+30], true)
 	f := peer.awaitKind(3, muxKindReset)
 	if !strings.Contains(string(f.chunk), "truncated") {
 		t.Fatalf("reset reason %q does not mention truncation", f.chunk)
@@ -368,9 +368,9 @@ func TestPutStreamMidChunkReset(t *testing.T) {
 	peer := startRawPutStreamServer(t, mem)
 
 	wire := buildPutEntries([][]byte{[]byte("first-entry"), bytes.Repeat([]byte{5}, 64)})
-	firstLen := putBatchEntryOverhead + len("first-entry")
+	firstLen := putEntryOverhead + len("first-entry")
 	// Entry 0 complete, entry 1 cut mid-data, no FIN.
-	peer.sendPutStreamReq(6, "seg", 2, wire[:firstLen+putBatchEntryOverhead+10], false)
+	peer.sendPutStreamReq(6, "seg", 2, wire[:firstLen+putEntryOverhead+10], false)
 	// Entry 0's ack arrives while the stream is still open.
 	ack := peer.awaitKind(6, muxKindResp)
 	if len(ack.chunk) < batchResultOverhead || ack.chunk[4] != statusOK {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -12,16 +13,18 @@ import (
 )
 
 // scriptedServer speaks the block protocol by hand so tests can
-// misbehave at exact exchange boundaries. The script function is
-// called with the 1-based global exchange number and the live conn;
-// returning false closes the connection without a (full) response.
+// misbehave at exact exchange boundaries. It answers each
+// connection's preface, then calls the script with the 1-based global
+// exchange number, the live conn and the exchange's stream id once a
+// request is complete; returning false closes the connection without
+// a (full) response.
 type scriptedServer struct {
 	ln       net.Listener
 	exchange atomic.Int64
 	conns    atomic.Int64
 }
 
-func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *scriptedServer {
+func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn, id uint32) bool) *scriptedServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,11 +40,19 @@ func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *
 			s.conns.Add(1)
 			go func(conn net.Conn) {
 				defer conn.Close()
+				if !answerPreface(conn) {
+					return
+				}
+				r := newMuxReader(conn)
 				for {
-					if _, err := readFrame(conn); err != nil {
+					f, err := r.next()
+					if err != nil {
 						return
 					}
-					if !script(s.exchange.Add(1), conn) {
+					if f.kind != muxKindReq || f.flags&muxFlagFIN == 0 {
+						continue
+					}
+					if !script(s.exchange.Add(1), conn, f.id) {
 						return
 					}
 				}
@@ -52,30 +63,40 @@ func newScriptedServer(t *testing.T, script func(n int64, conn net.Conn) bool) *
 	return s
 }
 
-// ok writes a well-formed OK response.
-func okResponse(conn net.Conn) bool {
-	return writeFrame(conn, []byte{statusOK}, []byte("x")) == nil
+// answerPreface reads a client's preface and accepts its proposal.
+func answerPreface(conn net.Conn) bool {
+	s, err := readPreface(conn)
+	if err != nil {
+		return false
+	}
+	_, err = conn.Write(encodePreface(s))
+	return err == nil
 }
 
-// TestExchangeDropsConnOnShortRead is the regression test for the
-// pooled-conn bug: a response truncated mid-frame (short read) must
-// drop the connection instead of returning it to the pool — a pooled
-// half-dead conn poisons the next request on it.
+// okResponse writes a well-formed OK response on stream id.
+func okResponse(conn net.Conn, id uint32) bool {
+	return writeMuxFrame(&lockedWriter{w: conn}, muxKindResp, id, respLenHead(muxFlagFIN, statusOK, 1), []byte("x")) == nil
+}
+
+// TestExchangeDropsConnOnShortRead: a response truncated mid-frame
+// (short read) must drop the connection — a half-read conn would
+// poison the next request on it — and the next request dials fresh.
 func TestExchangeDropsConnOnShortRead(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1: // Dial's ping
-			return okResponse(conn)
-		case 2: // truncated frame: promise 10 bytes, deliver 3, close
-			conn.Write([]byte{0, 0, 0, 10})
-			conn.Write([]byte{1, 2, 3})
+			return okResponse(conn, id)
+		case 2: // truncated frame: promise a 9-byte chunk, deliver 3, close
+			var head bytes.Buffer
+			writeMuxFrame(&lockedWriter{w: &head}, muxKindResp, id, respLenHead(muxFlagFIN, statusOK, 9), []byte("abcdefghi"))
+			conn.Write(head.Bytes()[:head.Len()-6])
 			return false
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{MaxConns: 1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +105,7 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	if err := c.Ping(ctx); err == nil {
 		t.Fatal("short-read exchange should error")
 	}
-	// The poisoned conn must not be pooled: the next request dials
+	// The poisoned conn must not be reused: the next request dials
 	// fresh and succeeds.
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("request after short read failed: %v", err)
@@ -94,23 +115,23 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	}
 }
 
-// TestExchangeDropsConnOnEmptyResponse: a zero-length response frame
-// is a protocol violation; before the fix the conn was released to
-// the pool first and only then the error returned.
+// TestExchangeDropsConnOnEmptyResponse: a RESP frame without its
+// flags and status is a protocol violation that kills the connection,
+// so the next request runs on a fresh one.
 func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1:
-			return okResponse(conn)
-		case 2: // empty frame: length 0, no status byte
-			conn.Write([]byte{0, 0, 0, 0})
+			return okResponse(conn, id)
+		case 2: // RESP frame with no flags or status byte
+			conn.Write([]byte{0, 0, 0, 5, muxKindResp, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)})
 			return true
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{MaxConns: 1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("request after empty response failed: %v", err)
 	}
-	if got := reg.Counter("transport_client_dials_total").Value(); got != 2 {
+	if got := reg.Counter("transport_client_mux_dials_total").Value(); got != 2 {
 		t.Fatalf("dials=%d, want 2: the protocol-violating conn must not be reused", got)
 	}
 }
@@ -131,14 +152,14 @@ func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 // with MaxRetries the GET succeeds anyway and the retry counters
 // record the recovery.
 func TestIdempotentRetryRecovers(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
 		case 1: // Dial's ping
-			return okResponse(conn)
+			return okResponse(conn, id)
 		case 2, 3: // two dead exchanges: close without responding
 			return false
 		default:
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 	})
 	reg := obs.NewRegistry()
@@ -167,9 +188,9 @@ func TestIdempotentRetryRecovers(t *testing.T) {
 // (the robust write path re-routes failures to healthier servers), so
 // a dead exchange must surface immediately.
 func TestPutNotRetried(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false // every later exchange dies
 	})
@@ -192,9 +213,9 @@ func TestPutNotRetried(t *testing.T) {
 // TestRetryGivesUpAfterBudget: a server that never recovers exhausts
 // the retry budget and reports the giveup.
 func TestRetryGivesUpAfterBudget(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false
 	})
@@ -223,9 +244,9 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 // TestRetryHonorsCancellation: caller cancellation must win over the
 // retry loop, during the exchange and during the backoff sleep.
 func TestRetryHonorsCancellation(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn) bool {
+	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		if n == 1 {
-			return okResponse(conn)
+			return okResponse(conn, id)
 		}
 		return false
 	})

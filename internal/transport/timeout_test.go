@@ -11,9 +11,9 @@ import (
 	"repro/internal/blockstore"
 )
 
-// stalledServer answers the dial-time ping on each connection, then
-// swallows every subsequent request without replying — a hung
-// storage server, the failure mode RequestTimeout exists for.
+// stalledServer answers the preface and the dial-time ping on each
+// connection, then swallows every subsequent request without replying
+// — a hung storage server, the failure mode RequestTimeout exists for.
 func stalledServer(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,10 +28,12 @@ func stalledServer(t *testing.T) net.Listener {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				if _, err := readFrame(conn); err != nil {
+				if !answerPreface(conn) {
 					return
 				}
-				if err := writeFrame(conn, []byte{statusOK}); err != nil {
+				r := newMuxReader(conn)
+				f, err := r.next()
+				if err != nil || !okResponse(conn, f.id) {
 					return
 				}
 				// Stall: keep reading, never respond.
@@ -50,7 +52,7 @@ func TestRequestTimeoutStalledServer(t *testing.T) {
 	ln := stalledServer(t)
 	defer ln.Close()
 
-	c, err := Dial(ln.Addr().String(), ClientOptions{RequestTimeout: 150 * time.Millisecond})
+	c, err := Dial(ln.Addr().String(), ClientOptions{RequestTimeout: 150 * time.Millisecond, MaxConns: 1})
 	if err != nil {
 		t.Fatalf("dial (ping should succeed): %v", err)
 	}
@@ -70,8 +72,8 @@ func TestRequestTimeoutStalledServer(t *testing.T) {
 	}
 }
 
-// A stalled server must not stall Dial either: the verification ping
-// itself runs under the request deadline.
+// A stalled server must not stall Dial either: the preface exchange
+// runs under the request deadline.
 func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,7 +86,7 @@ func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Accept and stall without even answering the ping.
+			// Accept and stall without even answering the preface.
 			go func(conn net.Conn) {
 				defer conn.Close()
 				io.Copy(io.Discard, conn)
@@ -106,8 +108,8 @@ func TestRequestTimeoutBoundsDialPing(t *testing.T) {
 }
 
 // With a healthy server the deadline must be invisible: requests
-// succeed back-to-back and pooled connections are reused with a
-// cleared deadline.
+// succeed back-to-back, well after the preface deadline would have
+// passed, on the same connection.
 func TestRequestTimeoutHealthyServer(t *testing.T) {
 	srv := NewServer(blockstore.NewMemStore(), ServerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,8 +131,8 @@ func TestRequestTimeoutHealthyServer(t *testing.T) {
 		if err := c.Put(ctx, "seg", i, payload); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
-		// Sleep past the first iteration's absolute deadline: if release
-		// failed to clear it, the reused connection would now fail.
+		// Sleep past the preface's absolute deadline: if establishment
+		// failed to clear it, the connection would now fail.
 		if i == 0 {
 			time.Sleep(300 * time.Millisecond)
 		}
@@ -152,7 +154,7 @@ func TestRequestTimeoutCancellationWins(t *testing.T) {
 	ln := stalledServer(t)
 	defer ln.Close()
 
-	c, err := Dial(ln.Addr().String(), ClientOptions{RequestTimeout: 10 * time.Second})
+	c, err := Dial(ln.Addr().String(), ClientOptions{RequestTimeout: 10 * time.Second, MaxConns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestClientUsableAfterServerRoundTrips(t *testing.T) {
-	// Pool reuse: many sequential requests over few connections.
+	// Connection reuse: many sequential requests over few connections.
 	client, _ := startServer(t, ServerOptions{})
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
@@ -207,10 +207,10 @@ func TestClientUsableAfterServerRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	client.mu.Lock()
-	nconns := client.nconns
-	client.mu.Unlock()
-	if nconns > 4 {
+	client.muxMu.Lock()
+	nconns := len(client.muxConns)
+	client.muxMu.Unlock()
+	if nconns > 2 {
 		t.Fatalf("sequential requests opened %d connections", nconns)
 	}
 }
@@ -252,8 +252,8 @@ func TestFrameSizeLimit(t *testing.T) {
 	}
 	// A fake header advertising a huge frame must be rejected.
 	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); err == nil {
+	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, muxKindReq, 0, 0, 0, 1, 0})
+	if _, err := newMuxReader(&buf).next(); err == nil {
 		t.Fatal("oversized inbound frame accepted")
 	}
 }

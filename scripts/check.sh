@@ -15,7 +15,7 @@
 #      internal/faultinject, the layers every concurrent path calls
 #      into)
 #   5. go test -shuffle=on ./...
-#   6. go test -race on the concurrency-heavy packages (the batch
+#   6. go test -race on the concurrency-heavy packages (the mux
 #      transport, batched blockstore, pipelined client paths, and the
 #      shared-graph ltcode layer included)
 #   7. the mux data-path tests under -race, ten times over: many
@@ -25,12 +25,17 @@
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
 #      control plane (kill -> evict -> repair -> rejoin)
-#   9. bench smoke: every benchmark once (client overhead + headline
+#   9. robust stress: internal/robust 20 times at GOMAXPROCS 1, 2
+#      and 8, so a placement- or timing-dependent test fails here
+#      (about 8 minutes)
+#  10. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics; see scripts/bench_baseline.sh for the
 #      committed BENCH_10.json baseline)
-#  10. benchdiff: regenerate the baseline into /tmp and diff it
+#  11. benchdiff: regenerate the baseline into /tmp and diff it
 #      against the committed BENCH_10.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
+#  12. the data path's size: non-test lines in internal/transport and
+#      internal/robust (scripts/loc.sh)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,6 +90,9 @@ go test -race -count=1 -timeout 10m -run 'TestChaos' \
     ./internal/robust/ \
     ./internal/metadata/replica/
 
+echo "==> robust stress (20 runs at GOMAXPROCS 1, 2 and 8)"
+go test -count=20 -cpu 1,2,8 -timeout 20m ./internal/robust
+
 echo "==> bench smoke (client overhead + headline metrics, 1 iteration)"
 go test -bench . -benchtime 1x -run '^$' ./internal/robust/
 go test -bench 'BenchmarkFig53DecodeBandwidth|BenchmarkFig66ReadVsDisks|BenchmarkHeadline' \
@@ -95,5 +103,7 @@ echo "==> benchdiff against committed BENCH_10.json"
 # Local machines vary from the committed baseline's reference machine,
 # so tolerances are scaled up; metric-set drift is still exact.
 go run ./cmd/benchdiff -baseline BENCH_10.json -fresh /tmp/BENCH_10.fresh.json -scale 4
+
+echo "==> non-test lines in internal/transport + internal/robust: $(./scripts/loc.sh)"
 
 echo "==> all checks passed"
