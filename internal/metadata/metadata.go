@@ -54,10 +54,10 @@ func (c Coding) Validate() error {
 	return nil
 }
 
-// Chunk describes one chunk of a streamed (pipelined) write: a
-// contiguous slice of the segment, coded with its own graph. Chunk c
-// owns the global coded-index range [c*ChunkStride, (c+1)*ChunkStride);
-// its local index i appears on the wire as c*ChunkStride+i.
+// Chunk describes one chunk of a segment: a contiguous slice of it,
+// coded with its own graph. Chunk c owns the global coded-index range
+// [c*ChunkStride, (c+1)*ChunkStride); its local index i appears on the
+// wire as c*ChunkStride+i.
 type Chunk struct {
 	Size      int64 // original bytes in this chunk
 	K         int   // original blocks
@@ -78,26 +78,34 @@ type Segment struct {
 	// the data is decodable but under-replicated, and Repair should
 	// promote it back to N blocks and clear the flag.
 	Degraded bool
-	// Chunks, when non-empty, records a streamed multi-chunk write:
-	// each chunk was coded independently and Coding holds the totals
-	// (K = sum of chunk Ks, N = sum of chunk Ns). Absent (the common
-	// single-graph case) the record reads exactly as it always has —
-	// omitempty keeps legacy segments byte-identical on the wire.
+	// Chunks is the segment's chunk table: each chunk was coded
+	// independently and Coding holds the totals (K = sum of chunk Ks,
+	// N = sum of chunk Ns). A whole-segment write is one chunk. Every
+	// stored record has a table: a record written without one (before
+	// chunked segments existed) is read as one chunk on the way in.
 	Chunks []Chunk `json:",omitempty"`
 	// ChunkStride is the width of each chunk's global coded-index
-	// range; non-zero exactly when Chunks is non-empty.
+	// range: chunk 0's GraphN.
 	ChunkStride int `json:",omitempty"`
 }
 
 // validateChunks checks the chunk table against the top-level record:
 // the per-chunk geometry must be sane, fit inside the stride, and sum
-// to the segment's size and coding totals.
+// to the segment's size and coding totals. A record without a table
+// is first made the one chunk it describes, its stride the graph size
+// (N when the record predates GraphN), so everything past Create,
+// Update and Load sees one segment shape.
 func (s *Segment) validateChunks() error {
-	if len(s.Chunks) == 0 {
-		if s.ChunkStride != 0 {
-			return fmt.Errorf("metadata: chunk stride %d without chunks", s.ChunkStride)
+	if len(s.Chunks) == 0 && s.ChunkStride == 0 {
+		graphN := s.Coding.GraphN
+		if graphN == 0 {
+			graphN = s.Coding.N
 		}
-		return nil
+		s.Chunks = []Chunk{{Size: s.Size, K: s.Coding.K, N: s.Coding.N, GraphSeed: s.Coding.GraphSeed, GraphN: graphN}}
+		s.ChunkStride = graphN
+	}
+	if len(s.Chunks) == 0 {
+		return fmt.Errorf("metadata: chunk stride %d without chunks", s.ChunkStride)
 	}
 	if s.ChunkStride < 1 {
 		return fmt.Errorf("metadata: %d chunks without a stride", len(s.Chunks))
@@ -120,6 +128,19 @@ func (s *Segment) validateChunks() error {
 			size, k, n, s.Size, s.Coding.K, s.Coding.N)
 	}
 	return nil
+}
+
+// validate checks a record on its way into the service (Create,
+// Update, snapshot Load) or off the wire (RemoteClient lookups),
+// normalizing a chunkless one in place.
+func (s *Segment) validate() error {
+	if err := s.Coding.Validate(); err != nil {
+		return err
+	}
+	if s.Size < 0 {
+		return fmt.Errorf("metadata: negative segment size")
+	}
+	return s.validateChunks()
 }
 
 // blockCount returns the total placed blocks.
@@ -298,13 +319,7 @@ func (s *Service) CreateSegment(seg Segment) error {
 	if seg.Name == "" {
 		return fmt.Errorf("metadata: empty segment name")
 	}
-	if err := seg.Coding.Validate(); err != nil {
-		return err
-	}
-	if seg.Size < 0 {
-		return fmt.Errorf("metadata: negative segment size")
-	}
-	if err := (&seg).validateChunks(); err != nil {
+	if err := seg.validate(); err != nil {
 		return err
 	}
 	// A degraded segment legitimately holds fewer than N blocks — the
@@ -330,10 +345,7 @@ func (s *Service) CreateSegment(seg Segment) error {
 
 // UpdateSegment replaces a segment's record, bumping its version.
 func (s *Service) UpdateSegment(seg Segment) error {
-	if err := seg.Coding.Validate(); err != nil {
-		return err
-	}
-	if err := (&seg).validateChunks(); err != nil {
+	if err := seg.validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()

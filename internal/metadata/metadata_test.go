@@ -57,10 +57,11 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 1 || got.Size != 1000 {
+	if got.Version != 1 || got.Size != 1000 || len(got.Chunks) != 1 {
 		t.Fatalf("lookup = %+v", got)
 	}
-	got.Size = 2000
+	// The chunk table sums to the segment: resizing one resizes both.
+	got.Size, got.Chunks[0].Size = 2000, 2000
 	if err := s.UpdateSegment(got); err != nil {
 		t.Fatal(err)
 	}

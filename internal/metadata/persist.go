@@ -50,7 +50,7 @@ func (s *Service) Load(r io.Reader) error {
 	segments := make(map[string]*Segment, len(snap.Segments))
 	for i := range snap.Segments {
 		seg := snap.Segments[i]
-		if err := seg.Coding.Validate(); err != nil {
+		if err := seg.validate(); err != nil {
 			return fmt.Errorf("metadata: snapshot segment %q: %w", seg.Name, err)
 		}
 		segments[seg.Name] = &seg

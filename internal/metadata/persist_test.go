@@ -1,6 +1,8 @@
 package metadata
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -115,5 +117,43 @@ func TestSaveFileRoundTrip(t *testing.T) {
 	}
 	if srvs := restored.Servers(); len(srvs) != 1 || srvs[0].Addr != "b:1" {
 		t.Fatalf("restored servers = %+v", srvs)
+	}
+}
+
+// TestLoadRefusesMalformedChunkTable checks that a snapshot goes
+// through the same chunk-table checks as Create and Update: a table
+// that does not sum to its segment, or a stride without chunks, fails
+// the Load and leaves the service as it was.
+func TestLoadRefusesMalformedChunkTable(t *testing.T) {
+	bad := map[string]func(*Segment){
+		"short table": func(s *Segment) {
+			s.Chunks = []Chunk{{Size: 500, K: 2, N: 4, GraphSeed: 7, GraphN: 5}}
+			s.ChunkStride = 5
+		},
+		"graph past stride": func(s *Segment) {
+			s.Chunks = []Chunk{{Size: 1000, K: 4, N: 8, GraphSeed: 7, GraphN: 12}}
+			s.ChunkStride = 10
+		},
+		"stride without chunks": func(s *Segment) { s.ChunkStride = 10 },
+	}
+	for name, mut := range bad {
+		t.Run(name, func(t *testing.T) {
+			seg := validSegment("a")
+			mut(&seg)
+			snap, err := json.Marshal(snapshot{FormatVersion: formatVersion, Segments: []Segment{seg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewService()
+			if err := s.CreateSegment(validSegment("keep")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Load(bytes.NewReader(snap)); err == nil {
+				t.Fatal("snapshot with a malformed chunk table loaded")
+			}
+			if _, err := s.LookupSegment("keep"); err != nil {
+				t.Fatalf("failed Load replaced the state: %v", err)
+			}
+		})
 	}
 }

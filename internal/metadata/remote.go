@@ -715,7 +715,13 @@ func (c *RemoteClient) LookupSegment(name string) (Segment, error) {
 	if resp.Segment == nil {
 		return Segment{}, errors.New("metadata: lookup response missing segment")
 	}
-	return *resp.Segment, nil
+	// The record comes off the wire, perhaps from a server that stores
+	// chunkless records: check and normalize it as Create would.
+	seg := *resp.Segment
+	if err := seg.validate(); err != nil {
+		return Segment{}, fmt.Errorf("metadata: lookup response: %w", err)
+	}
+	return seg, nil
 }
 
 // DeleteSegment implements API.

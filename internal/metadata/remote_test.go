@@ -40,10 +40,11 @@ func TestRemoteSegmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 1 || got.Size != seg.Size || len(got.Placement) != 2 {
+	if got.Version != 1 || got.Size != seg.Size || len(got.Placement) != 2 || len(got.Chunks) != 1 {
 		t.Fatalf("remote lookup = %+v", got)
 	}
-	got.Size = 4242
+	// The chunk table sums to the segment: resizing one resizes both.
+	got.Size, got.Chunks[0].Size = 4242, 4242
 	if err := rc.UpdateSegment(got); err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +211,53 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if len(restored.Servers()) != 1 {
 		t.Fatal("server registry not restored")
+	}
+}
+
+// chunklessLookups answers lookups as a server that stores records
+// without chunk tables would, or with a corrupt table when bad is set.
+type chunklessLookups struct {
+	*Service
+	bad bool
+}
+
+func (s chunklessLookups) LookupSegment(name string) (Segment, error) {
+	seg, err := s.Service.LookupSegment(name)
+	seg.Chunks, seg.ChunkStride = nil, 0
+	if s.bad {
+		seg.ChunkStride = 3
+	}
+	return seg, err
+}
+
+// TestRemoteLookupNormalizesRecord checks that a record read off the
+// wire gets the same check and normalization as one written through
+// Create, so a client never sees a chunkless or malformed record.
+func TestRemoteLookupNormalizesRecord(t *testing.T) {
+	for _, bad := range []bool{false, true} {
+		svc := NewService()
+		seg := validSegment("old")
+		if err := svc.CreateSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+		_, addr := serveAPI(t, chunklessLookups{Service: svc, bad: bad})
+		rc, err := DialRemote(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rc.LookupSegment("old")
+		rc.Close()
+		if bad {
+			if err == nil {
+				t.Fatal("lookup accepted a stride without chunks")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Chunks) != 1 || got.Chunks[0].GraphN != seg.Coding.GraphN || got.ChunkStride != seg.Coding.GraphN {
+			t.Fatalf("remote lookup of a chunkless record = chunks %+v stride %d", got.Chunks, got.ChunkStride)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,5 +194,66 @@ func TestBatchedWriteReadDisabled(t *testing.T) {
 	}
 	if stats.FailedGets != 0 || stats.RejectedShares != 0 {
 		t.Fatalf("unbatched read not clean: %+v", stats)
+	}
+}
+
+// errDeleteRefused is what refuseDeletes answers every delete with.
+var errDeleteRefused = errors.New("robust test: delete refused")
+
+// refuseDeletes is a store that keeps its blocks and fails every
+// delete.
+type refuseDeletes struct{ *blockstore.MemStore }
+
+func (r refuseDeletes) Delete(context.Context, string, int) error { return errDeleteRefused }
+
+func (r refuseDeletes) DeleteBatch(_ context.Context, _ string, indices []int) []error {
+	errs := make([]error, len(indices))
+	for i := range errs {
+		errs[i] = errDeleteRefused
+	}
+	return errs
+}
+
+// TestDeleteJoinsDetachedAndFailingHolders is the regression test for
+// a data race in Delete: a detached holder's error was appended without
+// the lock that guarded the appends of delete goroutines already
+// running for other holders. Both failures must come back joined, the
+// healthy holder must be wiped and the metadata dropped. Several
+// segments make a placement iterated in each order likely, so the race
+// detector sees the overlap.
+func TestDeleteJoinsDetachedAndFailingHolders(t *testing.T) {
+	meta := metadata.NewService()
+	c, err := NewClient(meta, Options{BlockBytes: 1 << 10, MaxServerShare: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := blockstore.NewMemStore()
+	for addr, st := range map[string]blockstore.Store{
+		"ok": ok, "refuse": refuseDeletes{blockstore.NewMemStore()}, "gone": blockstore.NewMemStore(),
+	} {
+		if err := c.AttachStore(addr, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	const segments = 12
+	for i := 0; i < segments; i++ {
+		if _, err := c.Write(ctx, fmt.Sprintf("seg-%d", i), randData(4<<10, int64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.DetachStore("gone")
+	for i := 0; i < segments; i++ {
+		name := fmt.Sprintf("seg-%d", i)
+		err := c.Delete(ctx, name)
+		if !errors.Is(err, errDeleteRefused) || !strings.Contains(fmt.Sprint(err), `"gone" unreachable`) {
+			t.Fatalf("Delete(%s) = %v, want the refused deletes and the detached holder joined", name, err)
+		}
+		if idx, lerr := ok.List(ctx, name); lerr != nil || len(idx) != 0 {
+			t.Fatalf("healthy holder kept %d blocks of %s (err %v)", len(idx), name, lerr)
+		}
+		if _, serr := c.Stat(name); !errors.Is(serr, metadata.ErrSegmentNotFound) {
+			t.Fatalf("metadata of %s survived Delete: %v", name, serr)
+		}
 	}
 }

@@ -2,12 +2,10 @@ package robust
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/blockstore"
 	"repro/internal/obs"
 )
 
@@ -153,55 +151,16 @@ func (c *Client) Audit(ctx context.Context, name string) (SegmentAudit, error) {
 		Degraded:  seg.Degraded,
 		CorruptBy: make(map[string][]int),
 	}
-	for addr, indices := range seg.Placement {
-		if err := ctx.Err(); err != nil {
-			return audit, err
-		}
-		store, ok := c.store(addr)
-		if !ok {
-			audit.Missing += len(indices)
-			continue
-		}
-		present, err := store.List(ctx, name)
-		c.reportOutcome(addr, err)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return audit, cerr
-			}
-			audit.Missing += len(indices)
-			continue
-		}
-		have := make(map[int]bool, len(present))
-		for _, i := range present {
-			have[i] = true
-		}
-		// Scrub where the holder can verify; a holder without integrity
-		// framing just counts presence.
-		corrupt := map[int]bool{}
-		if sc, ok := store.(blockstore.Scrubber); ok {
-			bad, err := sc.Scrub(ctx, name)
-			if err != nil && !errors.Is(err, blockstore.ErrScrubUnsupported) {
-				if cerr := ctx.Err(); cerr != nil {
-					return audit, cerr
-				}
-				c.reportOutcome(addr, err)
-				audit.Missing += len(indices)
-				continue
-			}
-			for _, i := range bad {
-				corrupt[i] = true
-			}
-		}
-		for _, i := range indices {
-			switch {
-			case corrupt[i]:
-				audit.Corrupt++
-				audit.CorruptBy[addr] = append(audit.CorruptBy[addr], i)
-			case have[i]:
-				audit.Live++
-			default:
-				audit.Missing++
-			}
+	holders, err := c.survey(ctx, seg, true)
+	if err != nil {
+		return audit, err
+	}
+	for _, h := range holders {
+		audit.Live += len(h.live)
+		audit.Missing += len(h.lost)
+		audit.Corrupt += len(h.corrupt)
+		if len(h.corrupt) > 0 {
+			audit.CorruptBy[h.addr] = h.corrupt
 		}
 	}
 	return audit, nil

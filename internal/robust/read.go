@@ -45,20 +45,15 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		return nil, ReadStats{}, err
 	}
 	tr.Stage("lookup")
-	// One decoder per chunk: a chunked segment decodes each chunk's
-	// graph independently (shares route to their chunk by index
-	// stride), a legacy segment is a single chunk covering everything.
-	views := segmentChunks(seg)
-	decs := make([]*ltcode.Decoder, len(views))
-	for i, v := range views {
-		graph, gerr := c.cachedGraph(v.coding)
-		if gerr != nil {
-			return nil, ReadStats{}, gerr
-		}
-		decs[i] = ltcode.NewDecoder(graph)
+	// One decoder per chunk: each chunk's graph decodes independently,
+	// shares routing to their chunk by index stride.
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		return nil, ReadStats{}, err
 	}
+	decs := sc.decoders(ltcode.NewDecoder)
 	if tr != nil {
-		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(views))
+		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(decs))
 	}
 
 	fx := newFetcher(c, name, seg.Coding.ShareCRC, seg.Placement)
@@ -115,9 +110,9 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	var decComplete atomic.Bool
 	go func() {
 		defer close(decodeDone)
-		remaining := len(views)
+		remaining := len(decs)
 		for s := range shares {
-			ci, local, ok := chunkFor(views, seg.ChunkStride, s.idx)
+			ci, local, ok := sc.locate(s.idx)
 			if !ok {
 				// No chunk owns this index (corrupt metadata or
 				// placement). Neither a failed GET nor a CRC reject;
@@ -223,7 +218,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	// Concatenate the decoded chunks, truncating each to its own
 	// payload length (the last block of every chunk is zero-padded).
 	out := make([]byte, 0, seg.Size)
-	for i, v := range views {
+	for i, v := range sc.chunks {
 		blocks, derr := decs[i].Data()
 		if derr != nil {
 			return nil, stats, derr

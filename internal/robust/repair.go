@@ -2,11 +2,14 @@ package robust
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/ltcode"
+	"repro/internal/metadata"
 	"repro/internal/placement"
 )
 
@@ -30,55 +33,105 @@ func (c *Client) Health(ctx context.Context, name string) (HealthReport, error) 
 	if err != nil {
 		return HealthReport{}, err
 	}
-	// One symbolic decoder per chunk: the segment is readable only if
-	// every chunk's graph decodes from its reachable shares.
-	views := segmentChunks(seg)
-	decs := make([]*ltcode.Decoder, len(views))
-	for i, v := range views {
-		graph, gerr := c.cachedGraph(v.coding)
-		if gerr != nil {
-			return HealthReport{}, gerr
-		}
-		decs[i] = ltcode.NewSymbolicDecoder(graph)
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		return HealthReport{}, err
 	}
 	rep := HealthReport{Name: name, K: seg.Coding.K, N: seg.Coding.N, CheckedAt: time.Now()}
-	for addr, indices := range seg.Placement {
-		if cerr := ctx.Err(); cerr != nil {
-			return HealthReport{}, cerr
+	holders, err := c.survey(ctx, seg, false)
+	if err != nil {
+		return HealthReport{}, err
+	}
+	// One symbolic decoder per chunk: the segment is readable only if
+	// every chunk's graph decodes from its reachable shares.
+	decs := sc.decoders(ltcode.NewSymbolicDecoder)
+	for _, h := range holders {
+		if !h.up {
+			rep.DeadAddrs = append(rep.DeadAddrs, h.addr)
 		}
+		rep.Reachable += len(h.live)
+		rep.Missing += len(h.lost)
+		for _, i := range h.live {
+			if ci, local, ok := sc.locate(i); ok {
+				decs[ci].Add(local)
+			}
+		}
+	}
+	rep.Decodable = true
+	for _, dec := range decs {
+		rep.Decodable = rep.Decodable && dec.Complete()
+	}
+	return rep, nil
+}
+
+// holderReport is what a survey found on one placement holder: its
+// placed indices sorted by state.
+type holderReport struct {
+	addr    string
+	up      bool  // attached, and answered its listing (and scrub)
+	live    []int // present (and, when scrubbed, intact)
+	lost    []int // absent, or held by a holder that is not up
+	corrupt []int // failed the holder's integrity scrub
+}
+
+// survey lists every placement holder of seg, in address order — and,
+// with scrub, has each one that can verify its shares in place do so.
+// Health, Repair and Audit derive their reports from it; no payload
+// data moves. Only a canceled ctx fails the survey: a holder that is
+// detached or fails its listing or scrub is reported down.
+func (c *Client) survey(ctx context.Context, seg metadata.Segment, scrub bool) ([]holderReport, error) {
+	addrs := make([]string, 0, len(seg.Placement))
+	for addr := range seg.Placement {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	out := make([]holderReport, 0, len(addrs))
+	for _, addr := range addrs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		placed := seg.Placement[addr]
 		store, ok := c.store(addr)
-		if !ok {
-			rep.DeadAddrs = append(rep.DeadAddrs, addr)
-			rep.Missing += len(indices)
-			continue
+		var present, bad []int
+		var err error
+		if ok {
+			present, err = store.List(ctx, seg.Name)
+			if scrubber, canScrub := store.(blockstore.Scrubber); err == nil && scrub && canScrub {
+				if bad, err = scrubber.Scrub(ctx, seg.Name); errors.Is(err, blockstore.ErrScrubUnsupported) {
+					err = nil
+				}
+			}
+			c.reportOutcome(addr, err)
 		}
-		present, err := store.List(ctx, name)
-		if err != nil {
-			rep.DeadAddrs = append(rep.DeadAddrs, addr)
-			rep.Missing += len(indices)
+		if !ok || err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			out = append(out, holderReport{addr: addr, lost: placed})
 			continue
 		}
 		have := make(map[int]bool, len(present))
 		for _, i := range present {
 			have[i] = true
 		}
-		for _, i := range indices {
-			if have[i] {
-				rep.Reachable++
-				if ci, local, ok := chunkFor(views, seg.ChunkStride, i); ok {
-					decs[ci].Add(local)
-				}
-			} else {
-				rep.Missing++
+		corrupt := make(map[int]bool, len(bad))
+		for _, i := range bad {
+			corrupt[i] = true
+		}
+		h := holderReport{addr: addr, up: true}
+		for _, i := range placed {
+			switch {
+			case corrupt[i]:
+				h.corrupt = append(h.corrupt, i)
+			case have[i]:
+				h.live = append(h.live, i)
+			default:
+				h.lost = append(h.lost, i)
 			}
 		}
+		out = append(out, h)
 	}
-	sort.Strings(rep.DeadAddrs)
-	rep.Decodable = true
-	for _, dec := range decs {
-		rep.Decodable = rep.Decodable && dec.Complete()
-	}
-	return rep, nil
+	return out, nil
 }
 
 // RepairStats reports one repair pass.
@@ -130,51 +183,26 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 		return RepairStats{}, fmt.Errorf("robust: repair read: %w", err)
 	}
 	tr.Stage("reconstruct")
-	// Per-chunk graphs and blocks: regeneration encodes a lost global
-	// index against its own chunk's graph and payload slice.
-	views := segmentChunks(seg)
-	graphs := make([]*ltcode.Graph, len(views))
-	chunkBlocks := make([][][]byte, len(views))
-	for i, v := range views {
-		graphs[i], err = c.cachedGraph(v.coding)
-		if err != nil {
-			return RepairStats{}, err
-		}
-		chunkBlocks[i] = splitBlocks(data[v.offset:v.offset+v.size], seg.Coding.BlockBytes)
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		return RepairStats{}, err
 	}
+	encode := sc.encoder(data)
 
 	// Determine which placed blocks are gone and which remain.
+	holders, err := c.survey(ctx, seg, false)
+	if err != nil {
+		return stats, err
+	}
 	newPlacement := make(map[string][]int)
 	var lost []int
-	for addr, indices := range seg.Placement {
-		if cerr := ctx.Err(); cerr != nil {
-			return stats, cerr
+	for _, h := range holders {
+		if len(h.live) > 0 {
+			newPlacement[h.addr] = h.live
 		}
-		store, ok := c.store(addr)
-		if !ok {
-			lost = append(lost, indices...)
-			stats.Pruned += len(indices)
-			continue
-		}
-		present, err := store.List(ctx, name)
-		if err != nil {
-			lost = append(lost, indices...)
-			stats.Pruned += len(indices)
-			continue
-		}
-		have := make(map[int]bool, len(present))
-		for _, i := range present {
-			have[i] = true
-		}
-		for _, i := range indices {
-			if have[i] {
-				newPlacement[addr] = append(newPlacement[addr], i)
-			} else {
-				lost = append(lost, i)
-				stats.Pruned++
-			}
-		}
+		lost = append(lost, h.lost...)
 	}
+	stats.Pruned = len(lost)
 	sort.Ints(lost)
 	if tr != nil {
 		tr.Stagef("audit", "lost=%d pruned=%d", len(lost), stats.Pruned)
@@ -200,13 +228,9 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ci, local, ok := chunkFor(views, seg.ChunkStride, idx)
-		if !ok {
-			return fmt.Errorf("robust: repair: block %d outside every chunk graph", idx)
-		}
-		coded := graphs[ci].EncodeBlock(local, chunkBlocks[ci])
-		if seg.Coding.ShareCRC {
-			coded = sealShare(coded)
+		coded, err := encode(idx)
+		if err != nil {
+			return err
 		}
 		for attempts := 0; attempts < len(healthy); attempts++ {
 			if err := ctx.Err(); err != nil {
@@ -239,26 +263,22 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 	// chunk holding fewer than its N blocks even after every originally
 	// placed block is restored. Top up each short chunk with fresh,
 	// unused indices from its own graph until its target holds again.
-	totals := make([]int, len(views))
+	totals := make([]int, len(sc.chunks))
 	used := make(map[int]bool)
 	for _, indices := range newPlacement {
 		for _, i := range indices {
 			used[i] = true
-			if ci, _, ok := chunkFor(views, seg.ChunkStride, i); ok {
+			if ci, _, ok := sc.locate(i); ok {
 				totals[ci]++
 			}
 		}
 	}
 	added := 0
-	for ci, v := range views {
-		if totals[ci] >= v.coding.N {
+	for ci, v := range sc.chunks {
+		if totals[ci] >= v.n {
 			continue
 		}
-		graphN := v.coding.GraphN
-		if graphN < v.coding.N {
-			graphN = v.coding.N
-		}
-		for local := 0; local < graphN && totals[ci] < v.coding.N; local++ {
+		for local := 0; local < v.graph.N && totals[ci] < v.n; local++ {
 			idx := v.base + local
 			if used[idx] {
 				continue
@@ -269,8 +289,8 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 			totals[ci]++
 			added++
 		}
-		if totals[ci] < v.coding.N {
-			return stats, fmt.Errorf("robust: repair exhausted the coding graph at %d of %d blocks", totals[ci], v.coding.N)
+		if totals[ci] < v.n {
+			return stats, fmt.Errorf("robust: repair exhausted the coding graph at %d of %d blocks", totals[ci], v.n)
 		}
 		stats.Promoted = true
 	}

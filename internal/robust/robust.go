@@ -46,8 +46,8 @@ type Options struct {
 	// not O(segment), and the first block commits after one chunk's
 	// worth of input instead of the whole segment. Each chunk owns a
 	// fixed stride of the coded-index space and its own coding graph;
-	// reads decode chunks independently. Zero (the default) keeps the
-	// whole-segment single-graph layout. Must be at least BlockBytes.
+	// reads decode chunks independently. Zero (the default) writes the
+	// whole segment as one chunk. Must be at least BlockBytes.
 	ChunkBytes int64
 	// LTC and LTDelta are the robust-soliton parameters (default 1.0
 	// and 0.1: ~0.3-0.5 reception overhead, per §5.2.4).
@@ -81,9 +81,9 @@ type Options struct {
 	// access masks stragglers): when a share request has been
 	// outstanding for a p99-ish delay, a second request for the same
 	// share is issued — to another holder when the placement has one,
-	// otherwise to the same server over a fresh connection (which
-	// dodges per-connection stalls). First answer wins; the loser is
-	// canceled.
+	// otherwise to the same server as a new stream on its multiplexed
+	// connection (which dodges a stalled stream). First answer wins;
+	// the loser is canceled.
 	HedgeReads bool
 	// HedgeDelay fixes the hedge trigger delay. Zero (the default)
 	// adapts: the delay tracks the p99 of this access's completed
@@ -484,17 +484,14 @@ func graphParams(coding metadata.Coding) (ltcode.Params, error) {
 	return p, nil
 }
 
-// buildGraph reconstructs a segment's coding graph from its metadata.
+// buildGraph reconstructs a chunk's coding graph from its coding
+// record.
 func buildGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 	p, err := graphParams(coding)
 	if err != nil {
 		return nil, err
 	}
-	n := coding.GraphN
-	if n == 0 {
-		n = coding.N
-	}
-	return ltcode.BuildGraph(p, n, rand.New(rand.NewSource(coding.GraphSeed)), ltcode.DefaultGraphOptions())
+	return ltcode.BuildGraph(p, coding.GraphN, rand.New(rand.NewSource(coding.GraphSeed)), ltcode.DefaultGraphOptions())
 }
 
 // graphKey identifies a coding graph: construction is deterministic
@@ -516,11 +513,7 @@ const graphCacheCap = 16
 // of pure CPU that every read and write of the same segment would
 // otherwise repeat. Graphs are immutable, so sharing is safe.
 func (c *Client) cachedGraph(coding metadata.Coding) (*ltcode.Graph, error) {
-	n := coding.GraphN
-	if n == 0 {
-		n = coding.N
-	}
-	key := graphKey{alg: coding.Algorithm, k: coding.K, n: n, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
+	key := graphKey{alg: coding.Algorithm, k: coding.K, n: coding.GraphN, c: coding.C, delta: coding.Delta, seed: coding.GraphSeed}
 	c.graphMu.Lock()
 	g, ok := c.graphs[key]
 	c.graphMu.Unlock()

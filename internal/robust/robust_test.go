@@ -3,8 +3,10 @@ package robust
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"strings"
@@ -52,6 +54,16 @@ func holdersByShare(counts map[string]int) []string {
 		}
 		return out[i] < out[j]
 	})
+	return out
+}
+
+// sealShare frames a coded block with its checksum, as the write path
+// seals shares in place.
+func sealShare(data []byte) []byte {
+	out := make([]byte, shareOverhead+len(data))
+	binary.BigEndian.PutUint32(out[0:4], shareMagic)
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(data, shareCastagnoli))
+	copy(out[shareOverhead:], data)
 	return out
 }
 
@@ -493,6 +505,32 @@ func TestUpdateTouchesFewBlocks(t *testing.T) {
 	}
 	if affected > info.N/4 {
 		t.Fatalf("one-block update touches %d of %d coded blocks; expected locality", affected, info.N)
+	}
+}
+
+func TestUpdateAndAffectedBlocksRefuseTheSameRanges(t *testing.T) {
+	c, _ := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+	ctx := context.Background()
+	data := randData(8<<10, 22)
+	if _, err := c.Write(ctx, "r", data, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		off, length int64
+		ok          bool
+	}{
+		{0, 1 << 10, true},
+		{7 << 10, 1 << 10, true},  // ends exactly at the segment's end
+		{-1, 1 << 10, false},      // negative offset
+		{7 << 10, 2 << 10, false}, // runs past the end
+		{8 << 10, 1, false},       // starts at the end
+	} {
+		_, aerr := c.AffectedBlocks("r", tc.off, tc.length)
+		uerr := c.Update(ctx, "r", tc.off, randData(int(tc.length), 23))
+		if (aerr == nil) != tc.ok || (uerr == nil) != tc.ok {
+			t.Errorf("range [%d,+%d): AffectedBlocks err %v, Update err %v; want accepted=%v",
+				tc.off, tc.length, aerr, uerr, tc.ok)
+		}
 	}
 }
 

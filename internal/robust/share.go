@@ -28,15 +28,6 @@ var shareCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // shareOverhead is the envelope size in bytes.
 const shareOverhead = 8
 
-// sealShare frames a coded block with its checksum.
-func sealShare(data []byte) []byte {
-	out := make([]byte, shareOverhead+len(data))
-	binary.BigEndian.PutUint32(out[0:4], shareMagic)
-	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(data, shareCastagnoli))
-	copy(out[shareOverhead:], data)
-	return out
-}
-
 // openShare verifies and strips the envelope, returning
 // ErrCorruptShare (wrapped with detail) on any mismatch.
 func openShare(framed []byte) ([]byte, error) {

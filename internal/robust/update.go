@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"repro/internal/ltcode"
 )
 
 // Update overwrites [offset, offset+len(patch)) of a stored segment
@@ -18,9 +16,6 @@ func (c *Client) Update(ctx context.Context, name string, offset int64, patch []
 	if len(patch) == 0 {
 		return nil
 	}
-	if offset < 0 {
-		return fmt.Errorf("robust: negative update offset")
-	}
 	unlock, err := c.meta.LockWrite(ctx, name)
 	if err != nil {
 		return err
@@ -30,9 +25,12 @@ func (c *Client) Update(ctx context.Context, name string, offset int64, patch []
 	if err != nil {
 		return err
 	}
-	if offset+int64(len(patch)) > seg.Size {
-		return fmt.Errorf("robust: update [%d,%d) exceeds segment size %d",
-			offset, offset+int64(len(patch)), seg.Size)
+	if err := checkRange(offset, int64(len(patch)), seg.Size); err != nil {
+		return err
+	}
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		return err
 	}
 
 	// Read-modify-write: reconstruct, patch, re-encode the affected
@@ -42,51 +40,9 @@ func (c *Client) Update(ctx context.Context, name string, offset int64, patch []
 		return fmt.Errorf("robust: update read: %w", err)
 	}
 	copy(data[offset:], patch)
-
-	// Per-chunk graphs and blocks: the patched byte range touches only
-	// the chunks it overlaps, and each chunk's graph localizes the
-	// affected coded blocks within that chunk's index stride.
-	views := segmentChunks(seg)
-	graphs := make([]*ltcode.Graph, len(views))
-	chunkBlocks := make([][][]byte, len(views))
-	affected := map[int]bool{}
-	end := offset + int64(len(patch))
-	for i, v := range views {
-		graphs[i], err = c.cachedGraph(v.coding)
-		if err != nil {
-			return err
-		}
-		chunkBlocks[i] = splitBlocks(data[v.offset:v.offset+v.size], seg.Coding.BlockBytes)
-		lo, hi := offset, end
-		if lo < v.offset {
-			lo = v.offset
-		}
-		if hi > v.offset+v.size {
-			hi = v.offset + v.size
-		}
-		if lo >= hi {
-			continue // patch does not touch this chunk
-		}
-		firstOrig := int((lo - v.offset) / seg.Coding.BlockBytes)
-		lastOrig := int((hi - 1 - v.offset) / seg.Coding.BlockBytes)
-		for o := firstOrig; o <= lastOrig; o++ {
-			for _, ci := range graphs[i].AffectedCoded(o) {
-				affected[v.base+ci] = true
-			}
-		}
-	}
-
-	// Which of the affected coded blocks are actually stored, and
-	// where?
-	holders := map[int][]string{}
-	for addr, indices := range seg.Placement {
-		for _, i := range indices {
-			if affected[i] {
-				holders[i] = append(holders[i], addr)
-			}
-		}
-	}
-	var order []int
+	encode := sc.encoder(data)
+	holders := sc.affected(offset, int64(len(patch)))
+	order := make([]int, 0, len(holders))
 	for i := range holders {
 		order = append(order, i)
 	}
@@ -96,13 +52,9 @@ func (c *Client) Update(ctx context.Context, name string, offset int64, patch []
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		ci, local, ok := chunkFor(views, seg.ChunkStride, i)
-		if !ok {
-			return fmt.Errorf("robust: update: block %d outside every chunk graph", i)
-		}
-		coded := graphs[ci].EncodeBlock(local, chunkBlocks[ci])
-		if seg.Coding.ShareCRC {
-			coded = sealShare(coded)
+		coded, err := encode(i)
+		if err != nil {
+			return err
 		}
 		for _, addr := range holders[i] {
 			if cerr := ctx.Err(); cerr != nil {
@@ -130,41 +82,12 @@ func (c *Client) AffectedBlocks(name string, offset, length int64) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	if length <= 0 {
-		return 0, nil
+	if err := checkRange(offset, length, seg.Size); err != nil {
+		return 0, err
 	}
-	stored := map[int]bool{}
-	for _, indices := range seg.Placement {
-		for _, i := range indices {
-			stored[i] = true
-		}
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		return 0, err
 	}
-	affected := map[int]bool{}
-	end := offset + length
-	for _, v := range segmentChunks(seg) {
-		lo, hi := offset, end
-		if lo < v.offset {
-			lo = v.offset
-		}
-		if hi > v.offset+v.size {
-			hi = v.offset + v.size
-		}
-		if lo >= hi {
-			continue
-		}
-		graph, err := c.cachedGraph(v.coding)
-		if err != nil {
-			return 0, err
-		}
-		firstOrig := int((lo - v.offset) / seg.Coding.BlockBytes)
-		lastOrig := int((hi - 1 - v.offset) / seg.Coding.BlockBytes)
-		for o := firstOrig; o <= lastOrig && o < v.coding.K; o++ {
-			for _, ci := range graph.AffectedCoded(o) {
-				if stored[v.base+ci] {
-					affected[v.base+ci] = true
-				}
-			}
-		}
-	}
-	return len(affected), nil
+	return len(sc.affected(offset, length)), nil
 }

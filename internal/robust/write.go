@@ -14,8 +14,8 @@ import (
 // blocks at its own pace until N = (1+D)·K blocks have committed
 // globally, at which point remaining work is canceled. servers
 // selects the target set; nil means all attached backends. With
-// ChunkBytes set the segment is written as independent chunks —
-// Write is a slicing caller of the same streaming core WriteFrom
+// ChunkBytes set the segment is written as independent chunks, else as
+// one — Write is a slicing caller of the same streaming core WriteFrom
 // pipelines a reader through.
 func (c *Client) Write(ctx context.Context, name string, data []byte, servers []string) (WriteStats, error) {
 	chunk := c.opts.ChunkBytes
@@ -48,10 +48,9 @@ func countPlacement(p map[string][]int) map[string]int {
 	return out
 }
 
-// Delete removes a segment's blocks from every holder — in parallel,
-// one batch delete per server — then drops its metadata. Per-server failures are
-// aggregated with errors.Join; block deletions on unreachable servers
-// are reported but do not abort the operation.
+// Delete removes a segment's blocks from every holder, then drops its
+// metadata. Block deletions that fail, or that cannot reach a holder,
+// are reported with errors.Join but do not abort the operation.
 func (c *Client) Delete(ctx context.Context, name string) error {
 	unlock, err := c.meta.LockWrite(ctx, name)
 	if err != nil {
@@ -62,35 +61,41 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
+	derr := c.deletePlacement(ctx, name, seg.Placement)
+	if err := c.meta.DeleteSegment(name); err != nil {
+		return err
+	}
+	return derr
+}
+
+// deletePlacement removes every block of a placement — one batch
+// delete per server, all servers in parallel — and joins the failures,
+// a detached holder's included.
+func (c *Client) deletePlacement(ctx context.Context, name string, placed map[string][]int) error {
 	var (
 		mu   sync.Mutex
 		errs []error
 		wg   sync.WaitGroup
 	)
-	for addr, indices := range seg.Placement {
+	fail := func(err error) {
+		mu.Lock()
+		errs = append(errs, err)
+		mu.Unlock()
+	}
+	for addr, indices := range placed {
 		store, ok := c.store(addr)
 		if !ok {
-			errs = append(errs, fmt.Errorf("robust: server %q unreachable during delete", addr))
+			fail(fmt.Errorf("robust: server %q unreachable during delete", addr))
 			continue
 		}
 		wg.Add(1)
 		go func(store backend, indices []int) {
 			defer wg.Done()
-			if err := deleteBlocks(ctx, store, name, indices); err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
+			if err := errors.Join(store.DeleteBatch(ctx, name, indices)...); err != nil {
+				fail(err)
 			}
 		}(store, indices)
 	}
 	wg.Wait()
-	if err := c.meta.DeleteSegment(name); err != nil {
-		return err
-	}
 	return errors.Join(errs...)
-}
-
-// deleteBlocks removes one server's blocks in one batch delete.
-func deleteBlocks(ctx context.Context, store backend, name string, indices []int) error {
-	return errors.Join(store.DeleteBatch(ctx, name, indices)...)
 }

@@ -26,7 +26,7 @@ import (
 // buffering is O(ChunkBytes), not O(size). A negative size reads r
 // to EOF; otherwise exactly size bytes are consumed and a short read
 // fails the write. With ChunkBytes unset the whole input is buffered
-// and written as a single-graph segment.
+// and written as a one-chunk segment.
 //
 // The write commits to metadata only after every chunk reaches its
 // durability target; on failure all placed blocks are deleted
@@ -183,25 +183,14 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 
 	sealed := !c.opts.DisableShareChecksums
 	chunkBytes := c.opts.ChunkBytes
-	// A chunked layout uses one fixed index stride sized for a full
-	// chunk, so a coded index maps to its chunk by division. The last
-	// chunk may be shorter; its graph still fits its stride slot.
-	var stride int
-	if chunkBytes > 0 {
-		kFull := int((chunkBytes + c.opts.BlockBytes - 1) / c.opts.BlockBytes)
-		nFull := int(math.Ceil((1 + c.opts.Redundancy) * float64(kFull)))
-		stride = nFull + c.opts.GraphSlack*len(servers)
-	}
-
 	var (
 		chunks     []metadata.Chunk
+		stride     int // chunk 0's graph size: every chunk's index range
 		placed     = make(map[string][]int, len(servers))
 		total      int64
 		totK, totN int
 		degraded   bool
 		firstNanos atomic.Int64
-		seed0      int64 // single-graph layout's seed and graph size
-		graphN0    int
 	)
 	defer func() {
 		stats.K, stats.N = totK, totN
@@ -220,28 +209,16 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		}
 	}
 	cleanup := func() {
-		if len(placed) == 0 {
-			return
-		}
 		// The write failed and nothing reached metadata: scrub the
 		// partial spread so no orphaned blocks outlive it. Detached
 		// context — the write may be failing precisely because ctx is
 		// canceled — and best-effort: the scrubber backstops leftovers.
 		dctx, dcancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 		defer dcancel()
-		for addr, indices := range placed {
-			if dctx.Err() != nil {
-				return
-			}
-			store, ok := c.store(addr)
-			if !ok {
-				continue
-			}
-			_ = deleteBlocks(dctx, store, name, indices)
-		}
+		_ = c.deletePlacement(dctx, name, placed)
 	}
 
-	for ci := 0; ; ci++ {
+	for {
 		data, nerr := next()
 		if nerr == io.EOF {
 			break
@@ -253,6 +230,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		if len(data) == 0 {
 			continue
 		}
+		ci := len(chunks)
 		if chunkBytes > 0 && int64(len(data)) > chunkBytes {
 			cleanup()
 			return stats, fmt.Errorf("robust: chunk %d exceeds chunk size %d", ci, chunkBytes)
@@ -261,17 +239,13 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		k := len(blocks)
 		n := int(math.Ceil((1 + c.opts.Redundancy) * float64(k)))
 		graphN := n + c.opts.GraphSlack*len(servers)
-		var seed int64
-		var base int
-		if chunkBytes > 0 {
-			// Per-chunk seeds derive from the chunk identity so every
-			// chunk gets an independent graph, reproducible from the
-			// metadata record alone.
-			seed = graphSeed(name+"#"+strconv.Itoa(ci), int64(len(data)))
-			base = ci * stride
-		} else {
-			seed = graphSeed(name, int64(len(data)))
-			seed0, graphN0 = seed, graphN
+		// Per-chunk seeds derive from the chunk identity so every chunk
+		// gets an independent graph, reproducible from the metadata
+		// record alone. Chunk 0 is full whenever a second chunk follows,
+		// so its graph size is a stride every chunk's graph fits.
+		seed := graphSeed(name+"#"+strconv.Itoa(ci), int64(len(data)))
+		if ci == 0 {
+			stride = graphN
 		}
 		total += int64(len(data))
 		graph, gerr := c.cachedGraph(metadata.Coding{
@@ -288,7 +262,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			tr.Stagef("plan", "chunk=%d K=%d N=%d graphN=%d servers=%d", ci, k, n, graphN, len(servers))
 		}
 		res := c.spreadChunk(ctx, tr, name, servers, spreadPlan{
-			base: base, n: n, graphN: graphN, blocks: blocks, graph: graph, sealed: sealed,
+			base: ci * stride, n: n, graphN: graphN, blocks: blocks, graph: graph, sealed: sealed,
 		}, onFirst)
 		stats.Committed += res.committed
 		stats.BytesSent += res.bytesSent
@@ -316,11 +290,9 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			}
 			degraded = true
 		}
-		if chunkBytes > 0 {
-			chunks = append(chunks, metadata.Chunk{
-				Size: int64(len(data)), K: k, N: n, GraphSeed: seed, GraphN: graphN,
-			})
-		}
+		chunks = append(chunks, metadata.Chunk{
+			Size: int64(len(data)), K: k, N: n, GraphSeed: seed, GraphN: graphN,
+		})
 	}
 	if total == 0 {
 		return stats, fmt.Errorf("robust: empty data")
@@ -329,32 +301,24 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		tr.Stagef("per-server", "blocks=%v failed-puts=%d", countPlacement(placed), stats.FailedPuts)
 	}
 
-	cod := metadata.Coding{
-		Algorithm:  algLTSpike3,
-		K:          totK,
-		N:          totN,
-		BlockBytes: c.opts.BlockBytes,
-		C:          c.opts.LTC,
-		Delta:      c.opts.LTDelta,
-		ShareCRC:   sealed,
-	}
-	var chunkStride int
-	if chunkBytes > 0 {
-		cod.GraphSeed = chunks[0].GraphSeed
-		cod.GraphN = stride*(len(chunks)-1) + chunks[len(chunks)-1].GraphN
-		chunkStride = stride
-	} else {
-		cod.GraphSeed = seed0
-		cod.GraphN = graphN0
-	}
 	seg := metadata.Segment{
-		Name:        name,
-		Size:        total,
-		Coding:      cod,
+		Name: name,
+		Size: total,
+		Coding: metadata.Coding{
+			Algorithm:  algLTSpike3,
+			K:          totK,
+			N:          totN,
+			BlockBytes: c.opts.BlockBytes,
+			C:          c.opts.LTC,
+			Delta:      c.opts.LTDelta,
+			GraphSeed:  chunks[0].GraphSeed,
+			GraphN:     stride*(len(chunks)-1) + chunks[len(chunks)-1].GraphN,
+			ShareCRC:   sealed,
+		},
 		Placement:   placed,
 		Degraded:    degraded,
 		Chunks:      chunks,
-		ChunkStride: chunkStride,
+		ChunkStride: stride,
 	}
 	if cerr := c.meta.CreateSegment(seg); cerr != nil {
 		cleanup()

@@ -3,7 +3,9 @@ package robust
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -44,8 +46,10 @@ func TestWriteFromChunkedRoundTrip(t *testing.T) {
 	if len(seg.Chunks) != 7 {
 		t.Fatalf("chunks = %d, want 7", len(seg.Chunks))
 	}
-	if seg.ChunkStride <= 0 {
-		t.Fatalf("chunk stride = %d, want > 0", seg.ChunkStride)
+	// The stride is a full chunk's graph: N = (1+3)·4 plus 4 slack
+	// blocks for each of the 6 servers.
+	if seg.ChunkStride != 40 || seg.Chunks[0].GraphN != seg.ChunkStride {
+		t.Fatalf("chunk stride = %d (chunk 0 GraphN %d), want 40", seg.ChunkStride, seg.Chunks[0].GraphN)
 	}
 	var sumSize int64
 	var sumK, sumN int
@@ -133,45 +137,174 @@ func TestWriteChunkedSlicePath(t *testing.T) {
 	}
 }
 
-func TestWriteLegacyLayoutUnchanged(t *testing.T) {
-	// ChunkBytes=0 (the default) must keep the single-graph layout:
-	// no chunk table, no stride, seed derived from the segment name.
+func TestWriteSingleChunkLayout(t *testing.T) {
+	// ChunkBytes=0 (the default) writes the whole segment as one chunk:
+	// a one-entry table seeded by the chunk identity, its graph size the
+	// stride.
 	c, _ := newTestClient(t, 5, Options{BlockBytes: 2 << 10})
 	ctx := context.Background()
 	data := randData(20<<10, 2)
 
-	if _, err := c.Write(ctx, "legacy", data, nil); err != nil {
+	if _, err := c.Write(ctx, "whole", data, nil); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := c.meta.LookupSegment("legacy")
+	seg, err := c.meta.LookupSegment("whole")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Chunks != nil || seg.ChunkStride != 0 {
-		t.Fatalf("legacy write produced chunked layout: chunks=%d stride=%d", len(seg.Chunks), seg.ChunkStride)
+	if len(seg.Chunks) != 1 || seg.ChunkStride != seg.Chunks[0].GraphN {
+		t.Fatalf("whole-segment write: chunks=%+v stride=%d, want one chunk whose GraphN is the stride", seg.Chunks, seg.ChunkStride)
 	}
-	if seg.Coding.GraphSeed != graphSeed("legacy", int64(len(data))) {
-		t.Fatalf("legacy graph seed changed: %d", seg.Coding.GraphSeed)
+	if ch := seg.Chunks[0]; ch.Size != int64(len(data)) || ch.K != seg.Coding.K || ch.N != seg.Coding.N ||
+		ch.GraphSeed != graphSeed("whole#0", int64(len(data))) || ch.GraphSeed != seg.Coding.GraphSeed {
+		t.Fatalf("chunk %+v does not match segment %+v", ch, seg.Coding)
 	}
 
 	// WriteFrom without ChunkBytes falls back to buffering the reader
-	// and producing the identical legacy layout.
-	if _, err := c.WriteFrom(ctx, "legacy2", bytes.NewReader(data), int64(len(data)), nil); err != nil {
+	// and writing the same one-chunk layout.
+	if _, err := c.WriteFrom(ctx, "whole2", bytes.NewReader(data), int64(len(data)), nil); err != nil {
 		t.Fatal(err)
 	}
-	seg2, err := c.meta.LookupSegment("legacy2")
+	seg2, err := c.meta.LookupSegment("whole2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg2.Chunks != nil || seg2.ChunkStride != 0 {
-		t.Fatal("WriteFrom fallback produced chunked layout")
+	if len(seg2.Chunks) != 1 || seg2.ChunkStride != seg2.Chunks[0].GraphN {
+		t.Fatalf("WriteFrom fallback: chunks=%+v stride=%d", seg2.Chunks, seg2.ChunkStride)
 	}
-	got, _, err := c.Read(ctx, "legacy2")
+	got, _, err := c.Read(ctx, "whole2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("fallback read data differs")
+	}
+}
+
+// TestChunklessRecordIsOneChunk hand-builds a record as segments were
+// stored before chunk tables existed — no table, no stride, one graph
+// seeded by the segment name — and checks that Create, Update and a
+// snapshot Load all turn it into one chunk with its recorded seed and
+// graph size, and that every client path works on it. A record from
+// before GraphN was recorded has a graph of exactly N blocks.
+func TestChunklessRecordIsOneChunk(t *testing.T) {
+	for _, graphN := range []int{80, 0} {
+		t.Run(fmt.Sprintf("GraphN=%d", graphN), func(t *testing.T) {
+			c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+			ctx := context.Background()
+			data := randData(15<<10+100, 20) // K=16, the last block short
+			rec := metadata.Segment{
+				Name: "old",
+				Size: int64(len(data)),
+				Coding: metadata.Coding{
+					Algorithm: algLTSpike3, K: 16, N: 64, BlockBytes: 1 << 10, C: 1, Delta: 0.1,
+					GraphSeed: graphSeed("old", int64(len(data))), GraphN: graphN, ShareCRC: true,
+				},
+				Placement: map[string][]int{},
+			}
+			wantN := graphN
+			if wantN == 0 {
+				wantN = rec.Coding.N
+			}
+			want := metadata.Chunk{Size: rec.Size, K: 16, N: 64, GraphSeed: rec.Coding.GraphSeed, GraphN: wantN}
+			cod := rec.Coding
+			cod.GraphN = wantN
+			graph, err := buildGraph(cod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := splitBlocks(data, cod.BlockBytes)
+			for i := 0; i < rec.Coding.N; i++ {
+				addr := fmt.Sprintf("mem-%02d", i%len(stores))
+				if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare(graph.EncodeBlock(i, blocks))); err != nil {
+					t.Fatal(err)
+				}
+				rec.Placement[addr] = append(rec.Placement[addr], i)
+			}
+			oneChunk := func(how string, seg metadata.Segment) {
+				t.Helper()
+				if len(seg.Chunks) != 1 || seg.Chunks[0] != want || seg.ChunkStride != wantN {
+					t.Fatalf("after %s: chunks=%+v stride=%d, want [%+v] stride %d", how, seg.Chunks, seg.ChunkStride, want, wantN)
+				}
+			}
+
+			snap, err := json.Marshal(map[string]any{"format_version": 1, "segments": []metadata.Segment{rec}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := metadata.NewService()
+			if err := loaded.Load(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := loaded.LookupSegment("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneChunk("Load", seg)
+			if err := c.meta.CreateSegment(rec); err != nil {
+				t.Fatal(err)
+			}
+			if seg, err = c.meta.LookupSegment("old"); err != nil {
+				t.Fatal(err)
+			}
+			oneChunk("Create", seg)
+			if err := c.meta.UpdateSegment(rec); err != nil {
+				t.Fatal(err)
+			}
+			if seg, err = c.meta.LookupSegment("old"); err != nil {
+				t.Fatal(err)
+			}
+			oneChunk("Update", seg)
+
+			got, _, err := c.Read(ctx, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("read of a chunkless record differs")
+			}
+			if affected, err := c.AffectedBlocks("old", 2<<10, 1<<10); err != nil || affected == 0 {
+				t.Fatalf("AffectedBlocks = %d, %v", affected, err)
+			}
+			patch := randData(3<<10, 21)
+			off := int64(5<<10 + 7)
+			if err := c.Update(ctx, "old", off, patch); err != nil {
+				t.Fatal(err)
+			}
+			copy(data[off:], patch)
+
+			// Lose a holder's shares: Health sees them missing, Repair
+			// regenerates them from the recorded graph.
+			for _, i := range rec.Placement["mem-01"] {
+				if err := stores[1].Delete(ctx, "old", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := c.Health(ctx, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Missing != 16 || rep.Reachable != 48 || !rep.Decodable {
+				t.Fatalf("health after losing a holder = %+v", rep)
+			}
+			rs, err := c.Repair(ctx, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Regenerated != 16 {
+				t.Fatalf("repair regenerated %d of 16 lost shares", rs.Regenerated)
+			}
+			if rep, err = c.Health(ctx, "old"); err != nil || rep.Missing != 0 || rep.Reachable != 64 {
+				t.Fatalf("health after repair = %+v, %v", rep, err)
+			}
+			got, _, err = c.Read(ctx, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("read after update and repair differs")
+			}
+		})
 	}
 }
 

@@ -35,7 +35,8 @@
 #      against the committed BENCH_10.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
 #  12. the data path's size: non-test lines in internal/transport and
-#      internal/robust (scripts/loc.sh)
+#      internal/robust (scripts/loc.sh), and in internal/metadata, so
+#      code moved out of the data path into the metadata service shows
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,5 +106,8 @@ echo "==> benchdiff against committed BENCH_10.json"
 go run ./cmd/benchdiff -baseline BENCH_10.json -fresh /tmp/BENCH_10.fresh.json -scale 4
 
 echo "==> non-test lines in internal/transport + internal/robust: $(./scripts/loc.sh)"
+meta_files=$(ls internal/metadata/*.go | grep -v '_test\.go$')
+# shellcheck disable=SC2086 # one path per word is intended
+echo "==> non-test lines in internal/metadata: $(cat $meta_files | wc -l | tr -d ' ')"
 
 echo "==> all checks passed"
