@@ -4,16 +4,22 @@ import (
 	"fmt"
 )
 
-// Decoder is an incremental peeling (belief-propagation) decoder with
-// the lazy-XOR strategy of §5.2.3: XOR work is performed only when a
-// coded block actually yields an original block, so redundant
-// late-arriving blocks cost no memory traffic. Feed coded blocks with
-// Add as they arrive; Complete reports when all K originals are
-// recovered.
+// Decoder is an incremental LT decoder: peeling (belief propagation),
+// finished by inactivation. Feed coded blocks with Add or AddData as
+// they arrive; peeling runs on every block with the lazy-XOR strategy
+// of §5.2.3 — XOR work is performed only when a coded block actually
+// yields an original block, so redundant late-arriving blocks cost no
+// memory traffic. Peeling alone stalls well before the received blocks
+// stop determining the data at storage-sized K; Solve finishes a
+// stalled decode by inactivation (solve.go) and completes exactly when
+// the received blocks have GF(2) rank K. Complete reports when all K
+// originals are recovered, by either route.
 //
 // A Decoder built with NewDecoder carries data; one built with
 // NewSymbolicDecoder tracks only graph state (used by the simulator to
 // determine reception overhead and XOR counts without moving bytes).
+// The simulator, the erasure-code framework and the Raptor layer call
+// Add/AddData only, so they keep the paper's peel-only completion.
 //
 // Decoder is not safe for concurrent use; wrap with a mutex or confine
 // to one goroutine.
@@ -43,6 +49,10 @@ type Decoder struct {
 	// only the inputs must be recovered).
 	requiredPrefix  int
 	requiredDecoded int
+
+	sv          solver // Solve's reusable working state, set up on first use
+	solveAt     int    // Solve does no work before this many blocks are received
+	inactivated int    // originals the successful Solve set aside
 }
 
 // NewDecoder returns a data-carrying decoder for the graph.
@@ -180,16 +190,7 @@ func (d *Decoder) decodeOriginal(orig, via int32) {
 		d.data[orig] = out
 	}
 	d.xorOps += int64(len(nb) - 1)
-	d.usedBlocks++
-	d.remaining[via] = 0
-	d.decoded[orig] = true
-	d.decodedCount++
-	if d.requiredPrefix > 0 && int(orig) < d.requiredPrefix {
-		d.requiredDecoded++
-	}
-	if !d.symbolic {
-		d.coded[via] = nil // release payload; no longer needed
-	}
+	d.markSolved(orig, via)
 	// Notify waiters.
 	for _, ci := range d.waiters[orig] {
 		if d.remaining[ci] <= 0 {
@@ -201,6 +202,21 @@ func (d *Decoder) decodeOriginal(orig, via int32) {
 		}
 	}
 	d.waiters[orig] = nil
+}
+
+// markSolved records original orig as recovered through received coded
+// block via, and releases via's payload.
+func (d *Decoder) markSolved(orig, via int32) {
+	d.usedBlocks++
+	d.remaining[via] = 0
+	d.decoded[orig] = true
+	d.decodedCount++
+	if d.requiredPrefix > 0 && int(orig) < d.requiredPrefix {
+		d.requiredDecoded++
+	}
+	if !d.symbolic {
+		d.coded[via] = nil // release payload; no longer needed
+	}
 }
 
 // Complete reports whether all K original blocks are decoded.
@@ -249,6 +265,10 @@ func (d *Decoder) XorOps() int64 { return d.xorOps }
 // UsedBlocks returns how many received coded blocks contributed a
 // decoded original.
 func (d *Decoder) UsedBlocks() int { return d.usedBlocks }
+
+// Inactivated returns how many originals Solve set aside to finish
+// the decode: 0 while incomplete or when peeling alone finished it.
+func (d *Decoder) Inactivated() int { return d.inactivated }
 
 // EdgesReceived returns the total edge count of all received coded
 // blocks. A greedy decoder (the original LT algorithm, which

@@ -2,7 +2,11 @@
 // with the storage-oriented improvements described in the RobuSTore
 // paper (§5.2.3): guaranteed decodability via coding-graph checking,
 // uniform coverage of original blocks via pseudo-random permutation
-// selection, lazy-XOR peeling decoding, and word-wide XOR kernels.
+// selection, lazy-XOR peeling decoding, and word-wide XOR kernels. The
+// decoder is peeling, finished by inactivation: Decoder.Solve completes
+// a stalled peel once the received blocks have GF(2) rank K, which the
+// storage client uses; the simulator keeps the paper's peel-only
+// completion.
 //
 // An LT code over K original blocks generates a practically unlimited
 // stream of coded blocks; each coded block is the XOR of d original

@@ -22,6 +22,7 @@ import "repro/internal/obs"
 //	robust_write_first_commit_seconds latency to the first committed block
 //	robust_read_corrupt_shares_total  shares rejected by CRC verification
 //	robust_read_rejected_shares_total shares the decoder refused (bad index)
+//	robust_read_inactivations_total   originals set aside to finish decodes by inactivation
 //	robust_read_hedges_total          hedge requests issued
 //	robust_read_hedge_wins_total      hedges whose answer arrived first
 //	robust_read_hedge_losses_total    hedges beaten by the original
@@ -42,6 +43,7 @@ type clientMetrics struct {
 	readLatency        *obs.Histogram
 	readCorruptShares  *obs.Counter
 	readRejectedShares *obs.Counter
+	readInactivations  *obs.Counter
 	readHedges         *obs.Counter
 	readHedgeWins      *obs.Counter
 	readHedgeLosses    *obs.Counter
@@ -80,6 +82,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		readLatency:        r.Histogram("robust_read_latency_seconds"),
 		readCorruptShares:  r.Counter("robust_read_corrupt_shares_total"),
 		readRejectedShares: r.Counter("robust_read_rejected_shares_total"),
+		readInactivations:  r.Counter("robust_read_inactivations_total"),
 		readHedges:         r.Counter("robust_read_hedges_total"),
 		readHedgeWins:      r.Counter("robust_read_hedge_wins_total"),
 		readHedgeLosses:    r.Counter("robust_read_hedge_losses_total"),

@@ -12,8 +12,9 @@ import (
 
 // Read reconstructs a segment speculatively (§4.3.3): workers fan out
 // block requests to every holder in parallel, each delivered block
-// feeds the incremental peeling decoder, and the moment decoding
-// completes every outstanding request is canceled. Missing blocks and
+// feeds the incremental decoder (peeling, finished by inactivation once
+// the blocks held have full rank), and the moment decoding completes
+// every outstanding request is canceled. Missing blocks and
 // failing servers are tolerated while any decodable subset survives.
 func (c *Client) Read(ctx context.Context, name string) ([]byte, ReadStats, error) {
 	unlock, err := c.meta.LockRead(ctx, name)
@@ -33,6 +34,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		c.m.reads.Inc()
 		c.m.readBlocks.Add(int64(stats.Received))
 		c.m.readFailedGets.Add(int64(stats.FailedGets))
+		c.m.readInactivations.Add(int64(stats.Inactivated))
 		c.m.readBytes.Add(int64(len(data)))
 		c.m.readLatency.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -132,10 +134,19 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 				continue
 			}
 			received[s.addr]++
+			// Peeling stalls well before the shares held stop
+			// determining the chunk; Solve finishes it by inactivation
+			// at the first share of full rank (it returns at once
+			// while too few are held).
+			if !dec.Complete() {
+				dec.Solve()
+			}
 			if dec.Complete() {
 				if remaining--; remaining == 0 {
 					decComplete.Store(true)
-					tr.Stage("decode-complete")
+					if tr != nil {
+						tr.Stagef("decode-complete", "inactivated=%d", inactivated(decs))
+					}
 					cancel()
 				}
 			}
@@ -202,6 +213,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		UsedDecoder:    totalUsed,
 		CorruptShares:  int(fx.corrupt.Load()),
 		RejectedShares: rejected,
+		Inactivated:    inactivated(decs),
 		Hedges:         int(fx.hedges.Load()),
 		HedgeWins:      int(fx.hedgeWins.Load()),
 	}
@@ -237,6 +249,16 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		}
 	}
 	return out, stats, nil
+}
+
+// inactivated sums the originals the chunk decoders set aside to
+// finish by inactivation; 0 when peeling alone completed every chunk.
+func inactivated(decs []*ltcode.Decoder) int {
+	n := 0
+	for _, dec := range decs {
+		n += dec.Inactivated()
+	}
+	return n
 }
 
 // stripeSlice deals element i of xs to worker i mod workers.

@@ -57,9 +57,11 @@ func (c *Client) Health(ctx context.Context, name string) (HealthReport, error) 
 			}
 		}
 	}
+	// Finish each chunk the way Read does, so Decodable is true exactly
+	// when a read of the surviving shares would decode.
 	rep.Decodable = true
 	for _, dec := range decs {
-		rep.Decodable = rep.Decodable && dec.Complete()
+		rep.Decodable = rep.Decodable && dec.Solve()
 	}
 	return rep, nil
 }

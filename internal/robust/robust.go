@@ -591,6 +591,10 @@ type ReadStats struct {
 	// nor CorruptShares (the envelope verified); dropping them
 	// silently once hid that accounting gap.
 	RejectedShares int
+	// Inactivated counts the originals the decoder set aside to finish
+	// by inactivation once peeling stalled (summed over chunks): 0
+	// means peeling alone completed the read.
+	Inactivated int
 	// Hedges counts hedge requests issued; HedgeWins counts the ones
 	// whose answer arrived before the original's.
 	Hedges    int
