@@ -39,8 +39,8 @@ func asBackend(store blockstore.Store) (backend, bool) {
 }
 
 // localBackend gives a store without the streaming methods the backend
-// interface: many blocks through its blockstore.Batcher methods when it
-// has them, else block by block.
+// interface: puts and deletes move many blocks through its
+// blockstore.Batcher methods when it has them, else block by block.
 type localBackend struct{ blockstore.Store }
 
 func (l localBackend) PutStream(ctx context.Context, segment string, puts []blockstore.BatchPut, acked func(i int, err error)) error {
@@ -60,14 +60,10 @@ func (l localBackend) PutStream(ctx context.Context, segment string, puts []bloc
 	return nil
 }
 
+// GetStream serves a window block by block, even from a Batcher: each
+// share reaches deliver as soon as it is read, and an in-process Get
+// costs no more than its entry in a batch.
 func (l localBackend) GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error {
-	if b, ok := l.Store.(blockstore.Batcher); ok && len(indices) > 1 {
-		datas, errs := b.GetBatch(ctx, segment, indices)
-		for i, idx := range indices {
-			deliver(idx, datas[i], errs[i])
-		}
-		return nil
-	}
 	for _, idx := range indices {
 		data, err := []byte(nil), ctx.Err()
 		if err == nil {

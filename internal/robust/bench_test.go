@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,20 +117,37 @@ func BenchmarkClientWriteStream16MB(b *testing.B) {
 	b.ReportMetric(perOpMs(first), "stream_first_commit_ms")
 }
 
+// BenchmarkClientRead16MB measures a read over in-memory stores and
+// what it moves for nothing: shares/op counts the shares the read asked
+// its holders for (K=64 needs ~77), late/op the ones that arrived after
+// their chunk decoded or the read was canceled.
 func BenchmarkClientRead16MB(b *testing.B) {
-	c := benchClient(b, 8)
+	c := benchClient(b, 0)
+	var requested atomic.Int64
+	for i := 0; i < 8; i++ {
+		if err := c.AttachStore(fmt.Sprintf("s%d", i), countingStore{blockstore.NewMemStore(), &requested}); err != nil {
+			b.Fatal(err)
+		}
+	}
 	data := randData(16<<20, 2)
 	ctx := context.Background()
 	if _, err := c.Write(ctx, "r", data, nil); err != nil {
 		b.Fatal(err)
 	}
+	late := 0
 	b.SetBytes(16 << 20)
 	b.ResetTimer()
+	requested.Store(0)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Read(ctx, "r"); err != nil {
+		_, rs, err := c.Read(ctx, "r")
+		if err != nil {
 			b.Fatal(err)
 		}
+		late += rs.Late
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(requested.Load())/float64(b.N), "shares/op")
+	b.ReportMetric(float64(late)/float64(b.N), "late/op")
 }
 
 func BenchmarkClientUpdate256KB(b *testing.B) {

@@ -75,6 +75,7 @@ type fetcher struct {
 	holders map[int][]string // index -> holder addresses (usually one)
 
 	corrupt   atomic.Int64
+	late      atomic.Int64 // shares that arrived after the read was canceled
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 
@@ -158,10 +159,11 @@ type window struct {
 	deliver func(int, []byte)
 	primary func(int, []byte, error) // share for the holder's own stream
 
-	// Per-window state. ctx and cancel are set before any stream starts;
-	// the rest is guarded by mu, since GetStream may deliver from
-	// several goroutines and a hedge races the primary.
-	ctx     context.Context
+	// Per-window state. read, ctx and cancel are set before any stream
+	// starts; the rest is guarded by mu, since GetStream may deliver
+	// from several goroutines and a hedge races the primary.
+	read    context.Context    // the read's context
+	ctx     context.Context    // read, or the hedge race's child of it
 	cancel  context.CancelFunc // stops the racing streams; nil without a hedge
 	start   time.Time
 	mu      sync.Mutex
@@ -196,7 +198,7 @@ func (f *fetcher) newWindow(addr string, store backend, deliver func(int, []byte
 // stream is canceled. Returns the number of shares not delivered (0
 // when the read was canceled, which says nothing about the holder).
 func (w *window) fetch(ctx context.Context, indices []int) int {
-	w.ctx, w.cancel, w.start = ctx, nil, time.Now()
+	w.read, w.ctx, w.cancel, w.start = ctx, ctx, nil, time.Now()
 	w.indices, w.ndone = indices, 0
 	w.done = append(w.done[:0], make([]bool, len(indices))...)
 	w.errs = append(w.errs[:0], make([]error, len(indices))...)
@@ -284,10 +286,16 @@ func (w *window) hedge(ctx context.Context) {
 
 // share verifies one arriving share and hands it over unless another
 // copy arrived first; h is the hedge it came from, nil for the
-// holder's own stream. The window's last share stops the streams and
-// teaches the hedge tracker the window's time, so the hedge delay
-// calibrates to window latency, not share latency.
+// holder's own stream. In a hedge race the window's last share stops
+// the streams and teaches the hedge tracker the window's time, so the
+// hedge delay calibrates to window latency, not share latency.
 func (w *window) share(h *hedgeState, idx int, payload []byte, err error) {
+	if err == nil && w.read.Err() != nil {
+		// Decoded or canceled: the share would never reach the
+		// decoder, so it is dropped unverified.
+		w.f.late.Add(1)
+		return
+	}
 	addr, store := w.addr, w.store
 	if h != nil {
 		addr, store = h.addr, h.store
@@ -318,11 +326,9 @@ func (w *window) share(h *hedgeState, idx int, payload []byte, err error) {
 	all := w.ndone == len(w.indices)
 	w.mu.Unlock()
 	w.deliver(idx, payload)
-	if all {
+	if all && w.cancel != nil {
 		w.f.tracker.add(time.Since(w.start))
-		if w.cancel != nil {
-			w.cancel()
-		}
+		w.cancel()
 	}
 }
 

@@ -23,6 +23,7 @@ import "repro/internal/obs"
 //	robust_read_corrupt_shares_total  shares rejected by CRC verification
 //	robust_read_rejected_shares_total shares the decoder refused (bad index)
 //	robust_read_inactivations_total   originals set aside to finish decodes by inactivation
+//	robust_read_late_shares_total     shares that arrived after their chunk decoded or the read was canceled
 //	robust_read_hedges_total          hedge requests issued
 //	robust_read_hedge_wins_total      hedges whose answer arrived first
 //	robust_read_hedge_losses_total    hedges beaten by the original
@@ -44,6 +45,7 @@ type clientMetrics struct {
 	readCorruptShares  *obs.Counter
 	readRejectedShares *obs.Counter
 	readInactivations  *obs.Counter
+	readLateShares     *obs.Counter
 	readHedges         *obs.Counter
 	readHedgeWins      *obs.Counter
 	readHedgeLosses    *obs.Counter
@@ -83,6 +85,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		readCorruptShares:  r.Counter("robust_read_corrupt_shares_total"),
 		readRejectedShares: r.Counter("robust_read_rejected_shares_total"),
 		readInactivations:  r.Counter("robust_read_inactivations_total"),
+		readLateShares:     r.Counter("robust_read_late_shares_total"),
 		readHedges:         r.Counter("robust_read_hedges_total"),
 		readHedgeWins:      r.Counter("robust_read_hedge_wins_total"),
 		readHedgeLosses:    r.Counter("robust_read_hedge_losses_total"),

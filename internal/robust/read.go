@@ -34,6 +34,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		c.m.reads.Inc()
 		c.m.readBlocks.Add(int64(stats.Received))
 		c.m.readFailedGets.Add(int64(stats.FailedGets))
+		c.m.readLateShares.Add(int64(stats.Late))
 		c.m.readInactivations.Add(int64(stats.Inactivated))
 		c.m.readBytes.Add(int64(len(data)))
 		c.m.readLatency.Observe(time.Since(start).Seconds())
@@ -99,7 +100,8 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	// through a channel keeps the decoder lock (and its contention)
 	// out of the network workers' hot path entirely. The goroutine
 	// owns the decoder, the per-server receive counts, and the
-	// rejected-share count; all are read only after it exits.
+	// rejected- and late-share counts; all are read only after it
+	// exits.
 	type deliveredShare struct {
 		addr    string
 		idx     int
@@ -108,7 +110,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	shares := make(chan deliveredShare, 4*max(c.opts.BatchBlocks, 1))
 	decodeDone := make(chan struct{})
 	received := make(map[string]int, len(targets))
-	rejected := 0
+	rejected, late := 0, 0
 	var decComplete atomic.Bool
 	go func() {
 		defer close(decodeDone)
@@ -125,6 +127,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 			}
 			dec := decs[ci]
 			if dec.Complete() {
+				late++
 				continue // drain so no worker blocks on send
 			}
 			if _, aerr := dec.AddData(local, s.payload); aerr != nil {
@@ -158,12 +161,13 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 			continue
 		}
 		// Split the server's block list among its worker pipelines;
-		// each pipeline walks its share of the list in windows of the
-		// store's run length, so a store that moves one block per call
-		// gets a window, and a hedge, per block.
+		// each pipeline walks its share of the list one window at a
+		// time (see readWindow), so a store that moves one block per
+		// call gets a window, and a hedge, per block.
+		win := readWindow(seg.Coding.BlockBytes, c.opts.PerServerParallel, a.run)
 		for w := 0; w < c.opts.PerServerParallel; w++ {
 			wg.Add(1)
-			go func(addr string, store backend, run int, mine []int) {
+			go func(addr string, store backend, mine []int) {
 				defer wg.Done()
 				deliver := func(idx int, payload []byte) {
 					if !firstByte.Swap(true) {
@@ -172,10 +176,11 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 					select {
 					case shares <- deliveredShare{addr: addr, idx: idx, payload: payload}:
 					case <-rctx.Done():
+						fx.late.Add(1)
 					}
 				}
-				win := fx.newWindow(addr, store, deliver)
-				for lo := 0; lo < len(mine); lo += run {
+				ws := fx.newWindow(addr, store, deliver)
+				for lo := 0; lo < len(mine); lo += win {
 					if rctx.Err() != nil {
 						return
 					}
@@ -186,10 +191,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 						cancel()
 						return
 					}
-					hi := min(lo+run, len(mine))
-					failed.Add(int64(win.fetch(rctx, mine[lo:hi])))
+					hi := min(lo+win, len(mine))
+					failed.Add(int64(ws.fetch(rctx, mine[lo:hi])))
 				}
-			}(addr, a.backend, a.run, stripeSlice(indices, w, c.opts.PerServerParallel))
+			}(addr, a.backend, stripeSlice(indices, w, c.opts.PerServerParallel))
 		}
 	}
 	wg.Wait()
@@ -213,13 +218,14 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		UsedDecoder:    totalUsed,
 		CorruptShares:  int(fx.corrupt.Load()),
 		RejectedShares: rejected,
+		Late:           late + int(fx.late.Load()),
 		Inactivated:    inactivated(decs),
 		Hedges:         int(fx.hedges.Load()),
 		HedgeWins:      int(fx.hedgeWins.Load()),
 	}
 	if tr != nil {
-		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d rejected=%d hedges=%d/%d",
-			received, stats.FailedGets, stats.CorruptShares, stats.RejectedShares, stats.HedgeWins, stats.Hedges)
+		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d rejected=%d late=%d hedges=%d/%d",
+			received, stats.FailedGets, stats.CorruptShares, stats.RejectedShares, stats.Late, stats.HedgeWins, stats.Hedges)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -259,6 +265,26 @@ func inactivated(decs []*ltcode.Decoder) int {
 		n += dec.Inactivated()
 	}
 	return n
+}
+
+// readWindowBytes caps the share bytes one read keeps requested and
+// undelivered at one holder: one mux stream window, roughly a LAN
+// holder's bandwidth-delay product. The paper's disks serve one request
+// at a time and drop the queued ones on cancel (§6.2.5); a server that
+// runs every GET at once ships whatever was asked for before the cancel
+// lands, so asking a fast holder for all of its large shares moves
+// several times the bytes the decoder needs.
+const readWindowBytes = 1 << 20
+
+// readWindow returns the shares one of a holder's pipelines requests
+// per GetStream call: readWindowBytes split across the pipelines, at
+// least one share and at most the store's run. The cap is in bytes, not
+// shares, because bytes are what a canceled read wastes: small shares
+// (up to 32 KiB with the defaults) keep the full run, and only large
+// ones are paced.
+func readWindow(blockBytes int64, pipelines, run int) int {
+	n := readWindowBytes / max(blockBytes*int64(pipelines), 1)
+	return int(max(1, min(n, int64(run))))
 }
 
 // stripeSlice deals element i of xs to worker i mod workers.

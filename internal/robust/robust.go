@@ -52,9 +52,10 @@ type Options struct {
 	// LTC and LTDelta are the robust-soliton parameters (default 1.0
 	// and 0.1: ~0.3-0.5 reception overhead, per §5.2.4).
 	LTC, LTDelta float64
-	// PerServerParallel is the number of outstanding requests kept per
-	// server during reads and writes (default 2: one in flight, one
-	// queued — a disk pipeline).
+	// PerServerParallel is the number of worker pipelines per server
+	// during reads and writes (default 2). Each pipeline has one request
+	// in flight: a write run, or a read window of shares (see
+	// BatchBlocks).
 	PerServerParallel int
 	// GraphSlack is the number of extra coded blocks generated per
 	// server beyond N, bounding rateless-write overshoot (default 4).
@@ -90,13 +91,17 @@ type Options struct {
 	// share fetches, clamped to [1ms, 2s], starting at 30ms before
 	// any sample exists.
 	HedgeDelay time.Duration
-	// BatchBlocks is the number of coded blocks moved per store call
-	// on the hot paths: write workers claim runs of BatchBlocks indices
-	// and ship each run as one streaming put, and readers fetch windows
-	// of BatchBlocks shares per holder as one streaming get (a hedge
-	// promotes the window's outstanding shares to another holder). A
-	// store that moves one block per call gets runs and windows of
-	// one. 1 moves every block on its own call; default 16.
+	// BatchBlocks is the most coded blocks moved per store call on the
+	// hot paths: write workers claim runs of BatchBlocks indices and
+	// ship each run as one streaming put, and each read pipeline
+	// fetches windows of up to BatchBlocks shares as one streaming get
+	// (a hedge promotes the window's outstanding shares to another
+	// holder). A read keeps at most 1 MiB of shares requested per
+	// holder across its pipelines (but always one share per pipeline),
+	// so windows of large shares are smaller: with the defaults, 16
+	// shares up to 32 KiB blocks, 2 at 256 KiB, 1 at 1 MiB. A store
+	// that moves one block per call gets runs and windows of one. 1
+	// moves every block on its own call; default 16.
 	BatchBlocks int
 	// DegradedWrites enables graceful degradation: a write that
 	// cannot commit the full target N (servers unreachable) still
@@ -595,6 +600,12 @@ type ReadStats struct {
 	// by inactivation once peeling stalled (summed over chunks): 0
 	// means peeling alone completed the read.
 	Inactivated int
+	// Late counts shares that arrived after their chunk had decoded or
+	// after the read was canceled: bytes moved for nothing. They are in
+	// neither Received nor FailedGets; a share arriving after the
+	// cancel is dropped without CRC verification, since it never
+	// reaches the decoder.
+	Late int
 	// Hedges counts hedge requests issued; HedgeWins counts the ones
 	// whose answer arrived before the original's.
 	Hedges    int
