@@ -159,16 +159,17 @@ func TestSnapshotCompactionAndRestartCatchUp(t *testing.T) {
 	lead := c.waitLeader()
 	ln := c.get(lead).node
 
-	if lead == 3 {
-		t.Skip("node 3 leads; partition-free catch-up covered by chaos tests")
+	lag := 3
+	if lead == lag {
+		lag = 1
 	}
-	c.stop(3)
+	c.stop(lag)
 	for i := 0; i < 30; i++ {
 		if err := ln.CreateSegment(testSegment(fmt.Sprintf("deep-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Let the leader compact past what node 3 holds.
+	// Let the leader compact past what the stopped member holds.
 	deadline := time.Now().Add(5 * time.Second)
 	for ln.Status().SnapIndex == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -177,15 +178,15 @@ func TestSnapshotCompactionAndRestartCatchUp(t *testing.T) {
 		t.Fatal("leader never compacted")
 	}
 
-	c.start(3)
-	c.waitApplied(3, ln.Status().Applied)
-	n3 := c.get(3).node
-	st := n3.Status()
+	c.start(lag)
+	c.waitApplied(lag, ln.Status().Applied)
+	lagNode := c.get(lag).node
+	st := lagNode.Status()
 	if st.SnapIndex == 0 {
-		t.Fatalf("node 3 caught up without a snapshot install: %+v", st)
+		t.Fatalf("node %d caught up without a snapshot install: %+v", lag, st)
 	}
-	if _, err := n3.LookupSegment("deep-29"); err != nil {
-		t.Fatalf("node 3 read after catch-up = %v", err)
+	if _, err := lagNode.LookupSegment("deep-29"); err != nil {
+		t.Fatalf("node %d read after catch-up = %v", lag, err)
 	}
 }
 
