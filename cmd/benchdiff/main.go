@@ -7,7 +7,7 @@
 // latency and throughput within ±25%, allocations per op within ±10%
 // (allocation counts are deterministic, so even small growth is a
 // real hot-path change). Improvements never fail. Count-style metrics
-// with no better/worse direction (hedge counts) are presence-only.
+// with no better/worse direction (per-read counts) are presence-only.
 //
 // Usage:
 //

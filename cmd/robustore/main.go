@@ -161,7 +161,7 @@ func main() {
 			if tracker != nil {
 				// The transport feeds the failure detector directly:
 				// per-stream mux timeouts reach the tracker even when
-				// the robust layer already hedged away from the server.
+				// the robust read already decoded and canceled them.
 				topts.Health = tracker
 			}
 			store, err := transport.Dial(a, topts)

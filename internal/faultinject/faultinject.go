@@ -6,7 +6,7 @@
 // seedable faults so the chaos test suite and `robustored -faults`
 // can drive actual client/server pairs through stalls, resets, short
 // reads, and bit flips, and assert the recovery pipeline (transport
-// retries, hedged reads, share checksums, degraded commits) holds.
+// retries, speculative reads, share checksums, degraded commits) holds.
 //
 // The package is stdlib-only. All fault decisions are drawn from one
 // seeded *rand.Rand under a mutex, so a given (seed, request

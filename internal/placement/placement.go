@@ -8,8 +8,8 @@
 // reports "no servers" while data is still reachable.
 //
 // The same selector serves every placement decision: write target
-// sets, repair re-placement, hedge-alternate picks, and the
-// rebalancer's migration targets (rebalance.go).
+// sets, repair re-placement, and the rebalancer's migration targets
+// (rebalance.go).
 //
 // # Degrade ladder
 //

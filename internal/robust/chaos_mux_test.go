@@ -26,7 +26,7 @@ func muxChaosWorkload(t *testing.T, client *Client, name string, data []byte, ro
 	var wg sync.WaitGroup
 
 	wg.Add(1)
-	go func() { // reader: decodes through stalls and hedges
+	go func() { // reader: decodes through stalls
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			got, _, err := client.Read(ctx, name)
@@ -82,7 +82,7 @@ func muxChaosWorkload(t *testing.T, client *Client, name string, data []byte, ro
 func TestChaosMuxStalledReadScrubWriteShareConn(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 6,
-		Options{BlockBytes: 8 << 10, Redundancy: 4, MaxServerShare: 0.25, HedgeReads: true, Obs: reg},
+		Options{BlockBytes: 8 << 10, Redundancy: 4, MaxServerShare: 0.25, Obs: reg},
 		transport.ClientOptions{MaxRetries: 3, RequestTimeout: 2 * time.Second, MaxConns: 1, Obs: reg})
 	ctx := context.Background()
 	data := randData(256<<10, 90)
@@ -126,7 +126,7 @@ func TestSoakMuxChaosHighFaultRates(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 8,
-		Options{BlockBytes: 8 << 10, Redundancy: 5, MaxServerShare: 0.2, HedgeReads: true, Obs: reg},
+		Options{BlockBytes: 8 << 10, Redundancy: 5, MaxServerShare: 0.2, Obs: reg},
 		transport.ClientOptions{MaxRetries: 5, RequestTimeout: 5 * time.Second, MaxConns: 2, Obs: reg})
 	ctx := context.Background()
 	data := randData(512<<10, 92)

@@ -24,9 +24,6 @@ import "repro/internal/obs"
 //	robust_read_rejected_shares_total shares the decoder refused (bad index)
 //	robust_read_inactivations_total   originals set aside to finish decodes by inactivation
 //	robust_read_late_shares_total     shares that arrived after their chunk decoded or the read was canceled
-//	robust_read_hedges_total          hedge requests issued
-//	robust_read_hedge_wins_total      hedges whose answer arrived first
-//	robust_read_hedge_losses_total    hedges beaten by the original
 //	robust_write_degraded_total       writes committed in degraded mode
 //	robust_repairs_total / robust_repair_errors_total
 //	robust_repair_regenerated_total / robust_repair_pruned_total
@@ -46,9 +43,6 @@ type clientMetrics struct {
 	readRejectedShares *obs.Counter
 	readInactivations  *obs.Counter
 	readLateShares     *obs.Counter
-	readHedges         *obs.Counter
-	readHedgeWins      *obs.Counter
-	readHedgeLosses    *obs.Counter
 
 	writes           *obs.Counter
 	writeErrors      *obs.Counter
@@ -86,9 +80,6 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		readRejectedShares: r.Counter("robust_read_rejected_shares_total"),
 		readInactivations:  r.Counter("robust_read_inactivations_total"),
 		readLateShares:     r.Counter("robust_read_late_shares_total"),
-		readHedges:         r.Counter("robust_read_hedges_total"),
-		readHedgeWins:      r.Counter("robust_read_hedge_wins_total"),
-		readHedgeLosses:    r.Counter("robust_read_hedge_losses_total"),
 
 		writes:           r.Counter("robust_writes_total"),
 		writeErrors:      r.Counter("robust_write_errors_total"),

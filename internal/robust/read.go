@@ -59,7 +59,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(decs))
 	}
 
-	fx := newFetcher(c, name, seg.Coding.ShareCRC, seg.Placement)
+	fx := &fetcher{c: c, name: name, sealed: seg.Coding.ShareCRC}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -163,7 +163,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		// Split the server's block list among its worker pipelines;
 		// each pipeline walks its share of the list one window at a
 		// time (see readWindow), so a store that moves one block per
-		// call gets a window, and a hedge, per block.
+		// call gets a window per block.
 		win := readWindow(seg.Coding.BlockBytes, c.opts.PerServerParallel, a.run)
 		for w := 0; w < c.opts.PerServerParallel; w++ {
 			wg.Add(1)
@@ -220,12 +220,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		RejectedShares: rejected,
 		Late:           late + int(fx.late.Load()),
 		Inactivated:    inactivated(decs),
-		Hedges:         int(fx.hedges.Load()),
-		HedgeWins:      int(fx.hedgeWins.Load()),
 	}
 	if tr != nil {
-		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d rejected=%d late=%d hedges=%d/%d",
-			received, stats.FailedGets, stats.CorruptShares, stats.RejectedShares, stats.Late, stats.HedgeWins, stats.Hedges)
+		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d late=%d rejected=%d",
+			received, stats.FailedGets, stats.CorruptShares, stats.Late, stats.RejectedShares)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err

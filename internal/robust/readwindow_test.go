@@ -365,3 +365,78 @@ func TestReadCompletesPastStalledHolder(t *testing.T) {
 		t.Fatalf("no read trace's per-server stage records %q", want)
 	}
 }
+
+func TestReadAsksForEachShareOnce(t *testing.T) {
+	// The paper's read asks every holder for its shares once and masks
+	// stragglers by decoding from whichever arrive first (§4.3.3); it
+	// never asks a slow holder again. One holder's first window stalls
+	// for 60ms, and the other holders are held until the stall ends, so
+	// the read is still in flight well past the 30ms a re-request would
+	// have waited. No share may appear in two GetStream calls; the CRC
+	// refetch goes through Get and is not counted.
+	const stall = 60 * time.Millisecond
+	c, stores, _ := newProbeClient(t, 4, Options{BlockBytes: 16 << 10})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a failure cannot hang
+	defer cancel()
+	data := randData(512<<10, 44) // K=32, 128 shares over 4 holders
+	if _, err := c.Write(ctx, "once", data, nil); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.meta.LookupSegment("once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int)
+	for addr, idx := range seg.Placement {
+		counts[addr] = len(idx)
+	}
+	slowAddr := holdersByShare(counts)[0]
+	released := make(chan struct{})
+	var first sync.Once
+	for addr, p := range stores {
+		if addr == slowAddr {
+			p.hold = func(ctx context.Context) {
+				first.Do(func() {
+					defer close(released)
+					select {
+					case <-time.After(stall):
+					case <-ctx.Done():
+					}
+				})
+			}
+			continue
+		}
+		p.hold = func(ctx context.Context) {
+			select {
+			case <-released:
+			case <-ctx.Done():
+			}
+		}
+	}
+	start := time.Now()
+	got, _, err := c.Read(ctx, "once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("data mismatch")
+	}
+	if took := time.Since(start); took < stall {
+		t.Fatalf("read took %v, less than the %v stall it must wait out", took, stall)
+	}
+	asked := make(map[int]bool)
+	var twice []int
+	for _, p := range stores {
+		for _, call := range p.recorded() {
+			for _, idx := range call {
+				if asked[idx] {
+					twice = append(twice, idx)
+				}
+				asked[idx] = true
+			}
+		}
+	}
+	if len(twice) > 0 {
+		t.Fatalf("%d shares asked for more than once: %v", len(twice), twice)
+	}
+}

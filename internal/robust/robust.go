@@ -78,30 +78,23 @@ type Options struct {
 	// Servers absent from the metadata registry share the unnamed
 	// zone.
 	MaxZoneShare float64
-	// HedgeReads enables hedged block fetches (§2.2.3/§6: speculative
-	// access masks stragglers): when a share request has been
-	// outstanding for a p99-ish delay, a second request for the same
-	// share is issued — to another holder when the placement has one,
-	// otherwise to the same server as a new stream on its multiplexed
-	// connection (which dodges a stalled stream). First answer wins;
-	// the loser is canceled.
+	// HedgeReads has no effect.
+	//
+	// Deprecated: reads no longer hedge. A rateless share almost always
+	// has one holder, so a hedge could only ask the same server again;
+	// the read's fan-out to every holder with cancel at decode is its
+	// only straggler policy (DESIGN.md §8).
 	HedgeReads bool
-	// HedgeDelay fixes the hedge trigger delay. Zero (the default)
-	// adapts: the delay tracks the p99 of this access's completed
-	// share fetches, clamped to [1ms, 2s], starting at 30ms before
-	// any sample exists.
-	HedgeDelay time.Duration
 	// BatchBlocks is the most coded blocks moved per store call on the
 	// hot paths: write workers claim runs of BatchBlocks indices and
 	// ship each run as one streaming put, and each read pipeline
-	// fetches windows of up to BatchBlocks shares as one streaming get
-	// (a hedge promotes the window's outstanding shares to another
-	// holder). A read keeps at most 1 MiB of shares requested per
-	// holder across its pipelines (but always one share per pipeline),
-	// so windows of large shares are smaller: with the defaults, 16
-	// shares up to 32 KiB blocks, 2 at 256 KiB, 1 at 1 MiB. A store
-	// that moves one block per call gets runs and windows of one. 1
-	// moves every block on its own call; default 16.
+	// fetches windows of up to BatchBlocks shares as one streaming get.
+	// A read keeps at most 1 MiB of shares requested per holder across
+	// its pipelines (but always one share per pipeline), so windows of
+	// large shares are smaller: with the defaults, 16 shares up to 32
+	// KiB blocks, 2 at 256 KiB, 1 at 1 MiB. A store that moves one
+	// block per call gets runs and windows of one. 1 moves every block
+	// on its own call; default 16.
 	BatchBlocks int
 	// DegradedWrites enables graceful degradation: a write that
 	// cannot commit the full target N (servers unreachable) still
@@ -606,8 +599,9 @@ type ReadStats struct {
 	// cancel is dropped without CRC verification, since it never
 	// reaches the decoder.
 	Late int
-	// Hedges counts hedge requests issued; HedgeWins counts the ones
-	// whose answer arrived before the original's.
+	// Hedges and HedgeWins are always zero.
+	//
+	// Deprecated: reads no longer hedge (see Options.HedgeReads).
 	Hedges    int
 	HedgeWins int
 }

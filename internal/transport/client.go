@@ -88,7 +88,7 @@ type ClientOptions struct {
 	// Health, when non-nil, receives per-server outcomes observed by
 	// the transport itself. The important case is per-stream
 	// timeouts: the demux path reports them here even when the caller
-	// hedged away and never surfaces the error, so the failure
+	// already moved on and never surfaces the error, so the failure
 	// detector keeps its backoff context.
 	Health HealthReporter
 }

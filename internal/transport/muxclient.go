@@ -20,7 +20,7 @@ var errMuxConnClosed = errors.New("transport: mux connection closed")
 
 // HealthReporter receives per-server outcomes from the transport
 // layer itself — most importantly per-stream timeouts observed by the
-// mux demux path, which a caller that already hedged away may never
+// mux demux path, which a caller that already moved on may never
 // surface to the failure detector. *health.Tracker implements it.
 type HealthReporter interface {
 	ReportSuccess(addr string)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_baseline.sh — regenerate the repo's benchmark baseline.
 #
-# Usage: ./scripts/bench_baseline.sh [output.json]   (default BENCH_10.json)
+# Usage: ./scripts/bench_baseline.sh [output.json]   (default BENCH_11.json)
 #
 # Runs the headline reproduction benchmarks once (-benchtime 1x) and
 # writes their b.ReportMetric values as a JSON baseline: LT decode
@@ -9,7 +9,7 @@
 # RAID-0 — the numbers future PRs diff against to claim a perf
 # trajectory. Also runs the chaos stalled-read benchmark (several
 # iterations: its metrics are latency tails under injected stalls) to
-# record hedged vs unhedged read latency and hedge counts, the
+# record read latency under memoryless and correlated stragglers, the
 # daemon fault-free benchmark to record read/write latency with and
 # without the self-healing control plane enabled, and the client
 # read/write benchmarks under -benchmem to record hot-path
@@ -24,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+out="${1:-BENCH_11.json}"
 bench='BenchmarkFig53DecodeBandwidth|BenchmarkFig66ReadVsDisks|BenchmarkHeadline'
 chaos_bench='BenchmarkChaosStalledRead'
 daemon_bench='BenchmarkDaemonFaultFree'

@@ -14,7 +14,9 @@
 #      a JSON artifact; plus explicit passes over internal/obs and
 #      internal/faultinject, the layers every concurrent path calls
 #      into)
-#   5. go test -shuffle=on ./...
+#   5. go test -shuffle=on ./..., then vet and test the clusterbench
+#      module, which go build ./... at the root skips: an exported-API
+#      change in internal/robust must not break the benchmark harness
 #   6. go test -race on the concurrency-heavy packages (the mux
 #      transport, batched blockstore, pipelined client paths, and the
 #      shared-graph ltcode layer included)
@@ -30,9 +32,9 @@
 #      (about 8 minutes)
 #  10. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics; see scripts/bench_baseline.sh for the
-#      committed BENCH_10.json baseline)
+#      committed BENCH_11.json baseline)
 #  11. benchdiff: regenerate the baseline into /tmp and diff it
-#      against the committed BENCH_10.json with cmd/benchdiff
+#      against the committed BENCH_11.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
 #  12. the data path's size: non-test lines in internal/transport and
 #      internal/robust (scripts/loc.sh), and in internal/metadata, so
@@ -65,6 +67,10 @@ go run ./cmd/robustore-lint ./internal/obs/ ./internal/faultinject/
 
 echo "==> go test ./..."
 go test -shuffle=on ./...
+
+echo "==> clusterbench module: vet and test"
+go -C clusterbench vet .
+go -C clusterbench test .
 
 echo "==> go test -race (concurrency-heavy packages)"
 go test -race -count=1 -timeout 10m \
@@ -99,11 +105,11 @@ go test -bench . -benchtime 1x -run '^$' ./internal/robust/
 go test -bench 'BenchmarkFig53DecodeBandwidth|BenchmarkFig66ReadVsDisks|BenchmarkHeadline' \
     -benchtime 1x -run '^$' .
 
-echo "==> benchdiff against committed BENCH_10.json"
-./scripts/bench_baseline.sh /tmp/BENCH_10.fresh.json >/dev/null
+echo "==> benchdiff against committed BENCH_11.json"
+./scripts/bench_baseline.sh /tmp/BENCH_11.fresh.json >/dev/null
 # Local machines vary from the committed baseline's reference machine,
 # so tolerances are scaled up; metric-set drift is still exact.
-go run ./cmd/benchdiff -baseline BENCH_10.json -fresh /tmp/BENCH_10.fresh.json -scale 4
+go run ./cmd/benchdiff -baseline BENCH_11.json -fresh /tmp/BENCH_11.fresh.json -scale 4
 
 echo "==> non-test lines in internal/transport + internal/robust: $(./scripts/loc.sh)"
 meta_files=$(ls internal/metadata/*.go | grep -v '_test\.go$')
