@@ -6,7 +6,7 @@ import "context"
 // once per batch and copies every entry into a single backing
 // allocation — the difference between ~1 allocation per block and ~1
 // per batch on the steady-state write path. ChecksumStore seals a
-// whole batch into one backing buffer and delegates to its inner
+// whole batch into one pooled backing buffer and delegates to its inner
 // store's fast path when it has one.
 
 var (
@@ -111,7 +111,7 @@ func (s *MemStore) DeleteBatch(ctx context.Context, segment string, indices []in
 	return errs
 }
 
-// PutBatch implements Batcher: all entries are sealed into one
+// PutBatch implements Batcher: all entries are sealed into one pooled
 // backing buffer, then stored through the inner fast path when the
 // inner store has one.
 func (s *ChecksumStore) PutBatch(ctx context.Context, segment string, puts []BatchPut) []error {
@@ -119,7 +119,9 @@ func (s *ChecksumStore) PutBatch(ctx context.Context, segment string, puts []Bat
 	for _, p := range puts {
 		total += 8 + len(p.Data)
 	}
-	backing := make([]byte, 0, total)
+	buf := sealPool.Get().(*[]byte)
+	defer sealPool.Put(buf)
+	backing := sealBuf(buf, total)
 	sealed := make([]BatchPut, len(puts))
 	for i, p := range puts {
 		off := len(backing)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // ErrCorrupt reports a block whose stored checksum does not match its
@@ -35,9 +36,18 @@ func WithChecksums(inner Store) *ChecksumStore {
 
 var _ Scrubber = (*ChecksumStore)(nil)
 
-// seal frames data as [magic u32][crc u32][data].
-func seal(data []byte) []byte {
-	return appendSeal(make([]byte, 0, 8+len(data)), data)
+// sealPool recycles seal buffers. The inner store must not retain
+// what Put hands it (Store), so a sealed frame is dead once Put
+// returns; reusing its buffer replaces a zeroed allocation per stored
+// block (DESIGN.md §10).
+var sealPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// sealBuf returns buf emptied, grown to hold n bytes if it is short.
+func sealBuf(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, 0, n)
+	}
+	return (*buf)[:0]
 }
 
 // appendSeal appends the [magic u32][crc u32][data] frame to dst —
@@ -68,7 +78,9 @@ func open(framed []byte) ([]byte, error) {
 
 // Put implements Store.
 func (s *ChecksumStore) Put(ctx context.Context, segment string, index int, data []byte) error {
-	return s.inner.Put(ctx, segment, index, seal(data))
+	buf := sealPool.Get().(*[]byte)
+	defer sealPool.Put(buf)
+	return s.inner.Put(ctx, segment, index, appendSeal(sealBuf(buf, 8+len(data)), data))
 }
 
 // Get implements Store, verifying integrity.

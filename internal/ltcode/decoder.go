@@ -179,15 +179,13 @@ func (d *Decoder) processRipple() {
 func (d *Decoder) decodeOriginal(orig, via int32) {
 	nb := d.g.Neighbors[via]
 	if !d.symbolic {
-		out := make([]byte, len(d.coded[via]))
-		copy(out, d.coded[via])
+		sum := xorSum{out: make([]byte, len(d.coded[via])), first: d.coded[via]}
 		for _, j := range nb {
-			if j == orig {
-				continue
+			if j != orig {
+				sum.add(d.data[j])
 			}
-			xorWords(d.data[j], out)
 		}
-		d.data[orig] = out
+		d.data[orig] = sum.result()
 	}
 	d.xorOps += int64(len(nb) - 1)
 	d.markSolved(orig, via)

@@ -203,11 +203,17 @@ func (g *Graph) EncodeBlock(i int, data [][]byte) []byte {
 
 // EncodeBlockInto computes coded block i into dst, which must be
 // exactly one block long, and returns it. It allocates nothing — the
-// write hot path encodes into pooled buffers (DESIGN.md §10).
+// write hot path encodes into pooled buffers (DESIGN.md §10). The
+// first two neighbours are XORed straight into dst, so a share of
+// degree d costs d-1 passes over its bytes; degree 1 is a copy.
 func (g *Graph) EncodeBlockInto(dst []byte, i int, data [][]byte) []byte {
 	nb := g.Neighbors[i]
-	copy(dst, data[nb[0]])
-	for _, j := range nb[1:] {
+	if len(nb) == 1 {
+		copy(dst, data[nb[0]])
+		return dst
+	}
+	xorPair(dst, data[nb[0]], data[nb[1]])
+	for _, j := range nb[2:] {
 		xorWords(data[j], dst)
 	}
 	return dst

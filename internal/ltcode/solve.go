@@ -321,25 +321,25 @@ func onesCount(words []uint64) int {
 	return n
 }
 
-// rhs returns a fresh copy of row r's payload XORed with every decoded
-// or peeled neighbour's block other than skip — the row's value with
-// its inactive terms still unapplied — counting the XORs.
+// rhs returns a fresh buffer holding row r's payload XORed with every
+// decoded or peeled neighbour's block other than skip — the row's
+// value with its inactive terms still unapplied — counting the XORs.
 func (d *Decoder) rhs(r, skip int32) []byte {
 	s := &d.sv
-	var out []byte
+	var sum xorSum
 	if !d.symbolic {
-		out = append([]byte(nil), d.coded[r]...)
+		sum = xorSum{out: make([]byte, len(d.coded[r])), first: d.coded[r]}
 	}
 	for _, q := range d.g.Neighbors[r] {
 		if q == skip || (!d.decoded[q] && s.state[q] == stInactive) {
 			continue
 		}
 		if !d.symbolic {
-			xorWords(d.data[q], out)
+			sum.add(d.data[q])
 		}
 		d.xorOps++
 	}
-	return out
+	return sum.result()
 }
 
 // applySolve moves the payloads of a solvable system: each peeled

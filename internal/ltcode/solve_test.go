@@ -230,3 +230,29 @@ func BenchmarkDecodeSpike3K32Block256K(b *testing.B) {
 	b.Run("peel", func(b *testing.B) { benchClientShape(b, 32, 256<<10, false) })
 	b.Run("solve", func(b *testing.B) { benchClientShape(b, 32, 256<<10, true) })
 }
+
+// BenchmarkEncodeSpike3K32Block256K encodes all N = 4K shares a write
+// commits of the client's "lt-spike3" graph at K = 32 and 256 KiB
+// blocks into reused buffers, as the write path does; MB/s counts user
+// bytes.
+func BenchmarkEncodeSpike3K32Block256K(b *testing.B) {
+	const k, blockBytes = 32, 256 << 10
+	rng := rand.New(rand.NewSource(k))
+	g := spike3Graph(b, k, rng)
+	orig := make([][]byte, k)
+	for i := range orig {
+		orig[i] = make([]byte, blockBytes)
+		rng.Read(orig[i])
+	}
+	coded := make([][]byte, 4*k)
+	for i := range coded {
+		coded[i] = make([]byte, blockBytes)
+	}
+	b.SetBytes(int64(k * blockBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for idx, dst := range coded {
+			g.EncodeBlockInto(dst, idx, orig)
+		}
+	}
+}

@@ -1,40 +1,50 @@
 package ltcode
 
-import "encoding/binary"
+import "crypto/subtle"
 
-// xorWords sets dst[i] ^= src[i] with a word-at-a-time (uint64),
-// 8×-unrolled main loop: 64 bytes per iteration, so the bound checks
-// and loop overhead amortize across eight independent XORs the CPU
-// can retire in parallel. The LT peeling decoder is little more than
-// this loop applied once per edge of the coding graph, which makes it
-// the decode-bandwidth ceiling once I/O is pipelined (BENCH_7.json).
-// A word loop then a byte loop handle the tail safely for any length
-// or alignment. dst and src must have equal length and must not alias
-// unless identical.
+// xorWords sets dst[i] ^= src[i] with the standard library's
+// crypto/subtle.XORBytes, SIMD assembly on amd64 and arm64 (DESIGN.md
+// §12). The LT peeling decoder is little more than this loop applied
+// once per edge of the coding graph, which makes it the
+// decode-bandwidth ceiling once I/O is pipelined. dst and src must
+// have equal length and must not alias unless identical.
 func xorWords(src, dst []byte) {
 	if len(src) != len(dst) {
 		panic("ltcode: xorWords length mismatch")
 	}
-	n := len(dst)
-	i := 0
-	for ; i+64 <= n; i += 64 {
-		// Full-size re-slices keep every load/store's bounds check
-		// trivially eliminable.
-		d := dst[i : i+64 : i+64]
-		s := src[i : i+64 : i+64]
-		binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^binary.LittleEndian.Uint64(s[0:8]))
-		binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^binary.LittleEndian.Uint64(s[8:16]))
-		binary.LittleEndian.PutUint64(d[16:24], binary.LittleEndian.Uint64(d[16:24])^binary.LittleEndian.Uint64(s[16:24]))
-		binary.LittleEndian.PutUint64(d[24:32], binary.LittleEndian.Uint64(d[24:32])^binary.LittleEndian.Uint64(s[24:32]))
-		binary.LittleEndian.PutUint64(d[32:40], binary.LittleEndian.Uint64(d[32:40])^binary.LittleEndian.Uint64(s[32:40]))
-		binary.LittleEndian.PutUint64(d[40:48], binary.LittleEndian.Uint64(d[40:48])^binary.LittleEndian.Uint64(s[40:48]))
-		binary.LittleEndian.PutUint64(d[48:56], binary.LittleEndian.Uint64(d[48:56])^binary.LittleEndian.Uint64(s[48:56]))
-		binary.LittleEndian.PutUint64(d[56:64], binary.LittleEndian.Uint64(d[56:64])^binary.LittleEndian.Uint64(s[56:64]))
+	subtle.XORBytes(dst, dst, src)
+}
+
+// xorPair sets dst = a ^ b in one pass: the first step of an encode
+// or decode sum, fused with the copy of its first term. All three must
+// have equal length.
+func xorPair(dst, a, b []byte) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic("ltcode: xorPair length mismatch")
 	}
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:i+8], binary.LittleEndian.Uint64(dst[i:i+8])^binary.LittleEndian.Uint64(src[i:i+8]))
+	subtle.XORBytes(dst, a, b)
+}
+
+// xorSum accumulates a decoder sum — a received payload plus XOR
+// terms — into out without first copying the payload: the first term
+// is fused with it through xorPair, and a sum with no terms is a plain
+// copy. out must be as long as the payload.
+type xorSum struct{ out, first []byte }
+
+// add XORs one term into the sum.
+func (s *xorSum) add(term []byte) {
+	if s.first == nil {
+		xorWords(term, s.out)
+		return
 	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
+	xorPair(s.out, s.first, term)
+	s.first = nil
+}
+
+// result returns the finished sum.
+func (s *xorSum) result() []byte {
+	if s.first != nil {
+		copy(s.out, s.first)
 	}
+	return s.out
 }

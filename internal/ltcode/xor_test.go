@@ -74,6 +74,35 @@ func TestXorWordsLengthMismatchPanics(t *testing.T) {
 	xorWords(make([]byte, 8), make([]byte, 9))
 }
 
+// TestEncodeBlockIntoMatchesNaive checks the fused encode — first two
+// neighbours XORed straight into dst — against a byte-wise reference
+// at degrees 1, 2, 3 and K and at lengths that exercise every tail of
+// the kernel. dst starts as garbage, so a step that reads it instead
+// of overwriting it shows.
+func TestEncodeBlockIntoMatchesNaive(t *testing.T) {
+	const k = 6
+	g := &Graph{K: k, N: 4, Neighbors: [][]int32{{4}, {0, 5}, {3, 1, 2}, {5, 4, 3, 2, 1, 0}}}
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{1, 7, 64, 4095, 256 << 10} {
+		data := make([][]byte, k)
+		for i := range data {
+			data[i] = make([]byte, n)
+			rng.Read(data[i])
+		}
+		for i, nb := range g.Neighbors {
+			want := make([]byte, n)
+			for _, j := range nb {
+				xorNaive(data[j], want)
+			}
+			dst := make([]byte, n)
+			rng.Read(dst)
+			if got := g.EncodeBlockInto(dst, i, data); !bytes.Equal(got, want) {
+				t.Fatalf("degree %d, length %d: encode differs from the byte-wise XOR", len(nb), n)
+			}
+		}
+	}
+}
+
 func BenchmarkXorWords(b *testing.B) {
 	for _, n := range []int{1 << 10, 64 << 10, 1 << 20} {
 		b.Run(sizeLabel(n), func(b *testing.B) {

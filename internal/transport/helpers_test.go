@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,6 +23,15 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// writeFrame writes one length-prefixed frame built from the given
+// chunks, with no size check — how hand-rolled test peers put raw and
+// malformed frames on the wire.
+func writeFrame(w io.Writer, chunks ...[]byte) error {
+	body := bytes.Join(chunks, nil)
+	_, err := w.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
+	return err
 }
 
 // encodeRequest serializes a request body the way the client does:

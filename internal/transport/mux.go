@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 )
 
@@ -96,31 +97,53 @@ const (
 	muxReadBuffer = 8 << 10
 )
 
-// muxHdrPool pools the head bytes of outgoing frames, which escape to
-// the connection's writer; a head returns to the pool once its frame
-// is written.
-var muxHdrPool = sync.Pool{New: func() any { return new([muxMaxHeadLen]byte) }}
+// muxInlineChunk is the largest chunk writeMuxFrame copies in behind
+// the head (control frames, acks, request headers, error text).
+const muxInlineChunk = 512
 
-// writeMuxFrame writes one frame under the caller's write lock.
-// head is the kind-specific prefix placed between the stream id and
-// the chunk (flags for REQ, flags+status for RESP, nothing for the
-// control kinds).
+// muxWriteBuf is the pooled scratch of one frame write: prefix, head
+// and inline chunk, or the two-piece vector of a large chunk.
+type muxWriteBuf struct {
+	b    [4 + muxMaxHeadLen + muxInlineChunk]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var muxWritePool = sync.Pool{New: func() any { return new(muxWriteBuf) }}
+
+// appendMuxHead appends a frame's length prefix, kind, stream id and
+// kind-specific head to dst; the frame's chunk of chunkLen bytes
+// follows it on the wire.
+func appendMuxHead(dst []byte, kind byte, id uint32, head []byte, chunkLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(muxHeaderLen+len(head)+chunkLen))
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, id)
+	return append(dst, head...)
+}
+
+// writeMuxFrame writes one frame under the write lock in one call: a
+// Write when the chunk fits inline, else net.Buffers{head, chunk}
+// (one writev on a raw TCP conn, a Write per piece on a wrapped one).
+// head is the kind-specific prefix between the stream id and the chunk
+// (flags for REQ, flags+status for RESP, nothing for control kinds).
 func writeMuxFrame(w *lockedWriter, kind byte, id uint32, head []byte, chunk []byte) error {
-	hdr := muxHdrPool.Get().(*[muxMaxHeadLen]byte)
-	defer muxHdrPool.Put(hdr)
-	hdr[0] = kind
-	hdr[1] = byte(id >> 24)
-	hdr[2] = byte(id >> 16)
-	hdr[3] = byte(id >> 8)
-	hdr[4] = byte(id)
-	n := muxHeaderLen
-	n += copy(hdr[n:], head)
+	if size := muxHeaderLen + len(head) + len(chunk); size > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+	}
+	p := muxWritePool.Get().(*muxWriteBuf)
+	defer muxWritePool.Put(p)
+	b := appendMuxHead(p.b[:0], kind, id, head, len(chunk))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(chunk) == 0 {
-		return writeFrame(w.w, hdr[:n])
+	if len(chunk) <= muxInlineChunk {
+		_, err := w.w.Write(append(b, chunk...))
+		return err
 	}
-	return writeFrame(w.w, hdr[:n], chunk)
+	p.vec = [2][]byte{b, chunk}
+	p.bufs = p.vec[:]
+	_, err := p.bufs.WriteTo(w.w)
+	p.vec = [2][]byte{} // the pool must not pin the chunk
+	return err
 }
 
 // encodeMuxWindow packs a WINDOW body.
@@ -376,7 +399,8 @@ func (g *creditGate) close(err error) {
 // the same way. Queuing the control frames and writing them from a
 // dedicated goroutine keeps both read loops always reading, so the
 // peer's writes always eventually drain. Grants coalesce per stream,
-// bounding queue memory by the open-stream count.
+// bounding queue memory by the open-stream count, and everything one
+// kick finds queued goes out in a single Write.
 type ctlQueue struct {
 	mu     sync.Mutex
 	grants map[uint32]int
@@ -439,14 +463,22 @@ func (q *ctlQueue) close() {
 	close(q.kick)
 }
 
-// swap takes the pending work.
-func (q *ctlQueue) swap() (map[uint32]int, []ctlReset) {
+// drain appends every queued grant and reset to dst as whole frames
+// and empties the queue, keeping its map and slice for the next kick.
+func (q *ctlQueue) drain(dst []byte) []byte {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	grants, resets := q.grants, q.resets
-	q.grants = make(map[uint32]int)
-	q.resets = nil
-	return grants, resets
+	for id, n := range q.grants {
+		win := encodeMuxWindow(n)
+		dst = append(appendMuxHead(dst, muxKindWindow, id, nil, len(win)), win[:]...)
+	}
+	clear(q.grants)
+	for _, r := range q.resets {
+		dst = append(appendMuxHead(dst, muxKindReset, r.id, nil, len(r.msg)), r.msg...)
+	}
+	clear(q.resets)
+	q.resets = q.resets[:0]
+	return dst
 }
 
 // run writes queued control frames until the queue closes; onErr is
@@ -455,20 +487,17 @@ func (q *ctlQueue) swap() (map[uint32]int, []ctlReset) {
 // exit so owners can join after closing the queue and the conn.
 func (q *ctlQueue) run(w *lockedWriter, onErr func(error)) {
 	defer close(q.done)
+	var buf []byte
 	for range q.kick {
-		grants, resets := q.swap()
-		for id, n := range grants {
-			win := encodeMuxWindow(n)
-			if err := writeMuxFrame(w, muxKindWindow, id, nil, win[:]); err != nil {
-				onErr(err)
-				return
-			}
+		if buf = q.drain(buf[:0]); len(buf) == 0 {
+			continue
 		}
-		for _, r := range resets {
-			if err := writeMuxFrame(w, muxKindReset, r.id, nil, []byte(r.msg)); err != nil {
-				onErr(err)
-				return
-			}
+		w.mu.Lock()
+		_, err := w.w.Write(buf)
+		w.mu.Unlock()
+		if err != nil {
+			onErr(err)
+			return
 		}
 	}
 }

@@ -52,7 +52,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Operation codes.
@@ -87,29 +86,6 @@ type request struct {
 	segment string
 	index   int
 	payload []byte
-}
-
-// writeFrame writes one length-prefixed frame built from the given
-// chunks.
-func writeFrame(w io.Writer, chunks ...[]byte) error {
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	if total > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, c := range chunks {
-		if _, err := w.Write(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // checkRequestHeader rejects a segment or index the request header

@@ -247,7 +247,7 @@ func TestProtocolEncodingEdgeCases(t *testing.T) {
 
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeMuxFrame(&lockedWriter{w: &buf}, muxKindReq, 1, []byte{muxFlagFIN}, make([]byte, MaxFrame)); err == nil || buf.Len() != 0 {
 		t.Fatal("oversized frame written")
 	}
 	// A fake header advertising a huge frame must be rejected.

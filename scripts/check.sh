@@ -31,8 +31,9 @@
 #      and 8, so a placement- or timing-dependent test fails here
 #      (about 8 minutes)
 #  10. bench smoke: every benchmark once (client overhead + headline
-#      reproduction metrics; see scripts/bench_baseline.sh for the
-#      committed BENCH_11.json baseline)
+#      reproduction metrics + the client-shape LT encode bandwidth;
+#      see scripts/bench_baseline.sh for the committed BENCH_11.json
+#      baseline)
 #  11. benchdiff: regenerate the baseline into /tmp and diff it
 #      against the committed BENCH_11.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
@@ -100,10 +101,11 @@ go test -race -count=1 -timeout 10m -run 'TestChaos' \
 echo "==> robust stress (20 runs at GOMAXPROCS 1, 2 and 8)"
 go test -count=20 -cpu 1,2,8 -timeout 20m ./internal/robust
 
-echo "==> bench smoke (client overhead + headline metrics, 1 iteration)"
+echo "==> bench smoke (client overhead + headline metrics + LT encode, 1 iteration)"
 go test -bench . -benchtime 1x -run '^$' ./internal/robust/
 go test -bench 'BenchmarkFig53DecodeBandwidth|BenchmarkFig66ReadVsDisks|BenchmarkHeadline' \
     -benchtime 1x -run '^$' .
+go test -bench 'BenchmarkEncodeSpike3K32Block256K' -benchtime 1x -run '^$' ./internal/ltcode/
 
 echo "==> benchdiff against committed BENCH_11.json"
 ./scripts/bench_baseline.sh /tmp/BENCH_11.fresh.json >/dev/null
