@@ -19,8 +19,9 @@ type (
 	// speculative fan-out reads with decoder-driven cancellation,
 	// locality-aware updates.
 	Client = robust.Client
-	// Options configure a Client (redundancy, block size, LT
-	// parameters, per-server parallelism).
+	// Options configure a Client (redundancy, block and chunk size,
+	// per-server and per-zone share caps, degraded writes, metrics and
+	// failure detector).
 	Options = robust.Options
 	// WriteStats and ReadStats report per-access behaviour.
 	WriteStats = robust.WriteStats

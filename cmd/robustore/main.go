@@ -344,7 +344,6 @@ func main() {
 		d := robust.NewDaemon(client, robust.DaemonOptions{
 			RepairRateBytesPerSec: *repairRate,
 			Rebalance:             true,
-			MaxZoneShare:          *maxZoneShare,
 		})
 		stats, err := d.RebalanceOnce(ctx)
 		saveMeta() // partial progress is still progress
@@ -371,7 +370,6 @@ func main() {
 			probeInterval: *probeInterval,
 			repairRate:    *repairRate,
 			rebalance:     *rebalance,
-			maxZoneShare:  *maxZoneShare,
 			metricsListen: *metricsListen,
 		})
 	default:
@@ -386,7 +384,6 @@ type daemonConfig struct {
 	probeInterval time.Duration
 	repairRate    int64
 	rebalance     bool
-	maxZoneShare  float64
 	metricsListen string
 }
 
@@ -416,7 +413,6 @@ func runDaemon(client *robust.Client, tracker *health.Tracker, reg *obs.Registry
 		ScrubInterval:         cfg.scrubInterval,
 		RepairRateBytesPerSec: cfg.repairRate,
 		Rebalance:             cfg.rebalance,
-		MaxZoneShare:          cfg.maxZoneShare,
 		Obs:                   reg,
 	})
 	daemon.Start()

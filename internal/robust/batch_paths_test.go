@@ -25,13 +25,7 @@ import (
 // robust_read_rejected_shares_total counter.
 func TestRejectedShareCounted(t *testing.T) {
 	reg := obs.NewRegistry()
-	c, stores := newTestClient(t, 1, Options{
-		BlockBytes: 4 << 10,
-		// No share CRC: the corrupt-placement share must pass envelope
-		// verification and reach the decoder.
-		DisableShareChecksums: true,
-		Obs:                   reg,
-	})
+	c, stores := newTestClient(t, 1, Options{BlockBytes: 4 << 10, Obs: reg})
 	ctx := context.Background()
 	if _, err := c.Write(ctx, "obj", randData(8<<10, 11), nil); err != nil { // K=2
 		t.Fatal(err)
@@ -44,9 +38,10 @@ func TestRejectedShareCounted(t *testing.T) {
 	// Corrupt the placement: keep one good share (decode needs K=2, so
 	// the read cannot complete and the rejected share can never race
 	// with early cancellation) and add an index beyond the graph, with
-	// real bytes stored under it so the GET succeeds.
+	// a correctly sealed share stored under it so the GET succeeds and
+	// the envelope verifies: only the decoder can refuse it.
 	badIdx := seg.Coding.GraphN + 7
-	if err := stores[0].Put(ctx, "obj", badIdx, []byte("not a real share")); err != nil {
+	if err := stores[0].Put(ctx, "obj", badIdx, sealShare(make([]byte, 4<<10))); err != nil {
 		t.Fatal(err)
 	}
 	seg.Placement = map[string][]int{addr: {seg.Placement[addr][0], badIdx}}
@@ -175,11 +170,27 @@ func TestDeletePartialFailureAggregates(t *testing.T) {
 	}
 }
 
-// TestBatchedWriteReadDisabled pins the BatchBlocks=1 escape hatch:
-// with batching off the client must round-trip through the single-
-// block pipeline unchanged.
-func TestBatchedWriteReadDisabled(t *testing.T) {
-	c, _ := newTestClient(t, 4, Options{BlockBytes: 4 << 10, BatchBlocks: 1})
+// TestOneBlockStoreRoundTrip pins the one-block-per-call path: a store
+// without the blockstore.Batcher methods gets write runs and read
+// windows of one block, and the client must round-trip through it
+// unchanged.
+func TestOneBlockStoreRoundTrip(t *testing.T) {
+	meta := metadata.NewService()
+	c, err := NewClient(meta, Options{BlockBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		addr := fmt.Sprintf("plain-%02d", i)
+		// Embedding the interface hides the MemStore's Batcher methods.
+		if err := c.AttachStore(addr, struct{ blockstore.Store }{blockstore.NewMemStore()}); err != nil {
+			t.Fatal(err)
+		}
+		if a, _ := c.attachment(addr); a.run != 1 {
+			t.Fatalf("%s: run %d, want 1 for a store that moves one block per call", addr, a.run)
+		}
+		meta.RegisterServer(metadata.Server{Addr: addr})
+	}
 	ctx := context.Background()
 	data := randData(120<<10, 14)
 	if _, err := c.Write(ctx, "obj", data, nil); err != nil {
@@ -190,10 +201,10 @@ func TestBatchedWriteReadDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("read data differs with batching disabled")
+		t.Fatal("read data differs through one-block stores")
 	}
 	if stats.FailedGets != 0 || stats.RejectedShares != 0 {
-		t.Fatalf("unbatched read not clean: %+v", stats)
+		t.Fatalf("one-block read not clean: %+v", stats)
 	}
 }
 

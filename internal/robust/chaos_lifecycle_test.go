@@ -128,7 +128,7 @@ func TestChaosZoneLossReadSurvives(t *testing.T) {
 	}
 
 	data := randData(64<<10, 210)
-	ws, err := client.WriteWithQoS(ctx, "zoned", data, QoS{SpreadZones: true, MaxZoneShare: frac})
+	ws, err := client.WriteWithQoS(ctx, "zoned", data, QoS{SpreadZones: true})
 	if err != nil {
 		t.Fatal(err)
 	}

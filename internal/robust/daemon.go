@@ -9,7 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// DaemonOptions configure the self-healing scrub/repair daemon.
+// DaemonOptions configure the self-healing scrub/repair daemon; its
+// rebalancer restores the client's Options.MaxZoneShare zone cap.
 type DaemonOptions struct {
 	// ScrubInterval is the pause between scrub passes (default 30s).
 	ScrubInterval time.Duration
@@ -23,13 +24,10 @@ type DaemonOptions struct {
 	RepairBurstBytes int64
 	// Rebalance enables the rebalance phase: after each scrub/repair
 	// pass the daemon plans share migrations off Draining/Removed and
-	// over-full servers (and back onto rejoined ones) and executes
-	// them under the same token bucket as repairs. Off by default.
+	// over-full servers (and back onto rejoined ones), restores the
+	// client's Options.MaxZoneShare cap, and executes the moves under
+	// the same token bucket as repairs. Off by default.
 	Rebalance bool
-	// MaxZoneShare is the per-failure-domain share fraction the
-	// rebalancer restores (0 = inherit the client's
-	// Options.MaxZoneShare; both zero skips the zone pass).
-	MaxZoneShare float64
 	// Now is the clock (default time.Now); tests inject a fake so
 	// throttle arithmetic is deterministic.
 	Now func() time.Time

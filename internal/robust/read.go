@@ -107,7 +107,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		idx     int
 		payload []byte
 	}
-	shares := make(chan deliveredShare, 4*max(c.opts.BatchBlocks, 1))
+	shares := make(chan deliveredShare, 4*batchBlocks)
 	decodeDone := make(chan struct{})
 	received := make(map[string]int, len(targets))
 	rejected, late := 0, 0
@@ -164,8 +164,8 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		// each pipeline walks its share of the list one window at a
 		// time (see readWindow), so a store that moves one block per
 		// call gets a window per block.
-		win := readWindow(seg.Coding.BlockBytes, c.opts.PerServerParallel, a.run)
-		for w := 0; w < c.opts.PerServerParallel; w++ {
+		win := readWindow(seg.Coding.BlockBytes, a.run)
+		for w := 0; w < perServerParallel; w++ {
 			wg.Add(1)
 			go func(addr string, store backend, mine []int) {
 				defer wg.Done()
@@ -194,7 +194,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 					hi := min(lo+win, len(mine))
 					failed.Add(int64(ws.fetch(rctx, mine[lo:hi])))
 				}
-			}(addr, a.backend, stripeSlice(indices, w, c.opts.PerServerParallel))
+			}(addr, a.backend, stripeSlice(indices, w, perServerParallel))
 		}
 	}
 	wg.Wait()
@@ -278,10 +278,9 @@ const readWindowBytes = 1 << 20
 // per GetStream call: readWindowBytes split across the pipelines, at
 // least one share and at most the store's run. The cap is in bytes, not
 // shares, because bytes are what a canceled read wastes: small shares
-// (up to 32 KiB with the defaults) keep the full run, and only large
-// ones are paced.
-func readWindow(blockBytes int64, pipelines, run int) int {
-	n := readWindowBytes / max(blockBytes*int64(pipelines), 1)
+// (up to 32 KiB) keep the full run, and only large ones are paced.
+func readWindow(blockBytes int64, run int) int {
+	n := readWindowBytes / max(blockBytes*perServerParallel, 1)
 	return int(max(1, min(n, int64(run))))
 }
 

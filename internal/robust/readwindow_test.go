@@ -169,14 +169,14 @@ func TestReadWindowCapsBytesPerHolder(t *testing.T) {
 }
 
 func TestSmallShareReadWindowsUnchanged(t *testing.T) {
-	// With 16 KiB shares the byte cap allows more than BatchBlocks
+	// With 16 KiB shares the byte cap allows more than batchBlocks
 	// shares per pipeline, so every pipeline walks its stripe in
-	// windows of BatchBlocks shares, exactly as before the cap. Every
+	// windows of batchBlocks shares, exactly as before the cap. Every
 	// holder is gated until each pipeline's first window has arrived,
 	// so the first wave is exact; later windows depend on when the
 	// decode completes, and each must be its pipeline's next one.
-	const pipelines, run = 2, 16
-	c, stores, _ := newProbeClient(t, 2, Options{BlockBytes: 16 << 10, PerServerParallel: pipelines})
+	const pipelines, run = perServerParallel, batchBlocks
+	c, stores, _ := newProbeClient(t, 2, Options{BlockBytes: 16 << 10})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a failure cannot hang
 	defer cancel()
 	data := randData(512<<10, 42) // K=32, 128 shares over 2 holders
@@ -307,7 +307,7 @@ func TestReadCompletesPastStalledHolder(t *testing.T) {
 	// Hold the other holders until each of the stalled holder's
 	// pipelines has asked for its first window, so the stalled holder
 	// is asked whatever the schedule.
-	slowCalls := min(c.opts.PerServerParallel, counts[slowAddr])
+	slowCalls := min(perServerParallel, counts[slowAddr])
 	arrived := make(chan struct{}, slowCalls) // the stalled holder makes no more calls
 	gate := make(chan struct{})
 	slow.hold = func(context.Context) { arrived <- struct{}{} }

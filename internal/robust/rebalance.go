@@ -35,10 +35,6 @@ func (d *Daemon) RebalanceOnce(ctx context.Context) (RebalanceStats, error) {
 	var firstErr error
 	defer func() { tr.End(firstErr) }()
 
-	frac := d.opts.MaxZoneShare
-	if frac == 0 {
-		frac = d.c.opts.MaxZoneShare
-	}
 	cands := d.c.placementCandidates()
 	var queue []placement.Move
 	// Each move migrates one share of its segment's coded block size —
@@ -60,7 +56,7 @@ func (d *Daemon) RebalanceOnce(ctx context.Context) (RebalanceStats, error) {
 		stats.Scanned++
 		shareBytes[name] = seg.Coding.BlockBytes
 		queue = append(queue, placement.PlanSegment(name, seg.Placement, cands, placement.RebalancePolicy{
-			MaxZoneShare: frac,
+			MaxZoneShare: d.c.opts.MaxZoneShare,
 		})...)
 	}
 	stats.Planned = len(queue)

@@ -32,7 +32,8 @@ import (
 	"repro/internal/placement"
 )
 
-// Options configure a Client.
+// Options configure a Client. The tuning the paper fixes per design is
+// constant instead (ltC and the constants beside it).
 type Options struct {
 	// Redundancy is D: stored redundant blocks per original block
 	// (default 3, the paper's baseline).
@@ -49,17 +50,6 @@ type Options struct {
 	// reads decode chunks independently. Zero (the default) writes the
 	// whole segment as one chunk. Must be at least BlockBytes.
 	ChunkBytes int64
-	// LTC and LTDelta are the robust-soliton parameters (default 1.0
-	// and 0.1: ~0.3-0.5 reception overhead, per §5.2.4).
-	LTC, LTDelta float64
-	// PerServerParallel is the number of worker pipelines per server
-	// during reads and writes (default 2). Each pipeline has one request
-	// in flight: a write run, or a read window of shares (see
-	// BatchBlocks).
-	PerServerParallel int
-	// GraphSlack is the number of extra coded blocks generated per
-	// server beyond N, bounding rateless-write overshoot (default 4).
-	GraphSlack int
 	// MaxServerShare, when positive, caps the fraction of a segment's
 	// blocks any single server may absorb during a rateless write
 	// (§5.3.1: placement diversity for disaster recovery). With very
@@ -73,10 +63,11 @@ type Options struct {
 	// hold — the hard constraint that makes SpreadZones placement
 	// survive the loss of a whole zone. Enforced during the rateless
 	// write exactly like MaxServerShare (atomic reservation against
-	// ceil(MaxZoneShare·N) per zone) and restored by the rebalancer
-	// when drains or rejoins skew the spread. Zero disables the cap.
-	// Servers absent from the metadata registry share the unnamed
-	// zone.
+	// ceil(MaxZoneShare·N) per zone), applied to SelectServers'
+	// selection, and restored by the daemon's rebalancer when drains or
+	// rejoins skew the spread. Zero disables the cap; above 1 or NaN is
+	// rejected. Servers absent from the metadata registry share the
+	// unnamed zone.
 	MaxZoneShare float64
 	// HedgeReads has no effect.
 	//
@@ -85,40 +76,16 @@ type Options struct {
 	// the read's fan-out to every holder with cancel at decode is its
 	// only straggler policy (DESIGN.md §8).
 	HedgeReads bool
-	// BatchBlocks is the most coded blocks moved per store call on the
-	// hot paths: write workers claim runs of BatchBlocks indices and
-	// ship each run as one streaming put, and each read pipeline
-	// fetches windows of up to BatchBlocks shares as one streaming get.
-	// A read keeps at most 1 MiB of shares requested per holder across
-	// its pipelines (but always one share per pipeline), so windows of
-	// large shares are smaller: with the defaults, 16 shares up to 32
-	// KiB blocks, 2 at 256 KiB, 1 at 1 MiB. A store that moves one
-	// block per call gets runs and windows of one. 1 moves every block
-	// on its own call; default 16.
-	BatchBlocks int
 	// DegradedWrites enables graceful degradation: a write that
 	// cannot commit the full target N (servers unreachable) still
 	// succeeds once it has committed at least the degraded floor
-	// ceil((1+DegradedFloor)·K) blocks — comfortably above the LT
-	// decode threshold of ~(1.3-1.5)·K (§5.2.4). The segment is
-	// marked Degraded in metadata and the write returns a
-	// stats-carrying error matching ErrDegradedWrite; Repair later
-	// promotes the segment back to N and clears the mark. Off by
-	// default: a short write fails with ErrShortWrite and commits
-	// nothing.
+	// ceil(1.75·K) blocks — comfortably above the LT decode threshold
+	// of ~(1.3-1.5)·K (§5.2.4). The segment is marked Degraded in
+	// metadata and the write returns a stats-carrying error matching
+	// ErrDegradedWrite; Repair later promotes the segment back to N and
+	// clears the mark. Off by default: a short write fails with
+	// ErrShortWrite and commits nothing.
 	DegradedWrites bool
-	// DegradedFloor is the minimum redundancy of a degraded commit
-	// (default 0.75: floor = ceil(1.75·K) blocks). It must clear the
-	// LT reception overhead with margin, or a degraded segment could
-	// be undecodable the moment one more block drops.
-	DegradedFloor float64
-	// DisableShareChecksums turns off the per-share CRC-32C envelope.
-	// By default every coded block is sealed at write time and
-	// verified at read time; a corrupt share is rejected and
-	// refetched instead of being fed to the decoder — one flipped bit
-	// in one share would otherwise silently poison every original
-	// block the decoder XORs it into.
-	DisableShareChecksums bool
 	// Obs, when non-nil, receives per-access metrics (robust_* counters
 	// and latency histograms) and per-request stage traces. Nil keeps
 	// the client entirely uninstrumented — the hot paths pay only nil
@@ -144,30 +111,44 @@ type HealthTracker interface {
 	Excluded(addr string) bool
 }
 
+// The client's fixed tuning. The paper fixes each of these per design
+// (§4.3.2, §4.3.3, §5.2.4), so they are constants rather than Options.
+const (
+	// ltC and ltDelta are the robust-soliton parameters new segments
+	// are written with (~0.3-0.5 reception overhead, §5.2.4). Each
+	// segment records them in its metadata.Coding, and reads, Update
+	// and Repair build the graph from the record, not from these.
+	ltC, ltDelta = 1.0, 0.1
+	// perServerParallel is the number of worker pipelines per server
+	// during reads and writes. Each pipeline has one request in flight:
+	// a write run, or a read window of shares.
+	perServerParallel = 2
+	// graphSlack is the number of extra coded blocks generated per
+	// server beyond N, bounding rateless-write overshoot.
+	graphSlack = 4
+	// degradedFloor is the minimum redundancy of a degraded commit
+	// (floor = ceil(1.75·K) blocks). It must clear the LT reception
+	// overhead with margin, or a degraded segment could be undecodable
+	// the moment one more block drops.
+	degradedFloor = 0.75
+	// batchBlocks is the most coded blocks moved per store call on the
+	// hot paths: write workers claim runs of up to batchBlocks indices
+	// and ship each run as one streaming put, and each read pipeline
+	// fetches windows of up to batchBlocks shares as one streaming get.
+	// A read keeps at most readWindowBytes of shares requested per
+	// holder across its pipelines (but always one share per pipeline),
+	// so windows of large shares are smaller: 16 shares up to 32 KiB
+	// blocks, 2 at 256 KiB, 1 at 1 MiB. A store that moves one block
+	// per call gets runs and windows of one (AttachStore).
+	batchBlocks = 16
+)
+
 func (o Options) withDefaults() Options {
 	if o.Redundancy == 0 {
 		o.Redundancy = 3
 	}
 	if o.BlockBytes == 0 {
 		o.BlockBytes = 1 << 20
-	}
-	if o.LTC == 0 {
-		o.LTC = 1.0
-	}
-	if o.LTDelta == 0 {
-		o.LTDelta = 0.1
-	}
-	if o.PerServerParallel <= 0 {
-		o.PerServerParallel = 2
-	}
-	if o.GraphSlack <= 0 {
-		o.GraphSlack = 4
-	}
-	if o.DegradedFloor == 0 {
-		o.DegradedFloor = 0.75
-	}
-	if o.BatchBlocks == 0 {
-		o.BatchBlocks = 16
 	}
 	return o
 }
@@ -183,8 +164,15 @@ func (o Options) Validate() error {
 	if o.ChunkBytes != 0 && o.ChunkBytes < o.BlockBytes {
 		return fmt.Errorf("robust: chunk size %d below block size %d", o.ChunkBytes, o.BlockBytes)
 	}
-	p := ltcode.Params{K: 2, C: o.LTC, Delta: o.LTDelta}
-	return p.Validate()
+	// A share cap is a fraction of the commit target: NaN would turn it
+	// off silently, and a huge one overflows ceil(cap·N) to a negative
+	// count that admits no share at all.
+	for _, f := range []float64{o.MaxServerShare, o.MaxZoneShare} {
+		if !(f >= 0 && f <= 1) {
+			return fmt.Errorf("robust: share cap %v outside [0, 1]", f)
+		}
+	}
+	return nil
 }
 
 // Errors. Every failure path in this package wraps one of these
@@ -267,7 +255,7 @@ func (c *Client) AttachStore(addr string, store blockstore.Store) error {
 	be, batches := asBackend(store)
 	run := 1
 	if batches {
-		run = max(c.opts.BatchBlocks, 1)
+		run = batchBlocks
 	}
 	c.stores[addr] = attached{be, run}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -281,11 +282,24 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewClient(meta, Options{Redundancy: 0.1}); err == nil {
 		t.Fatal("tiny redundancy accepted")
 	}
-	if _, err := NewClient(meta, Options{LTDelta: 7}); err == nil {
-		t.Fatal("bad delta accepted")
-	}
 	if _, err := NewClient(meta, Options{BlockBytes: -1}); err == nil {
 		t.Fatal("negative block size accepted")
+	}
+	// A share cap is a fraction: NaN would turn it off silently, and
+	// Inf or 1e300 overflows ceil(cap·N) into a cap that admits no
+	// share, failing every write.
+	for _, f := range []float64{math.NaN(), -0.1, 1.5, 1e300, math.Inf(1)} {
+		if _, err := NewClient(meta, Options{MaxServerShare: f}); err == nil {
+			t.Errorf("MaxServerShare %v accepted", f)
+		}
+		if _, err := NewClient(meta, Options{MaxZoneShare: f}); err == nil {
+			t.Errorf("MaxZoneShare %v accepted", f)
+		}
+	}
+	for _, f := range []float64{0, 0.25, 1} {
+		if _, err := NewClient(meta, Options{MaxServerShare: f, MaxZoneShare: f}); err != nil {
+			t.Errorf("share cap %v rejected: %v", f, err)
+		}
 	}
 }
 

@@ -24,11 +24,6 @@ type QoS struct {
 	// in the metadata registry (the §5.3.1 "lightly-loaded disks"
 	// heuristic, using the registry's performance hints).
 	PreferFast bool
-	// MaxZoneShare, when positive, caps the fraction of the selection
-	// any single zone may contribute (the failure-domain hard
-	// constraint; the write path enforces the same fraction on
-	// committed shares via Options.MaxZoneShare).
-	MaxZoneShare float64
 	// Seed randomizes ties deterministically (0 = unseeded default).
 	Seed int64
 }
@@ -40,13 +35,16 @@ type QoS struct {
 // non-Removed server is attached — health exclusion alone never
 // yields ErrNoServers (Down servers are re-admitted last; see
 // internal/placement). Attached servers missing from the registry are
-// still eligible (unknown zone, zero expected bandwidth).
+// still eligible (unknown zone, zero expected bandwidth). The client's
+// Options.MaxZoneShare caps the fraction of the selection any single
+// zone may contribute, the same cap the write path enforces on
+// committed shares.
 func (c *Client) SelectServers(q QoS) ([]string, error) {
 	sel, err := c.placementSelect(placement.Policy{
 		Servers:      q.Servers,
 		SpreadZones:  q.SpreadZones,
 		PreferFast:   q.PreferFast,
-		MaxZoneShare: q.MaxZoneShare,
+		MaxZoneShare: c.opts.MaxZoneShare,
 		Seed:         q.Seed,
 	})
 	if err != nil {

@@ -35,9 +35,9 @@ func (c *Client) Write(ctx context.Context, name string, data []byte, servers []
 	return c.writeSegment(ctx, name, int64(len(data)), next, nil, servers)
 }
 
-// floorInt is the degraded-commit floor ceil((1+floor)·K).
-func floorInt(k int, floor float64) int {
-	return int(math.Ceil((1 + floor) * float64(k)))
+// degradedBlocks is the degraded-commit floor ceil((1+degradedFloor)·K).
+func degradedBlocks(k int) int {
+	return int(math.Ceil((1 + degradedFloor) * float64(k)))
 }
 
 func countPlacement(p map[string][]int) map[string]int {

@@ -181,7 +181,6 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 	}
 	tr.Stage("lock")
 
-	sealed := !c.opts.DisableShareChecksums
 	chunkBytes := c.opts.ChunkBytes
 	var (
 		chunks     []metadata.Chunk
@@ -238,7 +237,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		blocks := splitBlocks(data, c.opts.BlockBytes)
 		k := len(blocks)
 		n := int(math.Ceil((1 + c.opts.Redundancy) * float64(k)))
-		graphN := n + c.opts.GraphSlack*len(servers)
+		graphN := n + graphSlack*len(servers)
 		// Per-chunk seeds derive from the chunk identity so every chunk
 		// gets an independent graph, reproducible from the metadata
 		// record alone. Chunk 0 is full whenever a second chunk follows,
@@ -249,7 +248,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		}
 		total += int64(len(data))
 		graph, gerr := c.cachedGraph(metadata.Coding{
-			Algorithm: algLTSpike3, K: k, C: c.opts.LTC, Delta: c.opts.LTDelta, GraphSeed: seed, GraphN: graphN,
+			Algorithm: algLTSpike3, K: k, C: ltC, Delta: ltDelta, GraphSeed: seed, GraphN: graphN,
 		})
 		if gerr != nil {
 			cleanup()
@@ -262,7 +261,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			tr.Stagef("plan", "chunk=%d K=%d N=%d graphN=%d servers=%d", ci, k, n, graphN, len(servers))
 		}
 		res := c.spreadChunk(ctx, tr, name, servers, spreadPlan{
-			base: ci * stride, n: n, graphN: graphN, blocks: blocks, graph: graph, sealed: sealed,
+			base: ci * stride, n: n, graphN: graphN, blocks: blocks, graph: graph,
 		}, onFirst)
 		stats.Committed += res.committed
 		stats.BytesSent += res.bytesSent
@@ -283,7 +282,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			// recoverable chunk because some servers were down. The
 			// floor holds per chunk: each chunk must stay independently
 			// decodable.
-			if !c.opts.DegradedWrites || res.committed < floorInt(k, c.opts.DegradedFloor) {
+			if !c.opts.DegradedWrites || res.committed < degradedBlocks(k) {
 				cleanup()
 				return stats, fmt.Errorf("%w: %d of %d (%d puts failed)",
 					ErrShortWrite, res.committed, n, res.failed)
@@ -309,11 +308,11 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			K:          totK,
 			N:          totN,
 			BlockBytes: c.opts.BlockBytes,
-			C:          c.opts.LTC,
-			Delta:      c.opts.LTDelta,
+			C:          ltC,
+			Delta:      ltDelta,
 			GraphSeed:  chunks[0].GraphSeed,
 			GraphN:     stride*(len(chunks)-1) + chunks[len(chunks)-1].GraphN,
-			ShareCRC:   sealed,
+			ShareCRC:   true,
 		},
 		Placement:   placed,
 		Degraded:    degraded,
@@ -329,7 +328,7 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		c.m.writeDegraded.Inc()
 		tr.StageDetail("degraded-commit", fmt.Sprintf("%d/%d", stats.Committed, totN))
 		return stats, fmt.Errorf("%w: %d of %d blocks (floor %d)",
-			ErrDegradedWrite, stats.Committed, totN, floorInt(totK, c.opts.DegradedFloor))
+			ErrDegradedWrite, stats.Committed, totN, degradedBlocks(totK))
 	}
 	return stats, nil
 }
@@ -348,7 +347,6 @@ type spreadPlan struct {
 	graphN int // local graph size; the cursor and caps run against it
 	blocks [][]byte
 	graph  *ltcode.Graph
-	sealed bool
 }
 
 // spreadResult is what one chunk's spread produced.
@@ -467,7 +465,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 		if zoneCounts != nil {
 			zcount = zoneCounts[zoneOf[addr]]
 		}
-		for w := 0; w < c.opts.PerServerParallel; w++ {
+		for w := 0; w < perServerParallel; w++ {
 			wg.Add(1)
 			go func(addr string, store backend) {
 				defer wg.Done()
@@ -588,7 +586,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 					for bi, i := range indices {
 						puts = append(puts, blockstore.BatchPut{
 							Index: p.base + i,
-							Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks, p.sealed),
+							Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks, true),
 						})
 					}
 					overBudget, runOK = false, false

@@ -308,6 +308,97 @@ func TestChunklessRecordIsOneChunk(t *testing.T) {
 	}
 }
 
+// TestUnsealedRecordReadsAndRepairs hand-builds a record with
+// ShareCRC=false and its unsealed shares, the format of segments written
+// while share checksums could be turned off. Every write now seals its
+// shares, but Read, Update and Repair must keep serving such a record,
+// and Repair must re-place shares in the format the record names.
+func TestUnsealedRecordReadsAndRepairs(t *testing.T) {
+	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+	ctx := context.Background()
+	data := randData(16<<10, 22) // K=16
+	rec := metadata.Segment{
+		Name: "unsealed",
+		Size: int64(len(data)),
+		Coding: metadata.Coding{
+			Algorithm: algLTSpike3, K: 16, N: 64, BlockBytes: 1 << 10, C: 1, Delta: 0.1,
+			GraphSeed: graphSeed("unsealed", int64(len(data))), GraphN: 80,
+		},
+		Placement: map[string][]int{},
+	}
+	graph, err := buildGraph(rec.Coding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := splitBlocks(data, rec.Coding.BlockBytes)
+	for i := 0; i < rec.Coding.N; i++ {
+		addr := fmt.Sprintf("mem-%02d", i%len(stores))
+		if err := stores[i%len(stores)].Put(ctx, "unsealed", i, graph.EncodeBlock(i, blocks)); err != nil {
+			t.Fatal(err)
+		}
+		rec.Placement[addr] = append(rec.Placement[addr], i)
+	}
+	if err := c.meta.CreateSegment(rec); err != nil {
+		t.Fatal(err)
+	}
+	readBack := func(how string) {
+		t.Helper()
+		got, _, err := c.Read(ctx, "unsealed")
+		if err != nil {
+			t.Fatalf("read %s: %v", how, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("read %s differs", how)
+		}
+	}
+	readBack("of an unsealed record")
+	patch := randData(3<<10, 23)
+	off := int64(5<<10 + 7)
+	if err := c.Update(ctx, "unsealed", off, patch); err != nil {
+		t.Fatal(err)
+	}
+	copy(data[off:], patch)
+	readBack("after update")
+
+	for _, i := range rec.Placement["mem-01"] {
+		if err := stores[1].Delete(ctx, "unsealed", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := c.Repair(ctx, "unsealed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Regenerated != 16 {
+		t.Fatalf("repair regenerated %d of 16 lost shares", rs.Regenerated)
+	}
+	seg, err := c.meta.LookupSegment("unsealed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Coding.ShareCRC {
+		t.Fatal("repair turned the record's share checksums on")
+	}
+	// Every share, regenerated or not, is a bare block: a sealed one
+	// would carry the envelope and fail the unsealed read.
+	for addr, indices := range seg.Placement {
+		store, ok := c.store(addr)
+		if !ok {
+			t.Fatalf("repair placed shares on unattached %s", addr)
+		}
+		for _, idx := range indices {
+			share, err := store.Get(ctx, "unsealed", idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(share)) != seg.Coding.BlockBytes {
+				t.Fatalf("%s share %d is %d bytes, want an unsealed %d", addr, idx, len(share), seg.Coding.BlockBytes)
+			}
+		}
+	}
+	readBack("after repair")
+}
+
 func TestWriteFromShortInput(t *testing.T) {
 	c, stores := newTestClient(t, 4, streamOptions())
 	ctx := context.Background()
@@ -534,9 +625,7 @@ func TestStreamingWriteUsesPutStream(t *testing.T) {
 	// the data must round-trip.
 	reg := obs.NewRegistry()
 	meta := metadata.NewService()
-	opts := streamOptions()
-	opts.BatchBlocks = 8
-	c, err := NewClient(meta, opts)
+	c, err := NewClient(meta, streamOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

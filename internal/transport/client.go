@@ -93,57 +93,6 @@ type ClientOptions struct {
 	Health HealthReporter
 }
 
-// clientMetrics are the client's metric handles; all nil (no-op)
-// when observability is disabled.
-type clientMetrics struct {
-	dialErrors   *obs.Counter
-	errors       *obs.Counter
-	retries      *obs.Counter
-	retriesWon   *obs.Counter
-	retryGiveups *obs.Counter
-	bytesSent    *obs.Counter
-	bytesRecv    *obs.Counter
-	roundTrip    *obs.Histogram
-
-	muxDials          *obs.Counter
-	muxConnFailures   *obs.Counter
-	muxStreams        *obs.Counter
-	muxStreamTimeouts *obs.Counter
-	muxResets         *obs.Counter
-	muxLateFrames     *obs.Counter
-	muxFlowStalls     *obs.Counter
-	muxFramesSent     *obs.Counter
-	muxFramesRecv     *obs.Counter
-	muxInflight       *obs.Gauge
-}
-
-func newClientMetrics(r *obs.Registry) clientMetrics {
-	return clientMetrics{
-		dialErrors:   r.Counter("transport_client_dial_errors_total"),
-		errors:       r.Counter("transport_client_errors_total"),
-		retries:      r.Counter("transport_client_retries_total"),
-		retriesWon:   r.Counter("transport_client_retry_successes_total"),
-		retryGiveups: r.Counter("transport_client_retry_giveups_total"),
-		bytesSent:    r.Counter("transport_client_bytes_sent_total"),
-		bytesRecv:    r.Counter("transport_client_bytes_recv_total"),
-		roundTrip:    r.Histogram("transport_client_roundtrip_seconds"),
-		// Mux accounting: connections, stream churn, per-stream
-		// timeouts/resets that did NOT tear the connection down, frames
-		// discarded after abandonment, and flow-control stalls (a
-		// sender blocked waiting for WINDOW credit).
-		muxDials:          r.Counter("transport_client_mux_dials_total"),
-		muxConnFailures:   r.Counter("transport_client_mux_conn_failures_total"),
-		muxStreams:        r.Counter("transport_client_mux_streams_total"),
-		muxStreamTimeouts: r.Counter("transport_client_mux_stream_timeouts_total"),
-		muxResets:         r.Counter("transport_client_mux_resets_total"),
-		muxLateFrames:     r.Counter("transport_client_mux_late_frames_total"),
-		muxFlowStalls:     r.Counter("transport_client_mux_flow_stalls_total"),
-		muxFramesSent:     r.Counter("transport_client_mux_frames_sent_total"),
-		muxFramesRecv:     r.Counter("transport_client_mux_frames_recv_total"),
-		muxInflight:       r.Gauge("transport_client_mux_inflight"),
-	}
-}
-
 // Dial creates a client for the server at addr and verifies
 // reachability with a ping.
 func Dial(addr string, opts ClientOptions) (*Client, error) {

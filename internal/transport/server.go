@@ -16,9 +16,11 @@ import (
 
 // ServerOptions configure a block server.
 type ServerOptions struct {
-	// Admission optionally gates GET/PUT requests (§5.4). A refused
-	// request is answered with a BUSY status rather than queued
-	// forever when AdmissionWait is false.
+	// Admission optionally gates the data path (§5.4): every GET, every
+	// PUT and each PUTSTREAM entry is admitted before it reaches the
+	// store, sized by the bytes it carries in (none for a GET). Admit
+	// may wait for capacity; a request it refuses (too large, controller
+	// closed, or its context ended first) is answered with BUSY.
 	Admission admission.Controller
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
@@ -26,59 +28,6 @@ type ServerOptions struct {
 	// per-op counts and latency, open connections, errors, admission
 	// refusals).
 	Obs *obs.Registry
-}
-
-// serverMetrics are the server-side metric handles; all nil (no-op)
-// when observability is disabled.
-type serverMetrics struct {
-	conns       *obs.Gauge
-	errors      *obs.Counter
-	busy        *obs.Counter
-	badPrefaces *obs.Counter
-	batchBlocks *obs.Counter
-	ops         map[byte]*obs.Counter
-	opSeconds   map[byte]*obs.Histogram
-
-	muxStreams  *obs.Counter
-	muxResets   *obs.Counter
-	muxStalls   *obs.Counter
-	muxInflight *obs.Gauge
-}
-
-func newServerMetrics(r *obs.Registry) serverMetrics {
-	m := serverMetrics{
-		conns:       r.Gauge("transport_server_conns"),
-		errors:      r.Counter("transport_server_errors_total"),
-		busy:        r.Counter("transport_server_busy_total"),
-		badPrefaces: r.Counter("transport_server_bad_prefaces_total"),
-		batchBlocks: r.Counter("transport_server_batch_blocks_total"),
-		// Mux depth/stall accounting: streams dispatched, streams the
-		// server had to reset, response writers blocked on client
-		// flow-control credit, and current concurrent streams.
-		muxStreams:  r.Counter("transport_server_mux_streams_total"),
-		muxResets:   r.Counter("transport_server_mux_resets_total"),
-		muxStalls:   r.Counter("transport_server_mux_flow_stalls_total"),
-		muxInflight: r.Gauge("transport_server_mux_inflight"),
-	}
-	if r != nil {
-		// Metric names are spelled out as literals (not assembled at
-		// runtime) so the obshygiene analyzer can vet the namespace.
-		m.ops = make(map[byte]*obs.Counter, 8)
-		m.opSeconds = make(map[byte]*obs.Histogram, 8)
-		reg := func(op byte, total *obs.Counter, seconds *obs.Histogram) {
-			m.ops[op] = total
-			m.opSeconds[op] = seconds
-		}
-		reg(opPut, r.Counter("transport_server_put_total"), r.Histogram("transport_server_put_seconds"))
-		reg(opGet, r.Counter("transport_server_get_total"), r.Histogram("transport_server_get_seconds"))
-		reg(opDelete, r.Counter("transport_server_delete_total"), r.Histogram("transport_server_delete_seconds"))
-		reg(opList, r.Counter("transport_server_list_total"), r.Histogram("transport_server_list_seconds"))
-		reg(opPing, r.Counter("transport_server_ping_total"), r.Histogram("transport_server_ping_seconds"))
-		reg(opScrub, r.Counter("transport_server_scrub_total"), r.Histogram("transport_server_scrub_seconds"))
-		reg(opDeleteBatch, r.Counter("transport_server_delete_batch_total"), r.Histogram("transport_server_delete_batch_seconds"))
-		reg(opPutStream, r.Counter("transport_server_put_stream_total"), r.Histogram("transport_server_put_stream_seconds"))
-	}
-	return m
 }
 
 // Server exposes a blockstore.Store over the block protocol.

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# loc.sh — print the non-test Go line count of internal/transport plus
-# internal/robust, the size of the data path that ROADMAP.md tracks.
+# loc.sh — print the two size figures ROADMAP.md tracks for the data
+# path: the non-test Go line count of internal/transport plus
+# internal/robust, and the number of settable fields (knobs) in the
+# exported option structs a deployment configures it with.
 #
 # Usage: ./scripts/loc.sh
 set -euo pipefail
@@ -8,4 +10,37 @@ cd "$(dirname "$0")/.."
 
 files=$(ls internal/transport/*.go internal/robust/*.go | grep -v '_test\.go$')
 # shellcheck disable=SC2086 # one path per word is intended
-cat $files | wc -l | tr -d ' '
+echo "non-test lines in internal/transport + internal/robust: $(cat $files | wc -l | tr -d ' ')"
+
+# fields FILE STRUCT counts the field names declared in the body of
+# "type STRUCT struct {": comment and blank lines skip, and a line
+# declaring "A, B T" counts two.
+fields() {
+    awk -v t="$2" '
+        $0 ~ "^type " t " struct \\{" { body = 1; next }
+        body && /^}/ { exit }
+        body {
+            sub(/\/\/.*/, "")
+            if (NF == 0) next
+            n++
+            for (i = 1; i < NF && $i ~ /,$/; i++) n++
+        }
+        END { print n + 0 }
+    ' "$1"
+}
+
+total=0
+detail=""
+while read -r label file struct; do
+    n=$(fields "$file" "$struct")
+    total=$((total + n))
+    detail="$detail${detail:+, }$label $n"
+done <<'EOF'
+robust.Options internal/robust/robust.go Options
+robust.DaemonOptions internal/robust/daemon.go DaemonOptions
+robust.QoS internal/robust/select.go QoS
+transport.ClientOptions internal/transport/client.go ClientOptions
+transport.ServerOptions internal/transport/server.go ServerOptions
+metadata.RemoteOptions internal/metadata/remote.go RemoteOptions
+EOF
+echo "settable option fields: $total ($detail)"
