@@ -2,6 +2,13 @@
 // (in-memory or on-disk) exposed over the block protocol, optionally
 // behind an admission controller and an observability debug endpoint.
 //
+// The server stores sealed shares only: it checks each block's envelope
+// header on PUT, and answers the SCRUB op by verifying every envelope
+// of a segment in place, so the client's scrub/repair daemon finds
+// at-rest bit rot without moving payload data. Blocks that earlier
+// versions stored inside their own CRC frame (the former -checksum
+// option) still read and scrub.
+//
 // Usage:
 //
 //	robustored -listen :7070 -dir /var/lib/robustore
@@ -15,12 +22,6 @@
 // /metrics.json, and /debug/trace (the last completed per-request
 // traces). The endpoint has no authentication: a bare ":port" binds
 // 127.0.0.1 only; an explicit host is required to expose it wider.
-//
-// With -checksum, blocks are framed with CRC-32C on disk and the
-// server answers the SCRUB op, letting the client's scrub/repair
-// daemon detect at-rest bit rot without moving payload data. Without
-// it SCRUB reports "unsupported" and scrubs degrade to presence
-// checks.
 //
 // With -faults, the server injects deterministic faults (seeded by
 // -fault-seed) into its own serving path for chaos testing: store-level
@@ -59,7 +60,6 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "admission: max concurrent data requests (0 = no controller)")
 		maxBytes      = flag.Int64("max-bytes", 0, "admission: max in-flight bytes (0 = unlimited)")
 		priority      = flag.Bool("priority", false, "admission: use priority-based instead of capacity-based control")
-		checksum      = flag.Bool("checksum", false, "frame blocks with CRC-32C and reject corrupted reads")
 		debugListen   = flag.String("debug-listen", "", "serve /metrics and /debug/trace on this HTTP address (\":port\" binds loopback; empty disables)")
 		faults        = flag.String("faults", "", "inject faults: a faultinject spec ('stall=50ms@0.2,corrupt=0.05') or ';'-separated 'AFTER:SPEC' phases (empty disables)")
 		faultSeed     = flag.Int64("fault-seed", 1, "seed for the deterministic fault stream")
@@ -84,9 +84,7 @@ func main() {
 	default:
 		logger.Fatal("either -dir or -mem is required")
 	}
-	if *checksum {
-		store = blockstore.WithChecksums(store)
-	}
+	store = blockstore.WithChecksums(store)
 
 	// Observability: opt-in debug HTTP endpoint. The registry is only
 	// created when enabled, so the serving path stays uninstrumented

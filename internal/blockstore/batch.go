@@ -2,12 +2,13 @@ package blockstore
 
 import "context"
 
-// Batch fast paths for the local stores. MemStore crosses its lock
-// once per batch and copies every entry into a single backing
+// Batch paths for the local stores. MemStore's PutBatch crosses its
+// lock once per batch and copies every entry into a single backing
 // allocation — the difference between ~1 allocation per block and ~1
-// per batch on the steady-state write path. ChecksumStore seals a
-// whole batch into one pooled backing buffer and delegates to its inner
-// store's fast path when it has one.
+// per batch on the steady-state write path; its gets and deletes go
+// entry by entry. ChecksumStore checks each entry's envelope header and
+// delegates puts and deletes to its inner store's batch path when it
+// has one.
 
 var (
 	_ Batcher = (*MemStore)(nil)
@@ -59,114 +60,33 @@ func (s *MemStore) PutBatch(ctx context.Context, segment string, puts []BatchPut
 	return errs
 }
 
-// GetBatch implements Batcher with one lock crossing.
+// GetBatch implements Batcher entry by entry.
 func (s *MemStore) GetBatch(ctx context.Context, segment string, indices []int) ([][]byte, []error) {
-	datas := make([][]byte, len(indices))
-	errs := make([]error, len(indices))
-	if err := ctx.Err(); err != nil {
-		return datas, fillBatchErrs(errs, err)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return datas, fillBatchErrs(errs, ErrClosed)
-	}
-	seg := s.segments[segment]
-	for i, idx := range indices {
-		if errs[i] = validate(segment, idx); errs[i] != nil {
-			continue
-		}
-		if b, ok := seg[idx]; ok {
-			datas[i] = b
-		} else {
-			errs[i] = ErrNotFound
-		}
-	}
-	return datas, errs
+	return getEach(ctx, s, segment, indices)
 }
 
-// DeleteBatch implements Batcher with one lock crossing.
+// DeleteBatch implements Batcher entry by entry.
 func (s *MemStore) DeleteBatch(ctx context.Context, segment string, indices []int) []error {
-	errs := make([]error, len(indices))
-	if err := ctx.Err(); err != nil {
-		return fillBatchErrs(errs, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fillBatchErrs(errs, ErrClosed)
-	}
-	for i, idx := range indices {
-		if errs[i] = validate(segment, idx); errs[i] != nil {
-			continue
-		}
-		if b, ok := s.segments[segment][idx]; ok {
-			s.bytes -= int64(len(b))
-			delete(s.segments[segment], idx)
-		}
-	}
-	if len(s.segments[segment]) == 0 {
-		delete(s.segments, segment)
-	}
-	return errs
+	return eachEntry(ctx, len(indices), func(i int) error { return s.Delete(ctx, segment, indices[i]) })
 }
 
-// PutBatch implements Batcher: all entries are sealed into one pooled
-// backing buffer, then stored through the inner fast path when the
-// inner store has one.
+// PutBatch implements Batcher: a batch of sealed shares goes to the
+// inner fast path when there is one; otherwise each entry is Put alone,
+// so only the entries that are not sealed shares fail.
 func (s *ChecksumStore) PutBatch(ctx context.Context, segment string, puts []BatchPut) []error {
-	var total int
+	bs, batches := s.inner.(Batcher)
 	for _, p := range puts {
-		total += 8 + len(p.Data)
+		batches = batches && checkShareHeader(p.Data) == nil
 	}
-	buf := sealPool.Get().(*[]byte)
-	defer sealPool.Put(buf)
-	backing := sealBuf(buf, total)
-	sealed := make([]BatchPut, len(puts))
-	for i, p := range puts {
-		off := len(backing)
-		backing = appendSeal(backing, p.Data)
-		sealed[i] = BatchPut{Index: p.Index, Data: backing[off:len(backing):len(backing)]}
+	if batches {
+		return bs.PutBatch(ctx, segment, puts)
 	}
-	if bs, ok := s.inner.(Batcher); ok {
-		return bs.PutBatch(ctx, segment, sealed)
-	}
-	errs := make([]error, len(sealed))
-	for i, p := range sealed {
-		if cerr := ctx.Err(); cerr != nil {
-			errs[i] = cerr
-			continue
-		}
-		errs[i] = s.inner.Put(ctx, segment, p.Index, p.Data)
-	}
-	return errs
+	return eachEntry(ctx, len(puts), func(i int) error { return s.Put(ctx, segment, puts[i].Index, puts[i].Data) })
 }
 
-// GetBatch implements Batcher, verifying each entry's integrity.
+// GetBatch implements Batcher entry by entry.
 func (s *ChecksumStore) GetBatch(ctx context.Context, segment string, indices []int) ([][]byte, []error) {
-	var datas [][]byte
-	var errs []error
-	if bs, ok := s.inner.(Batcher); ok {
-		datas, errs = bs.GetBatch(ctx, segment, indices)
-	} else {
-		datas = make([][]byte, len(indices))
-		errs = make([]error, len(indices))
-		for i, idx := range indices {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-				continue
-			}
-			datas[i], errs[i] = s.inner.Get(ctx, segment, idx)
-		}
-	}
-	for i := range datas {
-		if errs[i] != nil {
-			datas[i] = nil
-			continue
-		}
-		datas[i], errs[i] = open(datas[i])
-	}
-	return datas, errs
+	return getEach(ctx, s, segment, indices)
 }
 
 // DeleteBatch implements Batcher.
@@ -174,13 +94,29 @@ func (s *ChecksumStore) DeleteBatch(ctx context.Context, segment string, indices
 	if bs, ok := s.inner.(Batcher); ok {
 		return bs.DeleteBatch(ctx, segment, indices)
 	}
-	errs := make([]error, len(indices))
-	for i, idx := range indices {
-		if cerr := ctx.Err(); cerr != nil {
-			errs[i] = cerr
-			continue
+	return eachEntry(ctx, len(indices), func(i int) error { return s.inner.Delete(ctx, segment, indices[i]) })
+}
+
+// getEach implements GetBatch over s.Get: gets are not on the hot path
+// (reads stream shares one Get at a time), so no store needs a batch
+// fast path for them.
+func getEach(ctx context.Context, s Store, segment string, indices []int) ([][]byte, []error) {
+	datas := make([][]byte, len(indices))
+	return datas, eachEntry(ctx, len(indices), func(i int) (err error) {
+		datas[i], err = s.Get(ctx, segment, indices[i])
+		return err
+	})
+}
+
+// eachEntry runs op on entries 0..n-1 of a batch in order and returns
+// their errors; once ctx is done, the remaining entries fail with its
+// error.
+func eachEntry(ctx context.Context, n int, op func(i int) error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			errs[i] = op(i)
 		}
-		errs[i] = s.inner.Delete(ctx, segment, idx)
 	}
 	return errs
 }

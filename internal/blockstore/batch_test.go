@@ -45,9 +45,9 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 			ctx := context.Background()
 			puts := []BatchPut{
-				{Index: 0, Data: []byte("alpha")},
-				{Index: 3, Data: []byte("")},
-				{Index: 7, Data: []byte("gamma")},
+				{Index: 0, Data: seal([]byte("alpha"))},
+				{Index: 3, Data: seal([]byte(""))},
+				{Index: 7, Data: seal([]byte("gamma"))},
 			}
 			for i, err := range b.PutBatch(ctx, "seg", puts) {
 				if err != nil {
@@ -116,28 +116,30 @@ func TestPutBatchDoesNotRetain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.store.(Batcher)
 			ctx := context.Background()
-			buf := []byte("original")
+			buf := seal([]byte("original"))
+			want := string(buf)
 			if errs := b.PutBatch(ctx, "seg", []BatchPut{{Index: 0, Data: buf}}); errs[0] != nil {
 				t.Fatal(errs[0])
 			}
-			copy(buf, "clobber!")
+			copy(buf, seal([]byte("clobber!")))
 			datas, errs := b.GetBatch(ctx, "seg", []int{0})
-			if errs[0] != nil || string(datas[0]) != "original" {
+			if errs[0] != nil || string(datas[0]) != want {
 				t.Fatalf("stored block aliased caller buffer: %q, %v", datas[0], errs[0])
 			}
 		})
 	}
 }
 
-// TestChecksumGetBatchFlagsCorruption verifies per-entry integrity: a
-// corrupted block reports ErrCorrupt while its batchmates decode.
+// TestChecksumGetBatchFlagsCorruption verifies per-entry integrity of
+// blocks stored in the legacy "RCRC" frame: a corrupted one reports
+// ErrCorrupt while its batchmates come back unframed.
 func TestChecksumGetBatchFlagsCorruption(t *testing.T) {
 	inner := NewMemStore()
 	s := WithChecksums(inner)
 	ctx := context.Background()
-	if errs := s.PutBatch(ctx, "seg", []BatchPut{
-		{Index: 0, Data: []byte("keep")},
-		{Index: 1, Data: []byte("smash")},
+	if errs := inner.PutBatch(ctx, "seg", []BatchPut{
+		{Index: 0, Data: legacyFrame([]byte("keep"))},
+		{Index: 1, Data: legacyFrame([]byte("smash"))},
 	}); errs[0] != nil || errs[1] != nil {
 		t.Fatal(errs)
 	}
@@ -160,6 +162,25 @@ func TestChecksumGetBatchFlagsCorruption(t *testing.T) {
 	}
 	if datas[1] != nil {
 		t.Fatal("corrupt entry returned data")
+	}
+}
+
+// TestChecksumPutBatchRefusesUnsealed: an entry without the envelope
+// fails alone while its sealed batchmates land, over an inner store
+// with and without the batch fast path.
+func TestChecksumPutBatchRefusesUnsealed(t *testing.T) {
+	for _, s := range []*ChecksumStore{WithChecksums(NewMemStore()), WithChecksums(plainStore{NewMemStore()})} {
+		ctx := context.Background()
+		errs := s.PutBatch(ctx, "seg", []BatchPut{
+			{Index: 0, Data: seal([]byte("good"))},
+			{Index: 1, Data: []byte("bare block")},
+		})
+		if errs[0] != nil || !errors.Is(errs[1], ErrCorrupt) {
+			t.Fatalf("PutBatch errors = %v, want [nil ErrCorrupt]", errs)
+		}
+		if got, err := s.List(ctx, "seg"); err != nil || len(got) != 1 || got[0] != 0 {
+			t.Fatalf("List = %v, %v, want [0]", got, err)
+		}
 	}
 }
 

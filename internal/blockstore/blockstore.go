@@ -21,9 +21,10 @@ var (
 	ErrNotFound = errors.New("blockstore: block not found")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("blockstore: store closed")
-	// ErrScrubUnsupported reports a Scrub against a store with no
-	// integrity framing to verify (no ChecksumStore in its stack, or a
-	// remote server without one).
+	// ErrScrubUnsupported reports a Scrub against a store that cannot
+	// verify share envelopes: one with no ChecksumStore in its stack,
+	// such as a bare MemStore attached in process or served by a
+	// transport.Server built over one.
 	ErrScrubUnsupported = errors.New("blockstore: scrub unsupported")
 )
 
@@ -54,8 +55,8 @@ type BatchPut struct {
 
 // Batcher is implemented by stores that can move many blocks per
 // call: transport.Client maps it onto its streams and the DELETEBATCH
-// op, MemStore onto a single lock crossing and one backing allocation
-// per batch. Every method returns a slice of per-entry errors parallel
+// op, MemStore's PutBatch onto a single lock crossing and one backing
+// allocation per batch. Every method returns a slice of per-entry errors parallel
 // to its input — one bad block never fails the batch, and a
 // store-wide failure fills every slot. The robust client serves its
 // run and window calls to a local store through these methods when the
@@ -72,15 +73,16 @@ type Batcher interface {
 	DeleteBatch(ctx context.Context, segment string, indices []int) []error
 }
 
-// Scrubber is implemented by stores that can verify a segment's
-// blocks in place and report the corrupt ones — ChecksumStore
-// locally, transport.Client via the SCRUB protocol op. The scrub/
-// repair daemon uses it to detect silent corruption without
-// downloading every block; a store without integrity framing returns
-// ErrScrubUnsupported.
+// Scrubber is implemented by stores that can verify the share
+// envelope (share.go) of a segment's blocks in place and report the
+// corrupt ones — ChecksumStore locally, transport.Client via the SCRUB
+// protocol op. The scrub/repair daemon uses it to detect silent
+// corruption without downloading every block; a store that cannot
+// verify envelopes returns ErrScrubUnsupported.
 type Scrubber interface {
 	// Scrub returns the indices of segment whose stored blocks fail
-	// verification (unreadable or checksum mismatch), ascending.
+	// verification (unreadable, no envelope, or checksum mismatch),
+	// ascending.
 	Scrub(ctx context.Context, segment string) ([]int, error)
 }
 

@@ -4,92 +4,64 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"sync"
 )
 
-// ErrCorrupt reports a block whose stored checksum does not match its
-// contents.
+// ErrCorrupt reports a block that lacks the share envelope or whose
+// checksum does not match its contents.
 var ErrCorrupt = errors.New("blockstore: block checksum mismatch")
 
-// castagnoli is the CRC-32C table (hardware-accelerated on most CPUs).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// legacyMagic marks the [magic u32][CRC-32C u32][block] frame that
+// servers run with the former -checksum option wrapped around every
+// block they stored. Such blocks are only ever read: unwrapLegacy
+// verifies and strips the frame, so a block directory written that way
+// stays readable and scrubbable.
+const legacyMagic = 0x52435243 // "RCRC"
 
-// checksumMagic marks checksummed envelopes so mixed deployments fail
-// loudly instead of returning frame bytes as data.
-const checksumMagic = 0x52435243 // "RCRC"
-
-// ChecksumStore wraps a Store, framing every block with a CRC-32C
-// trailer on Put and verifying it on Get. A corrupted block surfaces
-// as ErrCorrupt — which the RobuSTore read path treats like a missing
-// block, reconstructing from other coded blocks instead (silent disk
-// corruption becomes just another erasure).
+// ChecksumStore wraps a Store so that it holds sealed shares only (see
+// share.go). Put refuses a block without the envelope's header and
+// stores an accepted one as given; Get returns the stored bytes, which
+// the reader verifies; Scrub verifies every envelope in place, finding
+// at-rest rot without moving payload data off the server.
 type ChecksumStore struct {
 	inner Store
 }
 
-// WithChecksums wraps a store with CRC-32C integrity framing.
+// WithChecksums wraps a store so that it accepts sealed shares only and
+// can scrub them.
 func WithChecksums(inner Store) *ChecksumStore {
 	return &ChecksumStore{inner: inner}
 }
 
 var _ Scrubber = (*ChecksumStore)(nil)
 
-// sealPool recycles seal buffers. The inner store must not retain
-// what Put hands it (Store), so a sealed frame is dead once Put
-// returns; reusing its buffer replaces a zeroed allocation per stored
-// block (DESIGN.md §10).
-var sealPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// sealBuf returns buf emptied, grown to hold n bytes if it is short.
-func sealBuf(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, 0, n)
+// unwrapLegacy verifies and strips the frame of a block stored inside
+// one (legacyMagic); any other block comes back as it is.
+func unwrapLegacy(block []byte) ([]byte, error) {
+	if len(block) < 8 || binary.BigEndian.Uint32(block[0:4]) != legacyMagic {
+		return block, nil
 	}
-	return (*buf)[:0]
-}
-
-// appendSeal appends the [magic u32][crc u32][data] frame to dst —
-// the batch path seals many blocks into one backing buffer.
-func appendSeal(dst, data []byte) []byte {
-	var h [8]byte
-	binary.BigEndian.PutUint32(h[0:4], checksumMagic)
-	binary.BigEndian.PutUint32(h[4:8], crc32.Checksum(data, castagnoli))
-	dst = append(dst, h[:]...)
-	return append(dst, data...)
-}
-
-// open verifies and strips the frame.
-func open(framed []byte) ([]byte, error) {
-	if len(framed) < 8 {
-		return nil, fmt.Errorf("%w: frame too short", ErrCorrupt)
-	}
-	if binary.BigEndian.Uint32(framed[0:4]) != checksumMagic {
-		return nil, fmt.Errorf("%w: missing checksum frame", ErrCorrupt)
-	}
-	want := binary.BigEndian.Uint32(framed[4:8])
-	data := framed[8:]
-	if crc32.Checksum(data, castagnoli) != want {
+	if crc32.Checksum(block[8:], castagnoli) != binary.BigEndian.Uint32(block[4:8]) {
 		return nil, ErrCorrupt
 	}
-	return data, nil
+	return block[8:], nil
 }
 
-// Put implements Store.
+// Put implements Store, refusing a block that is not a sealed share.
 func (s *ChecksumStore) Put(ctx context.Context, segment string, index int, data []byte) error {
-	buf := sealPool.Get().(*[]byte)
-	defer sealPool.Put(buf)
-	return s.inner.Put(ctx, segment, index, appendSeal(sealBuf(buf, 8+len(data)), data))
+	if err := checkShareHeader(data); err != nil {
+		return err
+	}
+	return s.inner.Put(ctx, segment, index, data)
 }
 
-// Get implements Store, verifying integrity.
+// Get implements Store.
 func (s *ChecksumStore) Get(ctx context.Context, segment string, index int) ([]byte, error) {
-	framed, err := s.inner.Get(ctx, segment, index)
+	block, err := s.inner.Get(ctx, segment, index)
 	if err != nil {
 		return nil, err
 	}
-	return open(framed)
+	return unwrapLegacy(block)
 }
 
 // Delete implements Store.
@@ -105,8 +77,8 @@ func (s *ChecksumStore) List(ctx context.Context, segment string) ([]int, error)
 // Close implements Store.
 func (s *ChecksumStore) Close() error { return s.inner.Close() }
 
-// Scrub verifies every block of a segment, returning the indices that
-// fail their checksum (without deleting them).
+// Scrub verifies the envelope of every block of a segment, returning
+// the indices that are unreadable or fail it (without deleting them).
 func (s *ChecksumStore) Scrub(ctx context.Context, segment string) ([]int, error) {
 	indices, err := s.inner.List(ctx, segment)
 	if err != nil {
@@ -117,12 +89,11 @@ func (s *ChecksumStore) Scrub(ctx context.Context, segment string) ([]int, error
 		if err := ctx.Err(); err != nil {
 			return bad, err
 		}
-		framed, err := s.inner.Get(ctx, segment, idx)
-		if err != nil {
-			bad = append(bad, idx)
-			continue
+		share, err := s.Get(ctx, segment, idx)
+		if err == nil {
+			_, err = OpenShare(share)
 		}
-		if _, err := open(framed); err != nil {
+		if err != nil {
 			bad = append(bad, idx)
 		}
 	}

@@ -3,57 +3,148 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
+
+// seal returns payload in a share envelope, as a writer stores it.
+func seal(payload []byte) []byte {
+	return SealShare(append(make([]byte, ShareOverhead), payload...))
+}
+
+// legacyFrame returns block inside the "RCRC" frame that servers run
+// with the former -checksum option stored, built by hand: nothing in
+// the package writes that frame any more.
+func legacyFrame(block []byte) []byte {
+	out := make([]byte, 8, 8+len(block))
+	binary.BigEndian.PutUint32(out[0:4], legacyMagic)
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(block, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, block...)
+}
 
 func TestChecksumRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
-	data := []byte("integrity matters")
-	if err := s.Put(ctx, "seg", 0, data); err != nil {
+	share := seal([]byte("integrity matters"))
+	if err := s.Put(ctx, "seg", 0, share); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(ctx, "seg", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(got, share) {
 		t.Fatalf("got %q", got)
+	}
+	if data, err := OpenShare(got); err != nil || string(data) != "integrity matters" {
+		t.Fatalf("OpenShare = %q, %v", data, err)
 	}
 }
 
+// TestChecksumDetectsCorruption flips a payload bit beneath the wrapper:
+// the scrub reports the block, and the reader's OpenShare refuses it.
 func TestChecksumDetectsCorruption(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
 	s := WithChecksums(inner)
-	if err := s.Put(ctx, "seg", 1, []byte("precious bytes")); err != nil {
+	if err := s.Put(ctx, "seg", 1, seal([]byte("precious bytes"))); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a bit behind the wrapper's back.
 	framed, _ := inner.Get(ctx, "seg", 1)
 	bad := append([]byte(nil), framed...)
 	bad[10] ^= 0x40
 	inner.Put(ctx, "seg", 1, bad)
-	if _, err := s.Get(ctx, "seg", 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted Get = %v, want ErrCorrupt", err)
+	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Scrub = %v, %v, want [1]", got, err)
+	}
+	share, err := s.Get(ctx, "seg", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenShare(share); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenShare of a rotten share = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestChecksumDetectsUnframedData: Put refuses a block without the
+// envelope or too short to hold it, and a scrub reports such blocks
+// found beneath the wrapper.
 func TestChecksumDetectsUnframedData(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
-	inner.Put(ctx, "seg", 0, []byte("raw, no frame"))
 	s := WithChecksums(inner)
-	if _, err := s.Get(ctx, "seg", 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unframed Get = %v, want ErrCorrupt", err)
+	for i, block := range [][]byte{[]byte("raw, no frame"), []byte("x")} {
+		if err := s.Put(ctx, "seg", i, block); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Put of %q = %v, want ErrCorrupt", block, err)
+		}
+		inner.Put(ctx, "seg", i, block)
 	}
-	inner.Put(ctx, "seg", 1, []byte("x"))
-	if _, err := s.Get(ctx, "seg", 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("short frame Get = %v, want ErrCorrupt", err)
+	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 2 {
+		t.Fatalf("Scrub = %v, %v, want [0 1]", got, err)
+	}
+}
+
+// TestChecksumComputesNoCRC: a well-formed envelope with a wrong CRC is
+// accepted by Put and returned unchanged by Get — the server checks only
+// the header on the data path — and reported by Scrub.
+func TestChecksumComputesNoCRC(t *testing.T) {
+	ctx := context.Background()
+	s := WithChecksums(NewMemStore())
+	share := seal([]byte("the reader checks this"))
+	share[5] ^= 0x01 // the CRC field
+	if err := s.Put(ctx, "seg", 0, share); err != nil {
+		t.Fatalf("Put of a well-formed envelope: %v", err)
+	}
+	if got, err := s.Get(ctx, "seg", 0); err != nil || !bytes.Equal(got, share) {
+		t.Fatalf("Get = %q, %v; want the stored bytes unchanged", got, err)
+	}
+	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 1 || got[0] != 0 {
+		t.Fatalf("Scrub = %v, %v, want [0]", got, err)
+	}
+}
+
+// TestChecksumReadsLegacyFrame: a block directory written by a server
+// that framed every block in "RCRC" still reads and scrubs.
+func TestChecksumReadsLegacyFrame(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, bare := seal([]byte("sealed share")), []byte("bare share of an unsealed record")
+	for i, block := range [][]byte{sealed, bare, sealed} {
+		if err := fs.Put(ctx, "seg", i, legacyFrame(block)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotten, _ := fs.Get(ctx, "seg", 2)
+	rotten[len(rotten)-1] ^= 0x01
+	fs.Put(ctx, "seg", 2, rotten)
+	fs.Close()
+
+	fs, err = NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := WithChecksums(fs)
+	defer s.Close()
+	for i, want := range [][]byte{sealed, bare} {
+		if got, err := s.Get(ctx, "seg", i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%d) = %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if _, err := s.Get(ctx, "seg", 2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a rotten legacy frame = %v, want ErrCorrupt", err)
+	}
+	// The bare share fails the envelope check and the rotten one its
+	// frame; only the sealed share scrubs clean.
+	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Scrub = %v, %v, want [1 2]", got, err)
 	}
 }
 
@@ -69,7 +160,7 @@ func TestScrub(t *testing.T) {
 	inner := NewMemStore()
 	s := WithChecksums(inner)
 	for i := 0; i < 5; i++ {
-		s.Put(ctx, "seg", i, []byte{byte(i), byte(i + 1)})
+		s.Put(ctx, "seg", i, seal([]byte{byte(i), byte(i + 1)}))
 	}
 	// Corrupt blocks 1 and 3 underneath.
 	for _, i := range []int{1, 3} {
@@ -91,14 +182,15 @@ func TestChecksumQuickAnyPayload(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
 	f := func(payload []byte) bool {
-		if len(payload) == 0 {
-			return true
-		}
-		if err := s.Put(ctx, "q", 0, payload); err != nil {
+		if err := s.Put(ctx, "q", 0, seal(payload)); err != nil {
 			return false
 		}
 		got, err := s.Get(ctx, "q", 0)
-		return err == nil && bytes.Equal(got, payload)
+		if err != nil {
+			return false
+		}
+		data, err := OpenShare(got)
+		return err == nil && bytes.Equal(data, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -106,32 +198,31 @@ func TestChecksumQuickAnyPayload(t *testing.T) {
 }
 
 func TestChecksumQuickFlipAnyBit(t *testing.T) {
-	// Any single-bit flip anywhere in the frame must be detected.
+	// Any single-bit flip anywhere in the envelope must fail the scrub.
 	ctx := context.Background()
 	inner := NewMemStore()
 	s := WithChecksums(inner)
-	payload := []byte("the quick brown fox jumps over the lazy dog")
-	s.Put(ctx, "q", 0, payload)
-	framed, _ := inner.Get(ctx, "q", 0)
+	framed := seal([]byte("the quick brown fox jumps over the lazy dog"))
 	for bit := 0; bit < len(framed)*8; bit++ {
 		bad := append([]byte(nil), framed...)
 		bad[bit/8] ^= 1 << (bit % 8)
 		inner.Put(ctx, "q", 0, bad)
-		if got, err := s.Get(ctx, "q", 0); err == nil && bytes.Equal(got, payload) {
-			t.Fatalf("bit flip %d undetected", bit)
+		if got, err := s.Scrub(ctx, "q"); err != nil || len(got) != 1 {
+			t.Fatalf("bit flip %d undetected: Scrub = %v, %v", bit, got, err)
 		}
 	}
 }
 
-// TestChecksumPutBackToBack stores two different blocks in a row; the
-// second Put reuses the first one's seal buffer, which must not reach
-// the first stored block.
+// TestChecksumPutBackToBack stores two different blocks in a row from
+// one reused buffer; the second must not reach the first stored block.
 func TestChecksumPutBackToBack(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
-	first, second := bytes.Repeat([]byte("a"), 4096), bytes.Repeat([]byte("b"), 4096)
+	first, second := seal(bytes.Repeat([]byte("a"), 4096)), seal(bytes.Repeat([]byte("b"), 4096))
+	buf := make([]byte, len(first))
 	for i, data := range [][]byte{first, second} {
-		if err := s.Put(ctx, "seg", i, data); err != nil {
+		copy(buf, data)
+		if err := s.Put(ctx, "seg", i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,19 +233,20 @@ func TestChecksumPutBackToBack(t *testing.T) {
 	}
 }
 
-// TestChecksumPutConcurrent seals from many goroutines at once, so
-// pooled seal buffers pass between them; every block reads back intact.
+// TestChecksumPutConcurrent stores from many goroutines at once; every
+// block reads back intact.
 func TestChecksumPutConcurrent(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
 	const workers, puts = 8, 25
+	block := func(w, i int) []byte { return seal(bytes.Repeat([]byte{byte(w), byte(i)}, 2048)) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < puts; i++ {
-				if err := s.Put(ctx, "seg", w*puts+i, bytes.Repeat([]byte{byte(w), byte(i)}, 2048)); err != nil {
+				if err := s.Put(ctx, "seg", w*puts+i, block(w, i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -165,54 +257,9 @@ func TestChecksumPutConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < puts; i++ {
 			got, err := s.Get(ctx, "seg", w*puts+i)
-			if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(w), byte(i)}, 2048)) {
+			if err != nil || !bytes.Equal(got, block(w, i)) {
 				t.Fatalf("block %d/%d read back wrong: %v", w, i, err)
 			}
-		}
-	}
-}
-
-// sliceRecorder is a MemStore that remembers the backing array of
-// every slice Put hands it (its own copy is what it stores).
-type sliceRecorder struct {
-	*MemStore
-	seen []*byte
-}
-
-func (r *sliceRecorder) Put(ctx context.Context, seg string, idx int, data []byte) error {
-	r.seen = append(r.seen, unsafe.SliceData(data))
-	return r.MemStore.Put(ctx, seg, idx, data)
-}
-
-// TestChecksumPutReusesSealBuffer shows the seal buffers come from the
-// pool: some Put hands the inner store a buffer an earlier Put handed
-// it, while every stored block stays intact. A pool may drop any one
-// buffer (it does so at random under -race), so the test looks for
-// reuse across many Puts rather than in one pair.
-func TestChecksumPutReusesSealBuffer(t *testing.T) {
-	ctx := context.Background()
-	inner := &sliceRecorder{MemStore: NewMemStore()}
-	s := WithChecksums(inner)
-	const puts = 50
-	blocks := make([][]byte, puts)
-	for i := range blocks {
-		blocks[i] = bytes.Repeat([]byte{byte(i)}, 1000)
-		if err := s.Put(ctx, "seg", i, blocks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reused := false
-	seen := make(map[*byte]bool, puts)
-	for _, p := range inner.seen {
-		reused = reused || seen[p]
-		seen[p] = true
-	}
-	if !reused {
-		t.Fatalf("%d Puts sealed into %d distinct buffers: the seal buffer is not pooled", puts, len(seen))
-	}
-	for i, want := range blocks {
-		if got, err := s.Get(ctx, "seg", i); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("block %d read back wrong: %v", i, err)
 		}
 	}
 }

@@ -31,6 +31,7 @@ type Decoder struct {
 	decodedCount int
 	data         [][]byte // decoded originals; nil entries until decoded
 	coded        [][]byte // received coded payloads (data mode)
+	blockLen     int      // payload length, set by the first AddData
 	received     []bool
 	nReceived    int
 
@@ -102,8 +103,8 @@ func newDecoder(g *Graph) *Decoder {
 
 // AddData feeds coded block idx with its payload, returning the number
 // of original blocks newly decoded as a consequence. Duplicate
-// deliveries are ignored. Payload length must match previously seen
-// blocks.
+// deliveries are ignored. The first payload sets the decoder's block
+// length; a later payload of another length is refused with an error.
 func (d *Decoder) AddData(idx int, payload []byte) (int, error) {
 	if d.symbolic {
 		return 0, fmt.Errorf("ltcode: AddData on symbolic decoder")
@@ -113,6 +114,11 @@ func (d *Decoder) AddData(idx int, payload []byte) (int, error) {
 	}
 	if d.received[idx] {
 		return 0, nil
+	}
+	if d.nReceived == 0 {
+		d.blockLen = len(payload)
+	} else if len(payload) != d.blockLen {
+		return 0, fmt.Errorf("ltcode: coded block %d is %d bytes, want %d", idx, len(payload), d.blockLen)
 	}
 	d.coded[idx] = payload
 	return d.add(idx), nil

@@ -660,3 +660,42 @@ func BenchmarkBuildGraphK1024(b *testing.B) {
 		}
 	}
 }
+
+// TestAddDataRejectsWrongLength: a payload whose length differs from
+// the first one's is refused with an error — never handed to the XOR
+// kernel, which would panic on it — and leaves the decoder as it was.
+func TestAddDataRejectsWrongLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g, err := BuildGraph(Params{K: 16, C: 1, Delta: 0.1}, 64, rng, DefaultGraphOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]byte, g.K)
+	for i := range data {
+		data[i] = bytes.Repeat([]byte{byte(i + 1)}, 32)
+	}
+	d := NewDecoder(g)
+	for idx := 0; idx < g.N && !d.Complete(); idx++ {
+		block := g.EncodeBlock(idx, data)
+		if idx%3 == 1 {
+			for _, bad := range [][]byte{block[:31], append(block, 0)} {
+				if _, err := d.AddData(idx, bad); err == nil {
+					t.Fatalf("AddData accepted a %d-byte block after 32-byte ones", len(bad))
+				}
+			}
+		}
+		if _, err := d.AddData(idx, block); err != nil {
+			t.Fatal(err)
+		}
+		d.Solve()
+	}
+	got, err := d.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if !bytes.Equal(got[i], data[i]) {
+			t.Fatalf("original %d decoded wrong", i)
+		}
+	}
+}

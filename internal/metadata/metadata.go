@@ -31,11 +31,11 @@ type Coding struct {
 	Delta      float64 // LT soliton parameter
 	GraphSeed  int64   // seed the writer used to build the coding graph
 	GraphN     int     // total graph size (>= N; rateless writes overshoot)
-	// ShareCRC records that every stored coded block is framed with a
-	// client-side CRC-32C envelope (robust.Options share checksums):
-	// readers must verify-and-strip it, and repairers must re-seal
-	// regenerated blocks. False for segments written before the
-	// envelope existed.
+	// ShareCRC records that every stored coded block is sealed in the
+	// CRC-32C share envelope (blockstore.SealShare), which readers
+	// verify and strip. Every write sets it. False marks a record
+	// written while sealing could be turned off: its shares may be
+	// bare, and a Repair or Update reseals them and sets it.
 	ShareCRC bool
 }
 

@@ -70,8 +70,8 @@ func (sc *segCodec) locate(idx int) (ci, local int, ok bool) {
 }
 
 // encoder returns a function that regenerates share idx of the decoded
-// segment data, sealed when the segment records share checksums. The
-// share it returns is valid until its next call.
+// segment data, sealed. The share it returns is valid until its next
+// call.
 func (sc *segCodec) encoder(data []byte) func(idx int) ([]byte, error) {
 	bb := sc.seg.Coding.BlockBytes
 	blocks := make([][][]byte, len(sc.chunks))
@@ -84,7 +84,7 @@ func (sc *segCodec) encoder(data []byte) func(idx int) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("robust: block %d outside every chunk graph", idx)
 		}
-		return encodeShareInto(buf, sc.chunks[ci].graph, local, blocks[ci], sc.seg.Coding.ShareCRC), nil
+		return encodeShareInto(buf, sc.chunks[ci].graph, local, blocks[ci]), nil
 	}
 }
 
@@ -105,16 +105,25 @@ func (sc *segCodec) affected(offset, length int64) map[int][]string {
 			}
 		}
 	}
+	return holdersOf(sc.seg.Placement, func(i int) bool { return touched[i] })
+}
+
+// holdersOf maps each share of placement that keep selects to the
+// servers holding it.
+func holdersOf(placement map[string][]int, keep func(int) bool) map[int][]string {
 	holders := map[int][]string{}
-	for addr, indices := range sc.seg.Placement {
+	for addr, indices := range placement {
 		for _, i := range indices {
-			if touched[i] {
+			if keep(i) {
 				holders[i] = append(holders[i], addr)
 			}
 		}
 	}
 	return holders
 }
+
+// everyShare selects every share for holdersOf.
+func everyShare(int) bool { return true }
 
 // checkRange refuses a byte range that is negative or runs past the
 // segment's size; Update and AffectedBlocks accept the same ranges.

@@ -103,6 +103,10 @@ type SegmentAudit struct {
 	Corrupt  int // shares failing the holder's integrity scrub
 	Missing  int // placed shares absent, or on unreachable holders
 	Degraded bool
+	// Unsealed reports a record whose shares predate sealing
+	// (ShareCRC=false): its holders are not scrubbed, and a repair
+	// reseals every share.
+	Unsealed bool
 	// CorruptBy maps holder address to the corrupt share indices found
 	// there; the daemon deletes these before repairing so corruption
 	// becomes absence and the repair audit regenerates them.
@@ -124,21 +128,26 @@ func (a SegmentAudit) Deficit() int {
 // surplus redundancy from a rateless overshoot does not excuse it —
 // and a segment still short of N after that is topped up to it.
 func (a SegmentAudit) RepairShares() int {
-	return max(a.Deficit(), a.Missing+a.Corrupt)
+	n := max(a.Deficit(), a.Missing+a.Corrupt)
+	if a.Unsealed {
+		n += a.Live // each resealed in place
+	}
+	return n
 }
 
 // NeedsRepair reports whether a repair pass would change anything.
 // Missing shares trigger a repair even when surplus redundancy keeps
 // the deficit at zero: the repair prunes dead holders from the
 // placement and re-places their shares, so the placement converges
-// back onto live servers instead of pointing at ghosts forever.
+// back onto live servers instead of pointing at ghosts forever. An
+// unsealed record needs the repair that reseals it.
 func (a SegmentAudit) NeedsRepair() bool {
-	return a.Deficit() > 0 || a.Corrupt > 0 || a.Missing > 0 || a.Degraded
+	return a.Deficit() > 0 || a.Corrupt > 0 || a.Missing > 0 || a.Degraded || a.Unsealed
 }
 
 // Audit scrubs one segment: every holder in the placement is listed
-// (presence) and, when it supports integrity scrubbing, scrubbed
-// (corruption). No payload data moves.
+// (presence) and, when the record is sealed and the holder supports
+// integrity scrubbing, scrubbed (corruption). No payload data moves.
 func (c *Client) Audit(ctx context.Context, name string) (SegmentAudit, error) {
 	seg, err := c.meta.LookupSegment(name)
 	if err != nil {
@@ -147,6 +156,7 @@ func (c *Client) Audit(ctx context.Context, name string) (SegmentAudit, error) {
 	audit := SegmentAudit{
 		Name: name, K: seg.Coding.K, N: seg.Coding.N,
 		Degraded:  seg.Degraded,
+		Unsealed:  !seg.Coding.ShareCRC,
 		CorruptBy: make(map[string][]int),
 	}
 	holders, err := c.survey(ctx, seg, true)

@@ -159,7 +159,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "corrupt share: truncated envelope",
 			provoke: func(t *testing.T) error {
-				_, err := openShare([]byte{0x52, 0x53})
+				_, err := shareData([]byte{0x52, 0x53}, 64, true)
 				return err
 			},
 			want: ErrCorruptShare,
@@ -167,7 +167,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "corrupt share: missing magic",
 			provoke: func(t *testing.T) error {
-				_, err := openShare(make([]byte, 32))
+				_, err := shareData(make([]byte, 32), 32, true)
 				return err
 			},
 			want: ErrCorruptShare,
@@ -176,8 +176,8 @@ func TestErrorTaxonomy(t *testing.T) {
 			name: "corrupt share: flipped payload bit",
 			provoke: func(t *testing.T) error {
 				framed := sealShare(randData(64, 2))
-				framed[shareOverhead+5] ^= 0x10
-				_, err := openShare(framed)
+				framed[blockstore.ShareOverhead+5] ^= 0x10
+				_, err := shareData(framed, 64, true)
 				return err
 			},
 			want: ErrCorruptShare,

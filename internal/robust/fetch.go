@@ -3,30 +3,54 @@ package robust
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/blockstore"
 )
 
-// fetcher executes one read access's share fetches: CRC verification
+// fetcher executes one read access's share fetches: envelope checks
 // with reject-and-refetch, and the per-access recovery counters that
 // end up in ReadStats. Each window of shares is asked for once, from
 // its one holder; stragglers are masked by the read's fan-out to every
 // holder and its cancel at decode (§4.3.3), not by asking again.
 type fetcher struct {
-	c      *Client
-	name   string
-	sealed bool
+	c          *Client
+	name       string
+	blockBytes int64
+	sealed     bool // the record says every share is sealed (ShareCRC)
 
 	corrupt atomic.Int64
 	late    atomic.Int64 // shares that arrived after the read was canceled
 }
 
-// open verifies a sealed share's envelope, refetching the share once
-// through the single-block op on a mismatch: transit corruption is
-// usually transient, disk corruption is not — one retry tells them
-// apart without letting a rotten server stall the read.
-func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int, payload []byte) ([]byte, error) {
-	data, err := openShare(payload)
+// shareData checks a delivered share and returns its payload: an
+// envelope that opens to exactly blockBytes, or, on a record still
+// marked unsealed, a bare share of exactly blockBytes. Telling the two
+// forms apart by length keeps a record readable while its reseal is
+// half done. Any other share is ErrCorruptShare — an erasure to the
+// decoder, not a panic in it.
+func shareData(share []byte, blockBytes int64, sealed bool) ([]byte, error) {
+	if !sealed && int64(len(share)) == blockBytes {
+		return share, nil
+	}
+	data, err := blockstore.OpenShare(share)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptShare, err)
+	}
+	if int64(len(data)) != blockBytes {
+		return nil, fmt.Errorf("%w: %d-byte payload, want %d", ErrCorruptShare, len(data), blockBytes)
+	}
+	return data, nil
+}
+
+// open checks a share, refetching it once through the single-block op
+// when it fails: transit corruption is usually transient, disk
+// corruption is not — one retry tells them apart without letting a
+// rotten server stall the read.
+func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int, share []byte) ([]byte, error) {
+	data, err := shareData(share, f.blockBytes, f.sealed)
 	if err == nil {
 		return data, nil
 	}
@@ -35,12 +59,12 @@ func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int,
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, errors.Join(err, cerr)
 	}
-	payload, gerr := store.Get(ctx, f.name, idx)
+	share, gerr := store.Get(ctx, f.name, idx)
 	f.c.reportOutcome(addr, gerr)
 	if gerr != nil {
 		return nil, errors.Join(err, gerr)
 	}
-	if data, err = openShare(payload); err != nil {
+	if data, err = shareData(share, f.blockBytes, f.sealed); err != nil {
 		f.corrupt.Add(1)
 		f.c.m.readCorruptShares.Inc()
 		return nil, err
@@ -101,7 +125,7 @@ func (w *window) fetch(ctx context.Context, indices []int) int {
 	return len(indices) - w.ndone
 }
 
-// share verifies one arriving share and hands it over.
+// share checks one arriving share and hands it over.
 func (w *window) share(idx int, payload []byte, err error) {
 	if err == nil && w.read.Err() != nil {
 		// Decoded or canceled: the share would never reach the
@@ -109,7 +133,7 @@ func (w *window) share(idx int, payload []byte, err error) {
 		w.f.late.Add(1)
 		return
 	}
-	if err == nil && w.f.sealed {
+	if err == nil {
 		payload, err = w.f.open(w.read, w.addr, w.store, idx, payload)
 	}
 	w.mu.Lock()

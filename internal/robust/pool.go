@@ -1,19 +1,17 @@
 package robust
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/blockstore"
 	"repro/internal/ltcode"
 )
 
-// Share-buffer pool: the write hot path encodes, seals, and frames
-// every coded block inside one pooled buffer, so steady-state writes
-// allocate ~zero per block (DESIGN.md §10). A buffer is
-// [8B envelope][block bytes]; the envelope prefix is used only when
-// the segment is sealed. Buffers are recycled after the Put returns —
+// Share-buffer pool: the write hot path encodes and seals every coded
+// block inside one pooled buffer, so steady-state writes allocate
+// ~zero per block (DESIGN.md §10). A buffer is [envelope][block bytes]
+// (blockstore.SealShare). Buffers are recycled after the Put returns —
 // safe because blockstore.Store.Put must not retain its data.
 //
 // The pool is shared across clients: buffers are sized by request and
@@ -46,20 +44,13 @@ func putShareBuf(b *[]byte) {
 }
 
 // encodeShareInto encodes coded block idx into a pooled buffer and
-// seals it in place when the segment uses share checksums. The
-// returned share aliases buf; recycle buf only after the share's last
-// use.
-func encodeShareInto(buf []byte, graph *ltcode.Graph, idx int, blocks [][]byte, sealed bool) []byte {
-	data := buf[shareOverhead:]
-	graph.EncodeBlockInto(data, idx, blocks)
-	if !sealed {
-		return data
-	}
-	binary.BigEndian.PutUint32(buf[0:4], shareMagic)
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(data, shareCastagnoli))
-	return buf
+// seals it in place. The returned share aliases buf; recycle buf only
+// after the share's last use.
+func encodeShareInto(buf []byte, graph *ltcode.Graph, idx int, blocks [][]byte) []byte {
+	graph.EncodeBlockInto(buf[blockstore.ShareOverhead:], idx, blocks)
+	return blockstore.SealShare(buf)
 }
 
-// shareBufLen is the pooled-buffer size for a block: envelope prefix
-// plus payload, whether or not the envelope ends up used.
-func shareBufLen(blockBytes int64) int { return shareOverhead + int(blockBytes) }
+// shareBufLen is the pooled-buffer size for a block: envelope plus
+// payload.
+func shareBufLen(blockBytes int64) int { return blockstore.ShareOverhead + int(blockBytes) }

@@ -59,7 +59,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(decs))
 	}
 
-	fx := &fetcher{c: c, name: name, sealed: seg.Coding.ShareCRC}
+	fx := &fetcher{c: c, name: name, blockBytes: seg.Coding.BlockBytes, sealed: seg.Coding.ShareCRC}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -78,6 +78,8 @@ type holderReport struct {
 
 // survey lists every placement holder of seg, in address order — and,
 // with scrub, has each one that can verify its shares in place do so.
+// Only a sealed record is scrubbed: a holder's scrub verifies envelopes,
+// so it would condemn every bare share of an unsealed one.
 // Health, Repair and Audit derive their reports from it; no payload
 // data moves. Only a canceled ctx fails the survey: a holder that is
 // detached or fails its listing or scrub is reported down.
@@ -98,7 +100,7 @@ func (c *Client) survey(ctx context.Context, seg metadata.Segment, scrub bool) (
 		var err error
 		if ok {
 			present, err = store.List(ctx, seg.Name)
-			if scrubber, canScrub := store.(blockstore.Scrubber); err == nil && scrub && canScrub {
+			if scrubber, canScrub := store.(blockstore.Scrubber); err == nil && scrub && seg.Coding.ShareCRC && canScrub {
 				if bad, err = scrubber.Scrub(ctx, seg.Name); errors.Is(err, blockstore.ErrScrubUnsupported) {
 					err = nil
 				}
@@ -151,6 +153,8 @@ type RepairStats struct {
 // corruption: it reconstructs the data from the surviving blocks,
 // regenerates the unreachable coded blocks (same graph indices), and
 // re-places them on healthy attached servers, updating the placement.
+// A record whose shares predate sealing (ShareCRC=false) has every
+// surviving share rewritten sealed in place and is recorded sealed.
 // A segment holding fewer than N blocks — a degraded-mode commit, or
 // cumulative attrition — is promoted back to full redundancy with
 // fresh graph indices and its Degraded mark cleared. The segment must
@@ -209,14 +213,23 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 	if tr != nil {
 		tr.Stagef("audit", "lost=%d pruned=%d", len(lost), stats.Pruned)
 	}
+	if !seg.Coding.ShareCRC {
+		// The record predates sealed shares: rewrite each surviving
+		// share sealed, in place on its holder. Readers tell the two
+		// forms apart by length, so a reseal cut short still reads,
+		// and the next repair finishes it.
+		if err := c.putShares(ctx, name, holdersOf(newPlacement, everyShare), encode); err != nil {
+			return stats, fmt.Errorf("robust: repair reseal: %w", err)
+		}
+		seg.Coding.ShareCRC = true
+		tr.Stage("reseal")
+	}
 
 	// Re-place lost blocks round-robin through the placement manager:
 	// the target list is the degrade ladder's admitted tier (Draining
 	// and Removed servers excluded, failure-detector-Down ones last),
 	// zone-interleaved so regenerated shares restore failure-domain
 	// diversity instead of piling onto whichever server sorts first.
-	// Repairs re-seal with the segment's recorded share format so
-	// readers keep verifying a uniform envelope.
 	sel, err := c.placementSelect(placement.Policy{
 		SpreadZones: true,
 		Seed:        seg.Coding.GraphSeed,

@@ -189,7 +189,8 @@ var (
 	// recorded in metadata.
 	ErrShortWrite = errors.New("robust: not enough blocks committed")
 	// ErrCorruptShare reports a stored coded block whose CRC-32C
-	// envelope failed verification even after a refetch. The share is
+	// envelope failed verification, or whose payload is not the
+	// segment's block size, even after a refetch. The share is
 	// rejected before it can poison the decoder; the read proceeds
 	// from other shares.
 	ErrCorruptShare = errors.New("robust: share checksum mismatch")

@@ -3,10 +3,8 @@ package robust
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"sort"
@@ -58,14 +56,10 @@ func holdersByShare(counts map[string]int) []string {
 	return out
 }
 
-// sealShare frames a coded block with its checksum, as the write path
+// sealShare frames a coded block with its envelope, as the write path
 // seals shares in place.
 func sealShare(data []byte) []byte {
-	out := make([]byte, shareOverhead+len(data))
-	binary.BigEndian.PutUint32(out[0:4], shareMagic)
-	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(data, shareCastagnoli))
-	copy(out[shareOverhead:], data)
-	return out
+	return blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), data...))
 }
 
 func randData(n int, seed int64) []byte {

@@ -586,7 +586,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 					for bi, i := range indices {
 						puts = append(puts, blockstore.BatchPut{
 							Index: p.base + i,
-							Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks, true),
+							Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks),
 						})
 					}
 					overBudget, runOK = false, false

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -308,21 +309,20 @@ func TestChunklessRecordIsOneChunk(t *testing.T) {
 	}
 }
 
-// TestUnsealedRecordReadsAndRepairs hand-builds a record with
-// ShareCRC=false and its unsealed shares, the format of segments written
-// while share checksums could be turned off. Every write now seals its
-// shares, but Read, Update and Repair must keep serving such a record,
-// and Repair must re-place shares in the format the record names.
-func TestUnsealedRecordReadsAndRepairs(t *testing.T) {
-	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+// putLegacyRecord hand-builds a record of data (K=16 shares of 1 KiB,
+// N=64) with share i stored through puts[i%len(puts)] and placed on
+// addrs[i%len(addrs)]. Sealed false writes the format of segments
+// written while share checksums could be turned off: ShareCRC=false and
+// bare shares.
+func putLegacyRecord(t *testing.T, c *Client, addrs []string, puts []blockstore.Store, name string, data []byte, sealed bool) {
+	t.Helper()
 	ctx := context.Background()
-	data := randData(16<<10, 22) // K=16
 	rec := metadata.Segment{
-		Name: "unsealed",
+		Name: name,
 		Size: int64(len(data)),
 		Coding: metadata.Coding{
 			Algorithm: algLTSpike3, K: 16, N: 64, BlockBytes: 1 << 10, C: 1, Delta: 0.1,
-			GraphSeed: graphSeed("unsealed", int64(len(data))), GraphN: 80,
+			GraphSeed: graphSeed(name, int64(len(data))), GraphN: 80, ShareCRC: sealed,
 		},
 		Placement: map[string][]int{},
 	}
@@ -332,71 +332,187 @@ func TestUnsealedRecordReadsAndRepairs(t *testing.T) {
 	}
 	blocks := splitBlocks(data, rec.Coding.BlockBytes)
 	for i := 0; i < rec.Coding.N; i++ {
-		addr := fmt.Sprintf("mem-%02d", i%len(stores))
-		if err := stores[i%len(stores)].Put(ctx, "unsealed", i, graph.EncodeBlock(i, blocks)); err != nil {
+		share := graph.EncodeBlock(i, blocks)
+		if sealed {
+			share = sealShare(share)
+		}
+		if err := puts[i%len(puts)].Put(ctx, name, i, share); err != nil {
 			t.Fatal(err)
 		}
+		addr := addrs[i%len(addrs)]
 		rec.Placement[addr] = append(rec.Placement[addr], i)
 	}
 	if err := c.meta.CreateSegment(rec); err != nil {
 		t.Fatal(err)
 	}
-	readBack := func(how string) {
+}
+
+// memAddrs returns newTestClient's addresses for its n stores.
+func memAddrs(n int) []string {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("mem-%02d", i)
+	}
+	return addrs
+}
+
+// asStores returns the MemStores as plain stores.
+func asStores(mems []*blockstore.MemStore) []blockstore.Store {
+	out := make([]blockstore.Store, len(mems))
+	for i, m := range mems {
+		out[i] = m
+	}
+	return out
+}
+
+// shareForms counts the placed shares of name stored bare and stored
+// sealed, and checks the record's ShareCRC mark against want. A share
+// that is neither a bare block nor an envelope opening to one fails the
+// test.
+func shareForms(t *testing.T, c *Client, name string, want bool) (bare, sealed int) {
+	t.Helper()
+	ctx := context.Background()
+	seg, err := c.meta.LookupSegment(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Coding.ShareCRC != want {
+		t.Fatalf("%s: ShareCRC = %v, want %v", name, seg.Coding.ShareCRC, want)
+	}
+	bb := seg.Coding.BlockBytes
+	for addr, indices := range seg.Placement {
+		store, ok := c.store(addr)
+		if !ok {
+			t.Fatalf("%s placed on unattached %s", name, addr)
+		}
+		for _, idx := range indices {
+			share, err := store.Get(ctx, name, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(share)) == bb {
+				bare++
+			} else if data, err := blockstore.OpenShare(share); err == nil && int64(len(data)) == bb {
+				sealed++
+			} else {
+				t.Fatalf("%s share %d on %s is %d bytes and no %d-byte block (%v)", name, idx, addr, len(share), bb, err)
+			}
+		}
+	}
+	return bare, sealed
+}
+
+// TestUnsealedRecordReadsAndRepairs: a record with ShareCRC=false and
+// bare shares reads, and both Update and Repair reseal it — every
+// placed share rewritten sealed and the record marked ShareCRC=true.
+func TestUnsealedRecordReadsAndRepairs(t *testing.T) {
+	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+	ctx := context.Background()
+	readBack := func(name string, want []byte, how string) {
 		t.Helper()
-		got, _, err := c.Read(ctx, "unsealed")
+		got, _, err := c.Read(ctx, name)
 		if err != nil {
 			t.Fatalf("read %s: %v", how, err)
 		}
-		if !bytes.Equal(got, data) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("read %s differs", how)
 		}
 	}
-	readBack("of an unsealed record")
+
+	updated := randData(16<<10, 22)
+	putLegacyRecord(t, c, memAddrs(4), asStores(stores), "updated", updated, false)
+	readBack("updated", updated, "of an unsealed record")
 	patch := randData(3<<10, 23)
 	off := int64(5<<10 + 7)
-	if err := c.Update(ctx, "unsealed", off, patch); err != nil {
+	if err := c.Update(ctx, "updated", off, patch); err != nil {
 		t.Fatal(err)
 	}
-	copy(data[off:], patch)
-	readBack("after update")
+	copy(updated[off:], patch)
+	if bare, sealed := shareForms(t, c, "updated", true); bare != 0 || sealed != 64 {
+		t.Fatalf("after update: %d bare and %d sealed shares, want 0 and 64", bare, sealed)
+	}
+	readBack("updated", updated, "after update")
 
-	for _, i := range rec.Placement["mem-01"] {
-		if err := stores[1].Delete(ctx, "unsealed", i); err != nil {
+	repaired := randData(16<<10, 24)
+	putLegacyRecord(t, c, memAddrs(4), asStores(stores), "repaired", repaired, false)
+	for i := 1; i < 64; i += 4 { // mem-01's shares
+		if err := stores[1].Delete(ctx, "repaired", i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rs, err := c.Repair(ctx, "unsealed")
+	rs, err := c.Repair(ctx, "repaired")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Regenerated != 16 {
 		t.Fatalf("repair regenerated %d of 16 lost shares", rs.Regenerated)
 	}
-	seg, err := c.meta.LookupSegment("unsealed")
+	if bare, sealed := shareForms(t, c, "repaired", true); bare != 0 || sealed != 64 {
+		t.Fatalf("after repair: %d bare and %d sealed shares, want 0 and 64", bare, sealed)
+	}
+	readBack("repaired", repaired, "after repair")
+}
+
+// putBudget is a store whose Puts fail once a budget shared with its
+// siblings is spent, cutting a multi-server write short as a crash
+// would.
+type putBudget struct {
+	blockstore.Store
+	left *atomic.Int64
+}
+
+func (p putBudget) Put(ctx context.Context, segment string, index int, data []byte) error {
+	if p.left.Add(-1) < 0 {
+		return errors.New("put budget spent")
+	}
+	return p.Store.Put(ctx, segment, index, data)
+}
+
+// TestUnsealedResealCutShortReads stops a reseal halfway: half of the
+// record's shares are sealed, half still bare, and the record is still
+// marked unsealed. It reads, and the next Repair finishes the reseal.
+func TestUnsealedResealCutShortReads(t *testing.T) {
+	meta := metadata.NewService()
+	c, err := NewClient(meta, Options{BlockBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Coding.ShareCRC {
-		t.Fatal("repair turned the record's share checksums on")
-	}
-	// Every share, regenerated or not, is a bare block: a sealed one
-	// would carry the envelope and fail the unsealed read.
-	for addr, indices := range seg.Placement {
-		store, ok := c.store(addr)
-		if !ok {
-			t.Fatalf("repair placed shares on unattached %s", addr)
+	var left atomic.Int64
+	mems := make([]blockstore.Store, 4)
+	for i, addr := range memAddrs(4) {
+		mems[i] = blockstore.NewMemStore()
+		if err := c.AttachStore(addr, putBudget{Store: mems[i], left: &left}); err != nil {
+			t.Fatal(err)
 		}
-		for _, idx := range indices {
-			share, err := store.Get(ctx, "unsealed", idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(share)) != seg.Coding.BlockBytes {
-				t.Fatalf("%s share %d is %d bytes, want an unsealed %d", addr, idx, len(share), seg.Coding.BlockBytes)
-			}
-		}
+		meta.RegisterServer(metadata.Server{Addr: addr})
 	}
-	readBack("after repair")
+	ctx := context.Background()
+	data := randData(16<<10, 25)
+	putLegacyRecord(t, c, memAddrs(4), mems, "cut", data, false)
+
+	left.Store(32)
+	if _, err := c.Repair(ctx, "cut"); err == nil {
+		t.Fatal("repair succeeded with half of its puts failing")
+	}
+	if bare, sealed := shareForms(t, c, "cut", false); bare != 32 || sealed != 32 {
+		t.Fatalf("cut-short reseal left %d bare and %d sealed shares, want 32 and 32", bare, sealed)
+	}
+	got, _, err := c.Read(ctx, "cut")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read of a half-resealed record: %v (bytes equal %v)", err, bytes.Equal(got, data))
+	}
+
+	left.Store(1 << 20)
+	if _, err := c.Repair(ctx, "cut"); err != nil {
+		t.Fatal(err)
+	}
+	if bare, sealed := shareForms(t, c, "cut", true); bare != 0 || sealed != 64 {
+		t.Fatalf("second repair left %d bare and %d sealed shares, want 0 and 64", bare, sealed)
+	}
+	got, _, err = c.Read(ctx, "cut")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the reseal: %v (bytes equal %v)", err, bytes.Equal(got, data))
+	}
 }
 
 func TestWriteFromShortInput(t *testing.T) {

@@ -341,12 +341,12 @@ func (c *Client) Delete(ctx context.Context, segment string, index int) error {
 }
 
 // Scrub implements blockstore.Scrubber over the wire: the server
-// verifies the segment's blocks in place (its ChecksumStore layer)
-// and returns only the bad indices, so a scrub pass costs one round
-// trip instead of downloading every block. A server without integrity
-// framing answers with an error matching
-// blockstore.ErrScrubUnsupported. Scrubs are read-only and idempotent,
-// so they retry.
+// verifies the share envelope of each of the segment's blocks in place
+// (its ChecksumStore layer) and returns only the bad indices, so a
+// scrub pass costs one round trip instead of downloading every block.
+// A server whose store has no ChecksumStore (robustored always has
+// one) answers with an error matching blockstore.ErrScrubUnsupported.
+// Scrubs are read-only and idempotent, so they retry.
 func (c *Client) Scrub(ctx context.Context, segment string) ([]int, error) {
 	status, payload, err := c.roundTripIdem(ctx, opScrub, segment, 0, nil)
 	if err != nil {

@@ -81,8 +81,9 @@ func TestQuickIndicesRoundTrip(t *testing.T) {
 
 // TestQuickDispatchNeverPanics drives the server dispatch table with
 // arbitrary requests — every op byte (known and unknown, SCRUB
-// included) against both a checksummed and a bare store — and checks
-// the reply is always a known status, never a panic.
+// included) against both a checksummed and a bare store, sealing the
+// checksummed store's payloads under even op bytes — and checks the
+// reply is always a known status, never a panic.
 func TestQuickDispatchNeverPanics(t *testing.T) {
 	plain := NewServer(blockstore.NewMemStore(), ServerOptions{})
 	framed := NewServer(blockstore.WithChecksums(blockstore.NewMemStore()), ServerOptions{})
@@ -92,6 +93,11 @@ func TestQuickDispatchNeverPanics(t *testing.T) {
 		srv := plain
 		if useFramed {
 			srv = framed
+			if op%2 == 0 && len(payload) >= blockstore.ShareOverhead {
+				// Half the payloads reach the framed store sealed,
+				// so its Puts land as well as fail.
+				payload = blockstore.SealShare(payload)
+			}
 		}
 		seg := string(segRaw)
 		if len(seg) > 0xFFFF {

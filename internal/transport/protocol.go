@@ -72,7 +72,7 @@ const (
 	statusErr         = byte(1)
 	statusNotFound    = byte(2)
 	statusBusy        = byte(3) // admission controller refused the request
-	statusUnsupported = byte(4) // server cannot perform the op (e.g. SCRUB without checksums)
+	statusUnsupported = byte(4) // server cannot perform the op (e.g. SCRUB without a ChecksumStore)
 )
 
 // MaxFrame bounds a frame's size and a buffered request or response

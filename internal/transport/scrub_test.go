@@ -10,9 +10,10 @@ import (
 	"repro/internal/blockstore"
 )
 
-// startChecksumServer runs a server whose store verifies CRC-32C
-// framing, exposing both the wrapped store (what the wire sees) and
-// the raw inner store (so tests can rot blocks beneath the checksums).
+// startChecksumServer runs a server whose store holds sealed shares and
+// scrubs their envelopes, exposing both the wrapped store (what the
+// wire sees) and the raw inner store (so tests can rot blocks beneath
+// the checksums).
 func startChecksumServer(t *testing.T) (*Client, *blockstore.MemStore) {
 	t.Helper()
 	inner := blockstore.NewMemStore()
@@ -38,7 +39,8 @@ func TestScrubRoundTrip(t *testing.T) {
 	client, inner := startChecksumServer(t)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if err := client.Put(ctx, "seg", i, []byte{byte(i), 0xAA}); err != nil {
+		share := blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), byte(i), 0xAA))
+		if err := client.Put(ctx, "seg", i, share); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,8 +78,8 @@ func TestScrubRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScrubUnsupportedStatus checks that a server without integrity
-// framing answers SCRUB with a status mapping to ErrScrubUnsupported
+// TestScrubUnsupportedStatus checks that a server without a
+// ChecksumStore answers SCRUB with a status mapping to ErrScrubUnsupported
 // rather than a generic failure.
 func TestScrubUnsupportedStatus(t *testing.T) {
 	client, _ := startServer(t, ServerOptions{}) // bare MemStore, no checksums

@@ -29,7 +29,8 @@
 #      control plane (kill -> evict -> repair -> rejoin)
 #   9. robust stress: internal/robust 20 times at GOMAXPROCS 1, 2
 #      and 8, so a placement- or timing-dependent test fails here
-#      (about 8 minutes)
+#      (about 8 minutes), then every Fuzz* target for 10s each
+#      (scripts/fuzz.sh)
 #  10. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics + the client-shape LT encode bandwidth;
 #      see scripts/bench_baseline.sh for the committed BENCH_11.json
@@ -38,9 +39,11 @@
 #      against the committed BENCH_11.json with cmd/benchdiff
 #      (per-metric tolerances, non-zero exit on regression)
 #  12. the data path's size: non-test lines in internal/transport and
-#      internal/robust and the settable fields of the exported option
-#      structs (scripts/loc.sh), and non-test lines in internal/metadata,
-#      so code moved out of the data path into the metadata service shows
+#      internal/robust, non-test lines in internal/blockstore, the
+#      settable fields of the exported option structs and the flags of
+#      robustored and robustore (scripts/loc.sh), and non-test lines in
+#      internal/metadata, so code moved out of the data path into the
+#      metadata service shows
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -101,6 +104,9 @@ go test -race -count=1 -timeout 10m -run 'TestChaos' \
 
 echo "==> robust stress (20 runs at GOMAXPROCS 1, 2 and 8)"
 go test -count=20 -cpu 1,2,8 -timeout 20m ./internal/robust
+
+echo "==> fuzz every target (10s each)"
+./scripts/fuzz.sh 10s
 
 echo "==> bench smoke (client overhead + headline metrics + LT encode, 1 iteration)"
 go test -bench . -benchtime 1x -run '^$' ./internal/robust/

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# loc.sh — print the two size figures ROADMAP.md tracks for the data
-# path: the non-test Go line count of internal/transport plus
-# internal/robust, and the number of settable fields (knobs) in the
-# exported option structs a deployment configures it with.
+# loc.sh — print the size figures ROADMAP.md tracks for the data path:
+# the non-test Go line count of internal/transport plus internal/robust,
+# the same count for internal/blockstore, the number of settable fields
+# (knobs) in the exported option structs a deployment configures it
+# with, and the number of command-line flags of the server and client
+# commands.
 #
 # Usage: ./scripts/loc.sh
 set -euo pipefail
@@ -11,6 +13,9 @@ cd "$(dirname "$0")/.."
 files=$(ls internal/transport/*.go internal/robust/*.go | grep -v '_test\.go$')
 # shellcheck disable=SC2086 # one path per word is intended
 echo "non-test lines in internal/transport + internal/robust: $(cat $files | wc -l | tr -d ' ')"
+files=$(ls internal/blockstore/*.go | grep -v '_test\.go$')
+# shellcheck disable=SC2086 # one path per word is intended
+echo "non-test lines in internal/blockstore: $(cat $files | wc -l | tr -d ' ')"
 
 # fields FILE STRUCT counts the field names declared in the body of
 # "type STRUCT struct {": comment and blank lines skip, and a line
@@ -44,3 +49,11 @@ transport.ServerOptions internal/transport/server.go ServerOptions
 metadata.RemoteOptions internal/metadata/remote.go RemoteOptions
 EOF
 echo "settable option fields: $total ($detail)"
+
+# Each flag.T(...) declaration in a command's main.go is one flag.
+flags() {
+    grep -c 'flag\.\(Bool\|Duration\|Float64\|Int\|Int64\|String\|Uint\|Uint64\|Var\)(' "$1"
+}
+served=$(flags cmd/robustored/main.go)
+client=$(flags cmd/robustore/main.go)
+echo "command-line flags: $((served + client)) (robustored $served, robustore $client)"
