@@ -89,8 +89,10 @@ func main() {
 	}
 
 	// Daemon mode wires the full self-healing loop: a registry for the
-	// health_*/scrub_* series and a failure detector the client both
-	// feeds (request outcomes) and consults (placement exclusion).
+	// health_*/scrub_* series and a failure detector the robust client
+	// both feeds (one outcome per write run or read window) and
+	// consults (placement exclusion). The prober feeds it too; the
+	// transport and metadata clients do not.
 	var reg *obs.Registry
 	var tracker *health.Tracker
 	if args[0] == "daemon" {
@@ -103,19 +105,14 @@ func main() {
 	if *metaServer != "" {
 		// -meta-server accepts one address or a comma-separated
 		// replicated group; the client fails over between endpoints and
-		// follows leader redirects. Endpoint outcomes feed the daemon's
-		// failure detector alongside block-server traffic.
+		// follows leader redirects.
 		var endpoints []string
 		for _, a := range strings.Split(*metaServer, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				endpoints = append(endpoints, a)
 			}
 		}
-		ropts := metadata.RemoteOptions{Obs: reg}
-		if tracker != nil {
-			ropts.Health = tracker
-		}
-		remote, err := metadata.DialRemoteMulti(endpoints, ropts)
+		remote, err := metadata.DialRemoteMulti(endpoints, metadata.RemoteOptions{Obs: reg})
 		if err != nil {
 			fatal(err)
 		}
@@ -157,14 +154,9 @@ func main() {
 			if a == "" {
 				continue
 			}
-			topts := transport.ClientOptions{Obs: reg}
-			if tracker != nil {
-				// The transport feeds the failure detector directly:
-				// per-stream mux timeouts reach the tracker even when
-				// the robust read already decoded and canceled them.
-				topts.Health = tracker
-			}
-			store, err := transport.Dial(a, topts)
+			// Idempotent requests retry transport failures on their
+			// own (the transport's fixed retry budget).
+			store, err := transport.Dial(a, transport.ClientOptions{Obs: reg})
 			if err != nil {
 				fatal(fmt.Errorf("connecting to %s: %w", a, err))
 			}

@@ -410,24 +410,24 @@ func (s *NetworkServer) dispatch(req *wireRequest) wireResponse {
 	}
 }
 
-// RemoteOptions configures the failover behavior of a RemoteClient.
-// The zero value gives sensible defaults for every knob.
+// RemoteOptions configures a RemoteClient. The failover tuning is
+// fixed by the constants below; only observability is the caller's.
 type RemoteOptions struct {
-	// DialTimeout bounds each TCP dial (default 5s).
-	DialTimeout time.Duration
-	// MaxRetries caps transport-level retries per call beyond the
-	// first attempt (default 3).
-	MaxRetries int
-	// RetryBaseDelay / RetryMaxDelay shape the full-jitter backoff
-	// between retries (defaults 25ms / 500ms).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// Health, when set, receives per-endpoint transport outcomes so
-	// the failure detector sees metadata-plane traffic too.
-	Health transport.HealthReporter
 	// Obs, when set, receives client retry/failover/redirect counters.
 	Obs *obs.Registry
 }
+
+const (
+	// remoteDialTimeout bounds each TCP dial to an endpoint.
+	remoteDialTimeout = 5 * time.Second
+	// remoteMaxRetries caps transport-level and mid-election retries
+	// per call beyond the first attempt.
+	remoteMaxRetries = 3
+	// remoteRetryBaseDelay and remoteRetryMaxDelay shape the
+	// full-jitter backoff between retries.
+	remoteRetryBaseDelay = 25 * time.Millisecond
+	remoteRetryMaxDelay  = 500 * time.Millisecond
+)
 
 // RemoteClient is a metadata.API backed by one or more NetworkServers
 // (a replicated group). Safe for concurrent use; each in-flight
@@ -436,8 +436,6 @@ type RemoteOptions struct {
 // the next endpoint with jittered backoff when the preferred one is
 // unreachable.
 type RemoteClient struct {
-	opts RemoteOptions
-
 	mu         sync.Mutex
 	addrs      []string
 	cur        int    // preferred index into addrs
@@ -472,20 +470,7 @@ func DialRemoteMulti(addrs []string, opts RemoteOptions) (*RemoteClient, error) 
 }
 
 func newRemoteClient(addrs []string, opts RemoteOptions) *RemoteClient {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 3
-	}
-	if opts.RetryBaseDelay <= 0 {
-		opts.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if opts.RetryMaxDelay <= 0 {
-		opts.RetryMaxDelay = 500 * time.Millisecond
-	}
 	return &RemoteClient{
-		opts:      opts,
 		addrs:     append([]string(nil), addrs...),
 		retries:   opts.Obs.Counter("meta_client_retries_total"),
 		failovers: opts.Obs.Counter("meta_client_failovers_total"),
@@ -537,18 +522,6 @@ func (c *RemoteClient) noteFailure(addr string) bool {
 	return false
 }
 
-func (c *RemoteClient) reportSuccess(addr string) {
-	if c.opts.Health != nil {
-		c.opts.Health.ReportSuccess(addr)
-	}
-}
-
-func (c *RemoteClient) reportFailure(addr string) {
-	if c.opts.Health != nil {
-		c.opts.Health.ReportFailure(addr)
-	}
-}
-
 func (c *RemoteClient) acquire(addr string) (net.Conn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -572,7 +545,7 @@ func (c *RemoteClient) acquire(addr string) (net.Conn, error) {
 	} else {
 		c.mu.Unlock()
 	}
-	return net.DialTimeout("tcp", addr, c.opts.DialTimeout)
+	return net.DialTimeout("tcp", addr, remoteDialTimeout)
 }
 
 func (c *RemoteClient) release(addr string, conn net.Conn) {
@@ -650,7 +623,6 @@ func (c *RemoteClient) callAddr(req *wireRequest) (wireResponse, string, error) 
 		addr := c.target()
 		resp, sent, err := c.roundTripTo(addr, req)
 		if err == nil {
-			c.reportSuccess(addr)
 			if resp.OK {
 				return resp, addr, nil
 			}
@@ -661,7 +633,7 @@ func (c *RemoteClient) callAddr(req *wireRequest) (wireResponse, string, error) 
 					c.setLeaderHint(resp.Leader)
 					continue
 				}
-				if resp.Leader == "" && attempt < c.opts.MaxRetries {
+				if resp.Leader == "" && attempt < remoteMaxRetries {
 					// Mid-election: rotate and wait for a winner.
 					if c.noteFailure(addr) {
 						c.failovers.Inc()
@@ -669,7 +641,7 @@ func (c *RemoteClient) callAddr(req *wireRequest) (wireResponse, string, error) 
 					attempt++
 					c.retries.Inc()
 					if berr := transport.BackoffFullJitter(context.Background(), attempt-1,
-						c.opts.RetryBaseDelay, c.opts.RetryMaxDelay); berr != nil {
+						remoteRetryBaseDelay, remoteRetryMaxDelay); berr != nil {
 						return wireResponse{}, addr, berr
 					}
 					continue
@@ -677,15 +649,14 @@ func (c *RemoteClient) callAddr(req *wireRequest) (wireResponse, string, error) 
 			}
 			return resp, addr, errOfKind(resp.ErrKind, resp.Error, resp.Leader)
 		}
-		c.reportFailure(addr)
 		if c.noteFailure(addr) {
 			c.failovers.Inc()
 		}
-		if (!sent || idempotentOps[req.Op]) && attempt < c.opts.MaxRetries {
+		if (!sent || idempotentOps[req.Op]) && attempt < remoteMaxRetries {
 			attempt++
 			c.retries.Inc()
 			if berr := transport.BackoffFullJitter(context.Background(), attempt-1,
-				c.opts.RetryBaseDelay, c.opts.RetryMaxDelay); berr != nil {
+				remoteRetryBaseDelay, remoteRetryMaxDelay); berr != nil {
 				return wireResponse{}, addr, berr
 			}
 			continue
@@ -809,15 +780,13 @@ func (c *RemoteClient) unlockAt(addr, token string) {
 	for attempt := 0; ; attempt++ {
 		_, _, err := c.roundTripTo(addr, &wireRequest{Op: "unlock", Token: token})
 		if err == nil {
-			c.reportSuccess(addr)
 			return
 		}
-		c.reportFailure(addr)
-		if attempt >= c.opts.MaxRetries {
+		if attempt >= remoteMaxRetries {
 			return
 		}
 		if transport.BackoffFullJitter(context.Background(), attempt,
-			c.opts.RetryBaseDelay, c.opts.RetryMaxDelay) != nil {
+			remoteRetryBaseDelay, remoteRetryMaxDelay) != nil {
 			return
 		}
 	}

@@ -8,21 +8,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Failover-client tests: dead-endpoint rotation, leader-hint
-// redirects, follower write proxying, retry of idempotent ops, lock
-// endpoint affinity, and health reporting — against real
-// NetworkServers over loopback TCP.
-
-func fastRemoteOptions() RemoteOptions {
-	return RemoteOptions{
-		DialTimeout:    time.Second,
-		MaxRetries:     4,
-		RetryBaseDelay: 5 * time.Millisecond,
-		RetryMaxDelay:  40 * time.Millisecond,
-	}
-}
+// redirects, follower write proxying, retry of idempotent ops and lock
+// endpoint affinity — against real NetworkServers over loopback TCP.
 
 // serveAPI starts a NetworkServer for api on a loopback listener.
 func serveAPI(t *testing.T, api API) (*NetworkServer, string) {
@@ -57,44 +49,13 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// healthLog records per-endpoint outcomes.
-type healthLog struct {
-	mu        sync.Mutex
-	successes map[string]int
-	failures  map[string]int
-}
-
-func newHealthLog() *healthLog {
-	return &healthLog{successes: make(map[string]int), failures: make(map[string]int)}
-}
-
-func (h *healthLog) ReportSuccess(addr string) {
-	h.mu.Lock()
-	h.successes[addr]++
-	h.mu.Unlock()
-}
-
-func (h *healthLog) ReportFailure(addr string) {
-	h.mu.Lock()
-	h.failures[addr]++
-	h.mu.Unlock()
-}
-
-func (h *healthLog) counts(addr string) (int, int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.successes[addr], h.failures[addr]
-}
-
 func TestRemoteClientFailoverDeadEndpoint(t *testing.T) {
 	svc := NewService()
 	_, live := serveAPI(t, svc)
 	dead := deadAddr(t)
 
-	hl := newHealthLog()
-	opts := fastRemoteOptions()
-	opts.Health = hl
-	client, err := DialRemoteMulti([]string{dead, live}, opts)
+	reg := obs.NewRegistry()
+	client, err := DialRemoteMulti([]string{dead, live}, RemoteOptions{Obs: reg})
 	if err != nil {
 		t.Fatalf("dial with one dead endpoint = %v", err)
 	}
@@ -106,11 +67,13 @@ func TestRemoteClientFailoverDeadEndpoint(t *testing.T) {
 	if _, err := client.LookupSegment("x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, fails := hl.counts(dead); fails == 0 {
-		t.Error("no failure reported for the dead endpoint")
+	// Only the dial's ping met the dead endpoint: one failover moved the
+	// preference to the live one, which served every later call.
+	if got := reg.Counter("meta_client_failovers_total").Value(); got != 1 {
+		t.Errorf("failovers = %d, want 1 (away from the dead endpoint)", got)
 	}
-	if succ, _ := hl.counts(live); succ == 0 {
-		t.Error("no success reported for the live endpoint")
+	if got := reg.Counter("meta_client_retries_total").Value(); got != 1 {
+		t.Errorf("retries = %d, want 1 (the dial's ping, re-sent to the live endpoint)", got)
 	}
 }
 
@@ -157,7 +120,7 @@ func TestFollowerProxyAndLockRedirect(t *testing.T) {
 	follower := &followerStub{Service: NewService(), leaderAddr: leaderAddr}
 	_, followerAddr := serveAPI(t, follower)
 
-	client, err := DialRemoteMulti([]string{followerAddr}, fastRemoteOptions())
+	client, err := DialRemoteMulti([]string{followerAddr}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +177,7 @@ func TestRemoteClientHintlessNotLeaderRetry(t *testing.T) {
 
 	// Both endpoints point at the follower so retries re-ask it until
 	// the "election" settles and the hint appears.
-	client, err := DialRemoteMulti([]string{followerAddr}, fastRemoteOptions())
+	client, err := DialRemoteMulti([]string{followerAddr}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +205,7 @@ func TestRemoteClientRedirectLoopBounded(t *testing.T) {
 	b.leaderAddr = addrA
 	b.mu.Unlock()
 
-	client, err := DialRemoteMulti([]string{addrA}, fastRemoteOptions())
+	client, err := DialRemoteMulti([]string{addrA}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +311,7 @@ func TestRemoteClientRetriesIdempotentMidFlight(t *testing.T) {
 	_, backend := serveAPI(t, svc)
 	proxy := startFlakyProxy(t, backend, 2)
 
-	client, err := DialRemoteMulti([]string{proxy}, fastRemoteOptions())
+	client, err := DialRemoteMulti([]string{proxy}, RemoteOptions{})
 	if err != nil {
 		t.Fatalf("dial through flaky proxy = %v", err)
 	}
@@ -366,8 +329,7 @@ func TestRemoteClientNonIdempotentNotRetriedMidFlight(t *testing.T) {
 	_, backend := serveAPI(t, svc)
 	proxy := startFlakyProxy(t, backend, 1000) // every exchange dies
 
-	opts := fastRemoteOptions()
-	client := newRemoteClient([]string{proxy}, opts)
+	client := newRemoteClient([]string{proxy}, RemoteOptions{})
 	defer client.Close()
 	start := time.Now()
 	err := client.CreateSegment(validSegment("maybe"))
@@ -378,7 +340,7 @@ func TestRemoteClientNonIdempotentNotRetriedMidFlight(t *testing.T) {
 		t.Fatalf("unexpected protocol error: %v", err)
 	}
 	// No retries: the call must fail after a single attempt, far
-	// inside the budget MaxRetries backoffs would burn.
+	// inside the budget remoteMaxRetries backoffs would burn.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("non-idempotent create took %v (looks retried)", elapsed)
 	}
@@ -396,7 +358,7 @@ func TestForwardMidFlightAmbiguous(t *testing.T) {
 	follower := &followerStub{Service: NewService(), leaderAddr: proxyAddr}
 	_, followerAddr := serveAPI(t, follower)
 
-	client, err := DialRemoteMulti([]string{followerAddr}, fastRemoteOptions())
+	client, err := DialRemoteMulti([]string{followerAddr}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +387,7 @@ func TestRemoteClientDeleteNotRetriedMidFlight(t *testing.T) {
 	_, backend := serveAPI(t, svc)
 	proxy := startFlakyProxy(t, backend, 1000) // every exchange dies
 
-	client := newRemoteClient([]string{proxy}, fastRemoteOptions())
+	client := newRemoteClient([]string{proxy}, RemoteOptions{})
 	defer client.Close()
 	start := time.Now()
 	err := client.DeleteSegment("keep")

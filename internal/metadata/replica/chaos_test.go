@@ -21,15 +21,11 @@ import (
 // timeouts) are allowed to land or not; acknowledged ones are not
 // negotiable.
 
-// failoverClient dials the whole group with fast retry tuning.
+// failoverClient dials the whole group with the client's own retry
+// and failover policy.
 func failoverClient(t *testing.T, c *cluster) *metadata.RemoteClient {
 	t.Helper()
-	client, err := metadata.DialRemoteMulti(c.clientAddrs(), metadata.RemoteOptions{
-		DialTimeout:    time.Second,
-		MaxRetries:     8,
-		RetryBaseDelay: 10 * time.Millisecond,
-		RetryMaxDelay:  200 * time.Millisecond,
-	})
+	client, err := metadata.DialRemoteMulti(c.clientAddrs(), metadata.RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestChaosDrainUnderFaults(t *testing.T) {
 	tracker := newFakeTracker()
 	client, servers := startChaosCluster(t, 6,
 		Options{BlockBytes: 8 << 10, MaxServerShare: 0.25, Health: tracker, Obs: reg},
-		transport.ClientOptions{MaxRetries: 2})
+		transport.ClientOptions{})
 	ctx := context.Background()
 
 	payloads := make(map[string][]byte, segments)
@@ -114,7 +114,7 @@ func TestChaosZoneLossReadSurvives(t *testing.T) {
 	const frac = 0.34
 	client, servers := startChaosCluster(t, 6,
 		Options{BlockBytes: 8 << 10, MaxZoneShare: frac},
-		transport.ClientOptions{MaxRetries: 2})
+		transport.ClientOptions{})
 	ctx := context.Background()
 	// Re-register each server with a zone: two servers per zone, three
 	// zones. The blank State preserves lifecycle on re-registration.

@@ -83,7 +83,7 @@ func TestChaosMuxStalledReadScrubWriteShareConn(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 6,
 		Options{BlockBytes: 8 << 10, Redundancy: 4, MaxServerShare: 0.25, Obs: reg},
-		transport.ClientOptions{MaxRetries: 3, RequestTimeout: 2 * time.Second, MaxConns: 1, Obs: reg})
+		transport.ClientOptions{RequestTimeout: 2 * time.Second, MaxConns: 1, Obs: reg})
 	ctx := context.Background()
 	data := randData(256<<10, 90)
 
@@ -127,7 +127,7 @@ func TestSoakMuxChaosHighFaultRates(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 8,
 		Options{BlockBytes: 8 << 10, Redundancy: 5, MaxServerShare: 0.2, Obs: reg},
-		transport.ClientOptions{MaxRetries: 5, RequestTimeout: 5 * time.Second, MaxConns: 2, Obs: reg})
+		transport.ClientOptions{RequestTimeout: 5 * time.Second, MaxConns: 2, Obs: reg})
 	ctx := context.Background()
 	data := randData(512<<10, 92)
 

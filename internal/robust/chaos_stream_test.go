@@ -23,7 +23,7 @@ func TestChaosStreamingWriteUnderFaults(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 8,
 		Options{BlockBytes: 8 << 10, ChunkBytes: 64 << 10, MaxServerShare: 0.25, Obs: reg},
-		transport.ClientOptions{MaxRetries: 3, Obs: reg})
+		transport.ClientOptions{Obs: reg})
 	ctx := context.Background()
 	data := randData(512<<10, 91) // 8 chunks, K=8 N=32 per chunk
 
@@ -80,7 +80,7 @@ func TestChaosStreamingWriteUnderFaults(t *testing.T) {
 func TestChaosStreamingWriteFailureLeavesNoOrphans(t *testing.T) {
 	client, servers := startChaosCluster(t, 4,
 		Options{BlockBytes: 8 << 10, ChunkBytes: 64 << 10, MaxServerShare: 0.25},
-		transport.ClientOptions{MaxRetries: 1})
+		transport.ClientOptions{})
 	ctx := context.Background()
 	data := randData(256<<10, 92)
 

@@ -104,7 +104,7 @@ func TestChaosStalledAndCorruptingRead(t *testing.T) {
 	// routing failure.
 	client, servers := startChaosCluster(t, 8,
 		Options{BlockBytes: 8 << 10, Redundancy: 5, MaxServerShare: 0.15, Obs: reg},
-		transport.ClientOptions{MaxRetries: 2})
+		transport.ClientOptions{})
 	ctx := context.Background()
 	data := randData(256<<10, 77) // K=32
 
@@ -161,7 +161,7 @@ func TestChaosConnResetsRecovered(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 6,
 		Options{BlockBytes: 8 << 10, Obs: reg},
-		transport.ClientOptions{MaxRetries: 4, Obs: reg})
+		transport.ClientOptions{Obs: reg})
 	ctx := context.Background()
 	data := randData(256<<10, 78)
 
@@ -266,7 +266,7 @@ func TestChaosDegradedWriteThenRepairPromotes(t *testing.T) {
 func TestChaosScenarioPhasedOutage(t *testing.T) {
 	client, servers := startChaosCluster(t, 5,
 		Options{BlockBytes: 8 << 10},
-		transport.ClientOptions{MaxRetries: 4})
+		transport.ClientOptions{})
 	ctx := context.Background()
 	data := randData(128<<10, 80)
 	if _, err := client.Write(ctx, "phased", data, nil); err != nil {

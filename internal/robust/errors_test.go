@@ -13,8 +13,8 @@ import (
 )
 
 // capStore accepts a fixed number of Puts and fails the rest — a
-// deterministic "server out of space" for provoking short and
-// degraded writes.
+// server out of space after a set count, whichever indices reached it
+// (prefixStore fixes the indices too).
 type capStore struct {
 	blockstore.Store
 	remaining atomic.Int64
@@ -39,10 +39,25 @@ func (s *capStore) Put(ctx context.Context, segment string, index int, data []by
 	return s.Store.Put(ctx, segment, index, data)
 }
 
-// cappedClient builds a client over n capStores of the given per-store
-// capacity. K=4 with the small test geometry, so N=16 and the default
-// degraded floor is ceil(1.75·4)=7.
-func cappedClient(t *testing.T, n, capacity int, opts Options) *Client {
+// prefixStore refuses every Put at an index at or above its bound — a
+// deterministic "servers out of space": a write over such stores
+// commits exactly the shares below the bound, whatever the timing.
+type prefixStore struct {
+	blockstore.Store
+	bound atomic.Int64
+}
+
+func (s *prefixStore) Put(ctx context.Context, segment string, index int, data []byte) error {
+	if int64(index) >= s.bound.Load() {
+		return errFull
+	}
+	return s.Store.Put(ctx, segment, index, data)
+}
+
+// prefixClient builds a client over n prefixStores refusing indices at
+// or above bound. K=4 with the small test geometry, so N=16 and the
+// default degraded floor is ceil(1.75·4)=7.
+func prefixClient(t *testing.T, n, bound int, opts Options) (*Client, []*prefixStore) {
 	t.Helper()
 	opts.BlockBytes = 1024
 	meta := metadata.NewService()
@@ -50,14 +65,17 @@ func cappedClient(t *testing.T, n, capacity int, opts Options) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("cap-%02d", i)
-		if err := c.AttachStore(addr, newCapStore(capacity)); err != nil {
+	stores := make([]*prefixStore, n)
+	for i := range stores {
+		stores[i] = &prefixStore{Store: blockstore.NewMemStore()}
+		stores[i].bound.Store(int64(bound))
+		addr := fmt.Sprintf("prefix-%02d", i)
+		if err := c.AttachStore(addr, stores[i]); err != nil {
 			t.Fatal(err)
 		}
 		meta.RegisterServer(metadata.Server{Addr: addr})
 	}
-	return c
+	return c, stores
 }
 
 // TestErrorTaxonomy provokes each failure mode of the robust client
@@ -109,8 +127,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "short write",
 			provoke: func(t *testing.T) error {
-				// Total capacity 3·2=6 < floor 7: nothing commits.
-				c := cappedClient(t, 3, 2, Options{})
+				// Shares 0–5 only, below the floor of 7: nothing commits.
+				c, _ := prefixClient(t, 3, 6, Options{})
 				_, err := c.Write(ctx, "seg", data, nil)
 				return err
 			},
@@ -120,7 +138,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "short write despite DegradedWrites below floor",
 			provoke: func(t *testing.T) error {
-				c := cappedClient(t, 3, 2, Options{DegradedWrites: true})
+				c, _ := prefixClient(t, 3, 6, Options{DegradedWrites: true})
 				_, err := c.Write(ctx, "seg", data, nil)
 				return err
 			},
@@ -130,8 +148,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "degraded write",
 			provoke: func(t *testing.T) error {
-				// Capacity 3·3=9: between the floor (7) and N (16).
-				c := cappedClient(t, 3, 3, Options{DegradedWrites: true})
+				// Shares 0–7 only: between the floor (7) and N (16),
+				// and they decode for "seg".
+				c, _ := prefixClient(t, 3, 8, Options{DegradedWrites: true})
 				stats, err := c.Write(ctx, "seg", data, nil)
 				if !stats.Degraded {
 					t.Errorf("stats.Degraded = false, want true")
@@ -206,7 +225,8 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestDegradedWriteReadable(t *testing.T) {
 	ctx := context.Background()
 	data := randData(4096, 3)
-	c := cappedClient(t, 3, 3, Options{DegradedWrites: true})
+	// Shares 0–7 only, which decode for "seg".
+	c, _ := prefixClient(t, 3, 8, Options{DegradedWrites: true})
 	stats, err := c.Write(ctx, "seg", data, nil)
 	if !errors.Is(err, ErrDegradedWrite) {
 		t.Fatalf("Write error = %v, want ErrDegradedWrite", err)
@@ -227,5 +247,28 @@ func TestDegradedWriteReadable(t *testing.T) {
 	}
 	if string(got) != string(data) {
 		t.Fatal("degraded segment decoded to wrong data")
+	}
+}
+
+// TestDegradedWriteUndecodableIsShort: a degraded commit must decode.
+// Stores that refuse every index from 8 on commit exactly shares 0–7
+// of K=4, N=16 — above the floor of 7 — and for segment "undec-760"
+// those eight shares do not span the four originals. The write must
+// fail as short and leave neither a metadata record nor shares behind,
+// instead of committing a segment no read can decode.
+func TestDegradedWriteUndecodableIsShort(t *testing.T) {
+	ctx := context.Background()
+	c, stores := prefixClient(t, 3, 8, Options{DegradedWrites: true})
+	_, err := c.Write(ctx, "undec-760", randData(4096, 41), nil)
+	if !errors.Is(err, ErrShortWrite) || errors.Is(err, ErrDegradedWrite) {
+		t.Fatalf("Write error = %v, want ErrShortWrite", err)
+	}
+	if _, err := c.Meta().LookupSegment("undec-760"); !errors.Is(err, metadata.ErrSegmentNotFound) {
+		t.Fatalf("LookupSegment after a short write = %v, want not found", err)
+	}
+	for i, s := range stores {
+		if left, err := s.List(ctx, "undec-760"); err != nil || len(left) != 0 {
+			t.Fatalf("store %d kept shares %v (err %v) after a short write", i, left, err)
+		}
 	}
 }

@@ -323,7 +323,8 @@ func TestHealthMissingSegment(t *testing.T) {
 func TestRepairPromotesDegradedSegment(t *testing.T) {
 	ctx := context.Background()
 	data := randData(4096, 40) // K=4, N=16, floor=7
-	c := cappedClient(t, 3, 3, Options{DegradedWrites: true})
+	// The stores take only shares 0–7, which decode for "deg".
+	c, stores := prefixClient(t, 3, 8, Options{DegradedWrites: true})
 	ws, err := c.Write(ctx, "deg", data, nil)
 	if !errors.Is(err, ErrDegradedWrite) {
 		t.Fatalf("Write error = %v, want ErrDegradedWrite", err)
@@ -333,9 +334,8 @@ func TestRepairPromotesDegradedSegment(t *testing.T) {
 	}
 
 	// Capacity returns (servers recovered / new disks attached).
-	for _, addr := range c.Servers() {
-		st, _ := c.store(addr)
-		st.(localBackend).Store.(*capStore).remaining.Store(1 << 20)
+	for _, s := range stores {
+		s.bound.Store(1 << 20)
 	}
 
 	rs, err := c.Repair(ctx, "deg")

@@ -91,7 +91,9 @@ type Options struct {
 	// the client entirely uninstrumented — the hot paths pay only nil
 	// checks.
 	Obs *obs.Registry
-	// Health, when non-nil, receives per-server request outcomes and
+	// Health, when non-nil, receives per-server request outcomes (one
+	// per write run or read window; the transport reports none, so
+	// this client is the detector's only data-path source) and
 	// vetoes placement: servers it reports Excluded are dropped from
 	// write target sets, read fan-outs, and repair re-placement.
 	// *health.Tracker implements it; the interface keeps the data path

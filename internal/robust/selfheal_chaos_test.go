@@ -44,7 +44,7 @@ func TestChaosSelfHealingEvictRepairRejoin(t *testing.T) {
 	})
 	client, servers := startChaosCluster(t, 5,
 		Options{BlockBytes: 4 << 10, MaxServerShare: 0.3, Health: tracker, Obs: reg},
-		transport.ClientOptions{MaxRetries: 1})
+		transport.ClientOptions{})
 	ctx := context.Background()
 
 	prober := health.NewProber(tracker, client.Servers, client.Probe,
@@ -142,7 +142,7 @@ func TestChaosSelfHealingCorruptionSweep(t *testing.T) {
 	reg := obs.NewRegistry()
 	client, servers := startChaosCluster(t, 4,
 		Options{BlockBytes: 4 << 10, MaxServerShare: 0.3, Obs: reg},
-		transport.ClientOptions{MaxRetries: 1})
+		transport.ClientOptions{})
 	ctx := context.Background()
 
 	data := randData(32<<10, 101) // K=8

@@ -281,10 +281,17 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			// the LT decode threshold — rather than discarding a
 			// recoverable chunk because some servers were down. The
 			// floor holds per chunk: each chunk must stay independently
-			// decodable.
+			// decodable. The floor is a count, and a set of shares
+			// above it can still miss an original, so the committed
+			// shares must also decode.
 			if !c.opts.DegradedWrites || res.committed < degradedBlocks(k) {
 				cleanup()
 				return stats, fmt.Errorf("%w: %d of %d (%d puts failed)",
+					ErrShortWrite, res.committed, n, res.failed)
+			}
+			if !decodes(graph, ci*stride, res.placed) {
+				cleanup()
+				return stats, fmt.Errorf("%w: the %d committed blocks of %d do not decode (%d puts failed)",
 					ErrShortWrite, res.committed, n, res.failed)
 			}
 			degraded = true
@@ -631,4 +638,17 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 		failed:    int(atomic.LoadInt64(&failed)),
 		placed:    placed,
 	}
+}
+
+// decodes reports whether a chunk's committed shares recover all its
+// originals: placed holds their segment-wide indices, base the chunk's
+// first.
+func decodes(graph *ltcode.Graph, base int, placed map[string][]int) bool {
+	dec := ltcode.NewSymbolicDecoder(graph)
+	for _, indices := range placed {
+		for _, i := range indices {
+			dec.Add(i - base)
+		}
+	}
+	return dec.Solve()
 }

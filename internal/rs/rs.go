@@ -121,6 +121,23 @@ func (c *Code) Encode(shards [][]byte) error {
 	return nil
 }
 
+// EncodeMulAdds returns how many multiply-accumulate passes Encode
+// makes, one per nonzero coefficient of the parity rows. Each pass
+// reads one whole data shard, so Encode processes EncodeMulAdds()/K
+// bytes per data byte: the work that sets its bandwidth, counted
+// without a clock.
+func (c *Code) EncodeMulAdds() int {
+	n := 0
+	for r := c.k; r < c.N(); r++ {
+		for _, coeff := range c.gen.Row(r) {
+			if coeff != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // mulRows computes out[r-from] = sum_j gen[r][j] * in[j] for rows
 // [from, to) of gen.
 func (c *Code) mulRows(gen *Matrix, from, to int, in, out [][]byte) {

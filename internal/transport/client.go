@@ -20,17 +20,11 @@ import (
 // speculative read path needs: many parallel GETs, individually
 // cancelable, none blocking another.
 type Client struct {
-	addr        string
-	dialTimeout time.Duration
-	reqTimeout  time.Duration
-	maxConns    int
-	maxRetries  int
-	retryBase   time.Duration
-	retryMax    time.Duration
-	muxWindow   int
-	muxStreams  int
-	health      HealthReporter
-	m           clientMetrics
+	addr       string
+	reqTimeout time.Duration
+	maxConns   int
+	proposal   muxSettings // offered in each connection's preface
+	m          clientMetrics
 
 	muxMu           sync.Mutex
 	muxConns        []*muxConn
@@ -41,10 +35,11 @@ type Client struct {
 	muxClosed       bool
 }
 
-// ClientOptions configure a client.
+// ClientOptions configure a client. They hold what a deployment
+// decides; the transport's tuning (dial timeout, retry budget and
+// backoff, flow-control window, stream limit) is fixed by the
+// constants below.
 type ClientOptions struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// RequestTimeout, when positive, bounds each request/response
 	// exchange (and each stall of a PUTSTREAM) on its own stream, and
 	// the connection preface. Without it a hung server stalls its
@@ -58,68 +53,49 @@ type ClientOptions struct {
 	// (default 2). Each carries up to the negotiated stream limit
 	// concurrently.
 	MaxConns int
-	// MaxRetries, when positive, retries failed exchanges of
-	// idempotent operations (GET, LIST, PING, DELETE) up to this many
-	// times with capped exponential backoff and full jitter. Only
-	// transport-level failures are retried — connection errors, short
-	// reads, request timeouts — never server-reported statuses and
-	// never caller cancellation. PUT is deliberately excluded: the
-	// rateless write path re-routes a failed put to a healthier server
-	// (§4.3.2), which beats blind same-server retry. Zero disables
-	// retries.
-	MaxRetries int
-	// RetryBaseDelay is the backoff base (default 2ms): attempt k
-	// sleeps a uniformly random duration in [0, min(RetryMaxDelay,
-	// RetryBaseDelay·2^k)] — "full jitter", so synchronized client
-	// fleets do not retry in lockstep against a recovering server.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps a single backoff sleep (default 100ms).
-	RetryMaxDelay time.Duration
 	// Obs, when non-nil, receives client metrics (transport_client_*:
 	// connections, streams, bytes, errors, retries, round-trip
 	// latency).
 	Obs *obs.Registry
-	// MuxWindow overrides the proposed per-stream flow-control window
-	// in bytes (default 1 MiB); mostly for tests.
-	MuxWindow int
-	// MuxMaxStreams overrides the proposed concurrent-stream limit per
-	// connection (default 64); mostly for tests.
-	MuxMaxStreams int
-	// Health, when non-nil, receives per-server outcomes observed by
-	// the transport itself. The important case is per-stream
-	// timeouts: the demux path reports them here even when the caller
-	// already moved on and never surfaces the error, so the failure
-	// detector keeps its backoff context.
-	Health HealthReporter
 }
+
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// maxRetries is how many times a failed exchange of an idempotent
+	// operation (GET, LIST, PING, DELETE, SCRUB) is retried. Only
+	// transport-level failures are retried — connection errors, short
+	// reads, request timeouts — never server-reported statuses and
+	// never caller cancellation. PUT and PUTSTREAM are deliberately
+	// excluded: the rateless write path re-routes a failed put to a
+	// healthier server (§4.3.2), which beats blind same-server retry.
+	maxRetries = 3
+	// retryBaseDelay and retryMaxDelay shape the backoff: attempt k
+	// sleeps a uniformly random duration in [0, min(retryMaxDelay,
+	// retryBaseDelay·2^k)] — "full jitter", so synchronized client
+	// fleets do not retry in lockstep against a recovering server.
+	retryBaseDelay = 2 * time.Millisecond
+	retryMaxDelay  = 100 * time.Millisecond
+)
 
 // Dial creates a client for the server at addr and verifies
 // reachability with a ping.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
+	return dial(addr, opts, muxDefaults)
+}
+
+// dial is Dial with the mux settings to propose; tests shrink them to
+// force chunking and stream-limit waits.
+func dial(addr string, opts ClientOptions, proposal muxSettings) (*Client, error) {
 	if opts.MaxConns <= 0 {
 		opts.MaxConns = 2
 	}
-	if opts.RetryBaseDelay <= 0 {
-		opts.RetryBaseDelay = 2 * time.Millisecond
-	}
-	if opts.RetryMaxDelay <= 0 {
-		opts.RetryMaxDelay = 100 * time.Millisecond
-	}
 	c := &Client{
-		addr:        addr,
-		dialTimeout: opts.DialTimeout,
-		reqTimeout:  opts.RequestTimeout,
-		maxConns:    opts.MaxConns,
-		maxRetries:  opts.MaxRetries,
-		retryBase:   opts.RetryBaseDelay,
-		retryMax:    opts.RetryMaxDelay,
-		muxWindow:   opts.MuxWindow,
-		muxStreams:  opts.MuxMaxStreams,
-		health:      opts.Health,
-		m:           newClientMetrics(opts.Obs),
+		addr:       addr,
+		reqTimeout: opts.RequestTimeout,
+		maxConns:   opts.MaxConns,
+		proposal:   proposal,
+		m:          newClientMetrics(opts.Obs),
 	}
 	if err := c.Ping(context.Background()); err != nil {
 		c.Close()
@@ -145,7 +121,7 @@ func (c *Client) roundTrip(ctx context.Context, op byte, segment string, index i
 }
 
 // roundTripIdem performs one exchange for an idempotent operation,
-// retrying transport-level failures up to MaxRetries times with
+// retrying transport-level failures up to maxRetries times with
 // capped exponential backoff and full jitter. Server-reported
 // statuses are not failures (they arrived over a healthy exchange)
 // and caller cancellation always wins immediately.
@@ -186,7 +162,7 @@ func (c *Client) exchangeIdem(ctx context.Context, chunks [][]byte) (byte, []byt
 			}
 			return status, resp, nil
 		}
-		if attempt >= c.maxRetries || !retryable(ctx, err) {
+		if attempt >= maxRetries || !retryable(ctx, err) {
 			if retried {
 				c.m.retryGiveups.Inc()
 			}
@@ -194,7 +170,7 @@ func (c *Client) exchangeIdem(ctx context.Context, chunks [][]byte) (byte, []byt
 		}
 		retried = true
 		c.m.retries.Inc()
-		if serr := c.backoff(ctx, attempt); serr != nil {
+		if serr := BackoffFullJitter(ctx, attempt, retryBaseDelay, retryMaxDelay); serr != nil {
 			c.m.retryGiveups.Inc()
 			return 0, nil, err
 		}
@@ -213,19 +189,16 @@ func retryable(ctx context.Context, err error) bool {
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
-// backoff sleeps the full-jitter backoff for the given attempt,
-// honoring ctx: a uniformly random duration in [0, min(retryMax,
-// retryBase·2^attempt)].
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	return BackoffFullJitter(ctx, attempt, c.retryBase, c.retryMax)
-}
-
 // BackoffFullJitter sleeps a uniformly random duration in
 // [0, min(max, base·2^attempt)], honoring ctx — the retry spacing the
 // transport client uses between idempotent-op attempts, exported so
 // other client layers (the metadata failover client) retry with the
-// same fleet-safe jitter instead of inventing their own.
+// same fleet-safe jitter instead of inventing their own. A ctx already
+// done returns its error without sleeping, whatever the draw.
 func BackoffFullJitter(ctx context.Context, attempt int, base, maxDelay time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	ceil := maxDelay
 	if attempt < 20 { // beyond 2^20 the shift is surely past the cap
 		if d := base << attempt; d < ceil {

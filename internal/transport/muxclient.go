@@ -18,15 +18,6 @@ import (
 // request may or may not have reached the server.
 var errMuxConnClosed = errors.New("transport: mux connection closed")
 
-// HealthReporter receives per-server outcomes from the transport
-// layer itself — most importantly per-stream timeouts observed by the
-// mux demux path, which a caller that already moved on may never
-// surface to the failure detector. *health.Tracker implements it.
-type HealthReporter interface {
-	ReportSuccess(addr string)
-	ReportFailure(addr string)
-}
-
 // muxConn is the client half of one multiplexed connection: a demux
 // goroutine routes incoming frames to per-stream state, exchanges run
 // concurrently as streams, and a per-stream failure (timeout, reset)
@@ -89,19 +80,6 @@ func (s *muxStream) isFinished() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.finished
-}
-
-// muxProposal is the client's proposed settings (clamped by the
-// server in its preface answer).
-func (c *Client) muxProposal() muxSettings {
-	s := muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
-	if c.muxWindow > 0 {
-		s.window = c.muxWindow
-	}
-	if c.muxStreams > 0 {
-		s.maxStreams = c.muxStreams
-	}
-	return s
 }
 
 // muxFor returns a live connection, round robin, opening one while the
@@ -193,12 +171,12 @@ const muxRedialBackoff = 500 * time.Millisecond
 // by the dial timeout and the request timeout, and abandoned when ctx
 // ends.
 func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
-	conn, err := (&net.Dialer{Timeout: c.dialTimeout}).DialContext(ctx, "tcp", c.addr)
+	conn, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		c.m.dialErrors.Inc()
 		return nil, err
 	}
-	limit := c.dialTimeout
+	limit := dialTimeout
 	if c.reqTimeout > 0 {
 		limit = min(limit, c.reqTimeout)
 	}
@@ -233,15 +211,14 @@ func (c *Client) establishMux(ctx context.Context) (*muxConn, error) {
 // exchangePreface sends the client's preface and reads the server's.
 // The server may only narrow the proposal.
 func (c *Client) exchangePreface(conn net.Conn) (muxSettings, error) {
-	proposal := c.muxProposal()
-	if _, err := conn.Write(encodePreface(proposal)); err != nil {
+	if _, err := conn.Write(encodePreface(c.proposal)); err != nil {
 		return muxSettings{}, err
 	}
 	chosen, err := readPreface(conn)
 	if err != nil {
 		return muxSettings{}, err
 	}
-	return proposal.negotiate(chosen), nil
+	return c.proposal.negotiate(chosen), nil
 }
 
 func (m *muxConn) isDead() bool {
@@ -271,9 +248,6 @@ func (m *muxConn) fatal(err error) {
 	m.ctl.close()
 	m.conn.Close()
 	m.c.m.muxConnFailures.Inc()
-	if m.c.health != nil && !errors.Is(err, errClientClosed) {
-		m.c.health.ReportFailure(m.c.addr)
-	}
 	for _, s := range streams {
 		s.finish(fmt.Errorf("%w: %w", errMuxConnClosed, err))
 	}
@@ -475,9 +449,6 @@ func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, 
 			m.abandon(s, ctx.Err())
 		case <-timeout:
 			m.c.m.muxStreamTimeouts.Inc()
-			if m.c.health != nil {
-				m.c.health.ReportFailure(m.c.addr)
-			}
 			m.abandon(s, fmt.Errorf("%w after %v: mux stream %d", ErrRequestTimeout, m.c.reqTimeout, s.id))
 		case <-s.done:
 		case <-watchDone:
@@ -504,9 +475,6 @@ func (m *muxConn) exchange(ctx context.Context, chunks [][]byte) (byte, []byte, 
 	if !s.gotStatus {
 		m.fatal(fmt.Errorf("transport: mux stream %d finished without a status", s.id))
 		return 0, nil, fmt.Errorf("transport: empty mux response")
-	}
-	if m.c.health != nil {
-		m.c.health.ReportSuccess(m.c.addr)
 	}
 	var sent int64
 	for _, ch := range chunks {
@@ -758,9 +726,6 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 					continue
 				}
 				m.c.m.muxStreamTimeouts.Inc()
-				if m.c.health != nil {
-					m.c.health.ReportFailure(m.c.addr)
-				}
 				m.abandon(s, fmt.Errorf("%w after %v: mux stream %d stalled", ErrRequestTimeout, m.c.reqTimeout, s.id))
 				return
 			case <-s.done:
@@ -818,9 +783,6 @@ func (m *muxConn) putStream(ctx context.Context, segment string, puts []blocksto
 	}
 	for i := pos; i < len(puts); i++ {
 		acked(i, terminal)
-	}
-	if m.c.health != nil && terminal == nil {
-		m.c.health.ReportSuccess(m.c.addr)
 	}
 	var sent int64
 	for _, ch := range chunks {

@@ -62,7 +62,7 @@ func TestGetAllocatesResponseOnce(t *testing.T) {
 	const size = 256 << 10
 	block := make([]byte, size)
 	rand.New(rand.NewSource(1)).Read(block)
-	client := startMuxPair(t, &staticStore{Store: blockstore.NewMemStore(), block: block}, ClientOptions{MaxConns: 1})
+	client := startMuxPair(t, &staticStore{Store: blockstore.NewMemStore(), block: block}, ClientOptions{MaxConns: 1}, muxDefaults)
 	ctx := context.Background()
 	per := allocBytesPerOp(20, func() {
 		got, err := client.Get(ctx, "seg", 0)
@@ -84,7 +84,7 @@ func TestPutStreamServerAllocatesNoFrameBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	client := startMuxPair(t, discardStore{blockstore.NewMemStore()}, ClientOptions{MaxConns: 1})
+	client := startMuxPair(t, discardStore{blockstore.NewMemStore()}, ClientOptions{MaxConns: 1}, muxDefaults)
 	puts := make([]blockstore.BatchPut, 16)
 	for i := range puts {
 		puts[i] = blockstore.BatchPut{Index: i, Data: bytes.Repeat([]byte{byte(i)}, 256<<10)}
@@ -115,7 +115,7 @@ func TestPutStreamServerAllocatesNoFrameBuffers(t *testing.T) {
 // whole entry. The borrowing entry's credit now returns as it lands.
 func TestPutStreamEntryLargerThanWindow(t *testing.T) {
 	mem := blockstore.NewMemStore()
-	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1})
+	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1}, muxDefaults)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rng := rand.New(rand.NewSource(2))
@@ -147,7 +147,7 @@ func TestPutStreamEntryLargerThanWindow(t *testing.T) {
 // connection's reused read buffers.
 func TestMuxConcurrentGetAndPutStreamByteExact(t *testing.T) {
 	mem := blockstore.NewMemStore()
-	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1, MuxWindow: 64 << 10})
+	client := startMuxPair(t, mem, ClientOptions{MaxConns: 1}, muxSettings{window: 64 << 10, maxStreams: defaultMuxStreams})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	blocks := make([][]byte, 24)

@@ -14,9 +14,9 @@ import (
 	"repro/internal/admission"
 )
 
-// serverMuxDefaults bound what a server will accept in a preface
-// regardless of the client's proposal.
-var serverMuxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
+// muxDefaults are what a client proposes in its preface and the most a
+// server accepts, whatever a peer proposes.
+var muxDefaults = muxSettings{window: defaultMuxWindow, maxStreams: defaultMuxStreams}
 
 // serveMux runs the frame loop of one connection whose prefaces have
 // been exchanged, until the connection drops.

@@ -22,7 +22,7 @@ func TestClientPoolCapBlocksAndRecovers(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 2, MuxMaxStreams: 1})
+	client, err := dial(ln.Addr().String(), ClientOptions{MaxConns: 2}, muxSettings{window: defaultMuxWindow, maxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestClientPoolWaiterHonorsContext(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1, MuxMaxStreams: 1})
+	client, err := dial(ln.Addr().String(), ClientOptions{MaxConns: 1}, muxSettings{window: defaultMuxWindow, maxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCloseUnblocksPoolWaiters(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), ClientOptions{MaxConns: 1, MuxMaxStreams: 1})
+	client, err := dial(ln.Addr().String(), ClientOptions{MaxConns: 1}, muxSettings{window: defaultMuxWindow, maxStreams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func TestDialRejectsBadPrefaceAnswer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	if c, err := Dial(ln.Addr().String(), ClientOptions{DialTimeout: time.Second}); err == nil {
+	if c, err := Dial(ln.Addr().String(), ClientOptions{}); err == nil {
 		c.Close()
 		t.Fatal("Dial accepted a zero-window preface answer")
 	}

@@ -81,6 +81,8 @@ func okResponse(conn net.Conn, id uint32) bool {
 // TestExchangeDropsConnOnShortRead: a response truncated mid-frame
 // (short read) must drop the connection — a half-read conn would
 // poison the next request on it — and the next request dials fresh.
+// The poisoned exchange is a PUT, which is never retried, so its error
+// reaches the caller.
 func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
@@ -102,7 +104,7 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.Ping(ctx); err == nil {
+	if err := c.Put(ctx, "seg", 0, []byte("data")); err == nil {
 		t.Fatal("short-read exchange should error")
 	}
 	// The poisoned conn must not be reused: the next request dials
@@ -117,7 +119,8 @@ func TestExchangeDropsConnOnShortRead(t *testing.T) {
 
 // TestExchangeDropsConnOnEmptyResponse: a RESP frame without its
 // flags and status is a protocol violation that kills the connection,
-// so the next request runs on a fresh one.
+// so the next request runs on a fresh one. The violating exchange is
+// an unretried PUT, so its error reaches the caller.
 func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
 		switch n {
@@ -137,7 +140,7 @@ func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.Ping(ctx); err == nil {
+	if err := c.Put(ctx, "seg", 0, []byte("data")); err == nil {
 		t.Fatal("empty response should error")
 	}
 	if err := c.Ping(ctx); err != nil {
@@ -148,27 +151,18 @@ func TestExchangeDropsConnOnEmptyResponse(t *testing.T) {
 	}
 }
 
-// TestIdempotentRetryRecovers: the first two exchanges die mid-air;
-// with MaxRetries the GET succeeds anyway and the retry counters
-// record the recovery.
+// TestIdempotentRetryRecovers: the GET's first attempt and all but its
+// last retry die mid-air; the last retry of the budget still lands, so
+// the GET succeeds and the retry counters record the recovery.
 func TestIdempotentRetryRecovers(t *testing.T) {
 	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
-		switch n {
-		case 1: // Dial's ping
-			return okResponse(conn, id)
-		case 2, 3: // two dead exchanges: close without responding
-			return false
-		default:
+		if n == 1 || n > 1+maxRetries { // Dial's ping, the last retry
 			return okResponse(conn, id)
 		}
+		return false // a dead exchange: close without responding
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{
-		MaxRetries:     4,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
-		Obs:            reg,
-	})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +170,8 @@ func TestIdempotentRetryRecovers(t *testing.T) {
 	if _, err := c.Get(context.Background(), "seg", 0); err != nil {
 		t.Fatalf("get with retries failed: %v", err)
 	}
-	if got := reg.Counter("transport_client_retries_total").Value(); got != 2 {
-		t.Fatalf("retries=%d, want 2", got)
+	if got := reg.Counter("transport_client_retries_total").Value(); got != maxRetries {
+		t.Fatalf("retries=%d, want maxRetries=%d", got, maxRetries)
 	}
 	if got := reg.Counter("transport_client_retry_successes_total").Value(); got != 1 {
 		t.Fatalf("retry successes=%d, want 1", got)
@@ -195,9 +189,7 @@ func TestPutNotRetried(t *testing.T) {
 		return false // every later exchange dies
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{
-		MaxRetries: 8, RetryBaseDelay: time.Millisecond, Obs: reg,
-	})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +212,7 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 		return false
 	})
 	reg := obs.NewRegistry()
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{
-		MaxRetries:     3,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  2 * time.Millisecond,
-		Obs:            reg,
-	})
+	c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +220,8 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	if _, err := c.Get(context.Background(), "seg", 0); err == nil {
 		t.Fatal("get should fail once the retry budget is exhausted")
 	}
-	if got := reg.Counter("transport_client_retries_total").Value(); got != 3 {
-		t.Fatalf("retries=%d, want 3", got)
+	if got := reg.Counter("transport_client_retries_total").Value(); got != maxRetries {
+		t.Fatalf("retries=%d, want maxRetries=%d", got, maxRetries)
 	}
 	if got := reg.Counter("transport_client_retry_giveups_total").Value(); got != 1 {
 		t.Fatalf("giveups=%d, want 1", got)
@@ -244,35 +231,59 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 // TestRetryHonorsCancellation: caller cancellation must win over the
 // retry loop, during the exchange and during the backoff sleep.
 func TestRetryHonorsCancellation(t *testing.T) {
-	srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
-		if n == 1 {
-			return okResponse(conn, id)
+	t.Run("exchange", func(t *testing.T) {
+		// Every exchange after Dial's ping stalls: the cancel lands
+		// while the GET's first attempt is in flight.
+		srv := newScriptedServer(t, func(n int64, conn net.Conn, id uint32) bool {
+			if n == 1 {
+				return okResponse(conn, id)
+			}
+			return true // keep the conn, never answer
+		})
+		reg := obs.NewRegistry()
+		c, err := Dial(srv.ln.Addr().String(), ClientOptions{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
+		defer c.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(30*time.Millisecond, cancel)
+		start := time.Now()
+		if _, err := c.Get(ctx, "seg", 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled get = %v, want context.Canceled", err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("cancellation took %v — retry loop ignored ctx", elapsed)
+		}
+		if got := reg.Counter("transport_client_retries_total").Value(); got != 0 {
+			t.Fatalf("retries=%d, want 0: a canceled exchange is not retried", got)
+		}
 	})
-	c, err := Dial(srv.ln.Addr().String(), ClientOptions{
-		MaxRetries:     1000,
-		RetryBaseDelay: 50 * time.Millisecond,
-		RetryMaxDelay:  time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
+	t.Run("backoff", func(t *testing.T) {
+		// The sleep between attempts ends with its context, at every
+		// attempt of the budget and even when the jitter draws zero.
+		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-	}()
-	start := time.Now()
-	_, err = c.Get(ctx, "seg", 0)
-	if err == nil {
-		t.Fatal("canceled get should fail")
-	}
-	if !errors.Is(err, context.Canceled) && ctx.Err() == nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v — retry loop ignored ctx", elapsed)
-	}
+		for attempt := 0; attempt < maxRetries; attempt++ {
+			if err := BackoffFullJitter(ctx, attempt, retryBaseDelay, retryMaxDelay); !errors.Is(err, context.Canceled) {
+				t.Fatalf("backoff %d under a canceled ctx = %v, want context.Canceled", attempt, err)
+			}
+		}
+		// A sleep already under way is cut short: the backoff at the
+		// delay cap, canceled once it has begun, returns long before a
+		// full-length sleep would.
+		ctx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- BackoffFullJitter(ctx, 30, time.Hour, time.Hour) }()
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("backoff canceled mid-sleep = %v, want context.Canceled", err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("mid-sleep cancellation took %v", elapsed)
+		}
+	})
 }

@@ -161,7 +161,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("transport: bad preface from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	chosen := serverMuxDefaults.negotiate(peer)
+	chosen := muxDefaults.negotiate(peer)
 	if _, err := conn.Write(encodePreface(chosen)); err != nil {
 		return
 	}

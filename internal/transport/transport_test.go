@@ -166,7 +166,7 @@ func TestContextCancellationAbortsGet(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", ClientOptions{DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := Dial("127.0.0.1:1", ClientOptions{}); err == nil {
 		t.Fatal("Dial to dead port succeeded")
 	}
 }

@@ -40,8 +40,9 @@
 #      (per-metric tolerances, non-zero exit on regression)
 #  12. the data path's size: non-test lines in internal/transport and
 #      internal/robust, non-test lines in internal/blockstore, the
-#      settable fields of the exported option structs and the flags of
-#      robustored and robustore (scripts/loc.sh), and non-test lines in
+#      settable fields of the exported option structs (and, apart,
+#      replica.Config's) and the flags of robustored and robustore
+#      (scripts/loc.sh), and non-test lines in
 #      internal/metadata, so code moved out of the data path into the
 #      metadata service shows
 set -euo pipefail

@@ -3,7 +3,8 @@
 # the non-test Go line count of internal/transport plus internal/robust,
 # the same count for internal/blockstore, the number of settable fields
 # (knobs) in the exported option structs a deployment configures it
-# with, and the number of command-line flags of the server and client
+# with, the settable fields of replica.Config on a line of their own,
+# and the number of command-line flags of the server and client
 # commands.
 #
 # Usage: ./scripts/loc.sh
@@ -49,6 +50,8 @@ transport.ServerOptions internal/transport/server.go ServerOptions
 metadata.RemoteOptions internal/metadata/remote.go RemoteOptions
 EOF
 echo "settable option fields: $total ($detail)"
+# The metadata plane's consensus tuning, outside the tracked total.
+echo "replica.Config settable fields (not in the total): $(fields internal/metadata/replica/node.go Config)"
 
 # Each flag.T(...) declaration in a command's main.go is one flag.
 flags() {
