@@ -17,6 +17,7 @@ import "repro/internal/obs"
 //	robust_writes_total / robust_write_errors_total
 //	robust_write_blocks_total      coded blocks committed (incl. overshoot)
 //	robust_write_failed_puts_total failed block PUTs retried elsewhere
+//	robust_write_speculative_total one-share probes sent past the need because a run was late
 //	robust_write_bytes_total       coded bytes shipped to servers
 //	robust_write_latency_seconds
 //	robust_write_first_commit_seconds latency to the first committed block
@@ -48,6 +49,7 @@ type clientMetrics struct {
 	writeErrors      *obs.Counter
 	writeBlocks      *obs.Counter
 	writeFailedPuts  *obs.Counter
+	writeSpeculative *obs.Counter
 	writeBytes       *obs.Counter
 	writeLatency     *obs.Histogram
 	writeFirstCommit *obs.Histogram
@@ -85,6 +87,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		writeErrors:      r.Counter("robust_write_errors_total"),
 		writeBlocks:      r.Counter("robust_write_blocks_total"),
 		writeFailedPuts:  r.Counter("robust_write_failed_puts_total"),
+		writeSpeculative: r.Counter("robust_write_speculative_total"),
 		writeBytes:       r.Counter("robust_write_bytes_total"),
 		writeLatency:     r.Histogram("robust_write_latency_seconds"),
 		writeFirstCommit: r.Histogram("robust_write_first_commit_seconds"),

@@ -126,7 +126,9 @@ const (
 	// a write run, or a read window of shares.
 	perServerParallel = 2
 	// graphSlack is the number of extra coded blocks generated per
-	// server beyond N, bounding rateless-write overshoot.
+	// server beyond N. A write claims no more than N, so the slack
+	// covers only one-share probes past late runs and the fresh
+	// indices that replace retries no server would take.
 	graphSlack = 4
 	// degradedFloor is the minimum redundancy of a degraded commit
 	// (floor = ceil(1.75·K) blocks). It must clear the LT reception

@@ -21,9 +21,8 @@ import (
 // Code is a Reed-Solomon erasure code with fixed K and M. It is
 // immutable after construction and safe for concurrent use.
 type Code struct {
-	k, m   int
-	gen    *Matrix // (k+m) x k generator; top k rows are identity
-	parity *Matrix // bottom m rows (alias into gen)
+	k, m int
+	gen  *Matrix // (k+m) x k generator; top k rows are identity
 }
 
 // New constructs a code with k data shards and m parity shards.

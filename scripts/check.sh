@@ -23,13 +23,16 @@
 #   7. the mux data-path tests under -race, ten times over: many
 #      concurrent GET and PUTSTREAM streams on one connection checked
 #      byte for byte, so a reused read buffer reaching a consumer shows
+#      — and the write-path tests under -race, ten times over: the
+#      claim, probe, retry and degraded-commit paths of a speculative
+#      write, whose workers share one spread's state
 #   8. chaos suite under -race: real client/server pairs through
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
 #      control plane (kill -> evict -> repair -> rejoin)
 #   9. robust stress: internal/robust 20 times at GOMAXPROCS 1, 2
 #      and 8, so a placement- or timing-dependent test fails here
-#      (about 8 minutes), then every Fuzz* target for 10s each
+#      (about 2 minutes), then every Fuzz* target for 10s each
 #      (scripts/fuzz.sh)
 #  10. bench smoke: every benchmark once (client overhead + headline
 #      reproduction metrics + the client-shape LT encode bandwidth;
@@ -97,6 +100,9 @@ go test -race -count=1 -timeout 10m \
 
 echo "==> mux data path under -race, 10 runs (reused read buffers never reach a consumer)"
 go test -race -count=10 -run 'Mux|PutStream|GetStream' ./internal/transport
+
+echo "==> write path under -race, 10 runs (claims, probes, retries, degraded commits)"
+go test -race -count=10 -run 'Write|Spread|Degraded|Speculat' ./internal/robust
 
 echo "==> chaos suite under -race"
 go test -race -count=1 -timeout 10m -run 'TestChaos' \
