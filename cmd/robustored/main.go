@@ -5,9 +5,7 @@
 // The server stores sealed shares only: it checks each block's envelope
 // header on PUT, and answers the SCRUB op by verifying every envelope
 // of a segment in place, so the client's scrub/repair daemon finds
-// at-rest bit rot without moving payload data. Blocks that earlier
-// versions stored inside their own CRC frame (the former -checksum
-// option) still read and scrub.
+// at-rest bit rot and misfiled blocks without moving payload data.
 //
 // Usage:
 //

@@ -74,7 +74,7 @@ func (s *MemStore) DeleteBatch(ctx context.Context, segment string, indices []in
 // inner fast path when there is one; otherwise each entry is Put alone,
 // so only the entries that are not sealed shares fail.
 func (s *ChecksumStore) PutBatch(ctx context.Context, segment string, puts []BatchPut) []error {
-	bs, batches := s.inner.(Batcher)
+	bs, batches := s.Store.(Batcher)
 	for _, p := range puts {
 		batches = batches && checkShareHeader(p.Data) == nil
 	}
@@ -91,10 +91,10 @@ func (s *ChecksumStore) GetBatch(ctx context.Context, segment string, indices []
 
 // DeleteBatch implements Batcher.
 func (s *ChecksumStore) DeleteBatch(ctx context.Context, segment string, indices []int) []error {
-	if bs, ok := s.inner.(Batcher); ok {
+	if bs, ok := s.Store.(Batcher); ok {
 		return bs.DeleteBatch(ctx, segment, indices)
 	}
-	return eachEntry(ctx, len(indices), func(i int) error { return s.inner.Delete(ctx, segment, indices[i]) })
+	return eachEntry(ctx, len(indices), func(i int) error { return s.Delete(ctx, segment, indices[i]) })
 }
 
 // getEach implements GetBatch over s.Get: gets are not on the hot path

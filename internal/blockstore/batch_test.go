@@ -45,9 +45,9 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 			ctx := context.Background()
 			puts := []BatchPut{
-				{Index: 0, Data: seal([]byte("alpha"))},
-				{Index: 3, Data: seal([]byte(""))},
-				{Index: 7, Data: seal([]byte("gamma"))},
+				{Index: 0, Data: seal("seg", 0, []byte("alpha"))},
+				{Index: 3, Data: seal("seg", 3, []byte(""))},
+				{Index: 7, Data: seal("seg", 7, []byte("gamma"))},
 			}
 			for i, err := range b.PutBatch(ctx, "seg", puts) {
 				if err != nil {
@@ -116,12 +116,12 @@ func TestPutBatchDoesNotRetain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.store.(Batcher)
 			ctx := context.Background()
-			buf := seal([]byte("original"))
+			buf := seal("seg", 0, []byte("original"))
 			want := string(buf)
 			if errs := b.PutBatch(ctx, "seg", []BatchPut{{Index: 0, Data: buf}}); errs[0] != nil {
 				t.Fatal(errs[0])
 			}
-			copy(buf, seal([]byte("clobber!")))
+			copy(buf, seal("seg", 0, []byte("clobber!")))
 			datas, errs := b.GetBatch(ctx, "seg", []int{0})
 			if errs[0] != nil || string(datas[0]) != want {
 				t.Fatalf("stored block aliased caller buffer: %q, %v", datas[0], errs[0])
@@ -130,16 +130,16 @@ func TestPutBatchDoesNotRetain(t *testing.T) {
 	}
 }
 
-// TestChecksumGetBatchFlagsCorruption verifies per-entry integrity of
-// blocks stored in the legacy "RCRC" frame: a corrupted one reports
-// ErrCorrupt while its batchmates come back unframed.
+// TestChecksumGetBatchFlagsCorruption: GetBatch returns every entry as
+// stored, rot included, and the reader's OpenShare flags exactly the
+// tampered one while its batchmate opens.
 func TestChecksumGetBatchFlagsCorruption(t *testing.T) {
 	inner := NewMemStore()
 	s := WithChecksums(inner)
 	ctx := context.Background()
-	if errs := inner.PutBatch(ctx, "seg", []BatchPut{
-		{Index: 0, Data: legacyFrame([]byte("keep"))},
-		{Index: 1, Data: legacyFrame([]byte("smash"))},
+	if errs := s.PutBatch(ctx, "seg", []BatchPut{
+		{Index: 0, Data: seal("seg", 0, []byte("keep"))},
+		{Index: 1, Data: seal("seg", 1, []byte("smash"))},
 	}); errs[0] != nil || errs[1] != nil {
 		t.Fatal(errs)
 	}
@@ -154,14 +154,14 @@ func TestChecksumGetBatchFlagsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	datas, errs := s.GetBatch(ctx, "seg", []int{0, 1})
-	if errs[0] != nil || string(datas[0]) != "keep" {
-		t.Fatalf("intact batchmate failed: %q, %v", datas[0], errs[0])
+	if errs[0] != nil || errs[1] != nil || !bytes.Equal(datas[1], tampered) {
+		t.Fatalf("GetBatch = %q, %v; want both entries as stored", datas, errs)
 	}
-	if !errors.Is(errs[1], ErrCorrupt) {
-		t.Fatalf("tampered entry = %v, want ErrCorrupt", errs[1])
+	if data, err := OpenShare(datas[0], "seg", 0); err != nil || string(data) != "keep" {
+		t.Fatalf("intact batchmate opened to %q, %v", data, err)
 	}
-	if datas[1] != nil {
-		t.Fatal("corrupt entry returned data")
+	if _, err := OpenShare(datas[1], "seg", 1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("tampered entry opened with %v, want ErrCorrupt", err)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestChecksumPutBatchRefusesUnsealed(t *testing.T) {
 	for _, s := range []*ChecksumStore{WithChecksums(NewMemStore()), WithChecksums(plainStore{NewMemStore()})} {
 		ctx := context.Background()
 		errs := s.PutBatch(ctx, "seg", []BatchPut{
-			{Index: 0, Data: seal([]byte("good"))},
+			{Index: 0, Data: seal("seg", 0, []byte("good"))},
 			{Index: 1, Data: []byte("bare block")},
 		})
 		if errs[0] != nil || !errors.Is(errs[1], ErrCorrupt) {

@@ -3,33 +3,22 @@ package blockstore
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// seal returns payload in a share envelope, as a writer stores it.
-func seal(payload []byte) []byte {
-	return SealShare(append(make([]byte, ShareOverhead), payload...))
-}
-
-// legacyFrame returns block inside the "RCRC" frame that servers run
-// with the former -checksum option stored, built by hand: nothing in
-// the package writes that frame any more.
-func legacyFrame(block []byte) []byte {
-	out := make([]byte, 8, 8+len(block))
-	binary.BigEndian.PutUint32(out[0:4], legacyMagic)
-	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(block, crc32.MakeTable(crc32.Castagnoli)))
-	return append(out, block...)
+// seal returns payload in a share envelope as block index of segment,
+// as a writer stores it.
+func seal(segment string, index int, payload []byte) []byte {
+	return SealShare(append(make([]byte, ShareOverhead), payload...), segment, index)
 }
 
 func TestChecksumRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
-	share := seal([]byte("integrity matters"))
+	share := seal("seg", 0, []byte("integrity matters"))
 	if err := s.Put(ctx, "seg", 0, share); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +29,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, share) {
 		t.Fatalf("got %q", got)
 	}
-	if data, err := OpenShare(got); err != nil || string(data) != "integrity matters" {
+	if data, err := OpenShare(got, "seg", 0); err != nil || string(data) != "integrity matters" {
 		t.Fatalf("OpenShare = %q, %v", data, err)
 	}
 }
@@ -51,7 +40,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
 	s := WithChecksums(inner)
-	if err := s.Put(ctx, "seg", 1, seal([]byte("precious bytes"))); err != nil {
+	if err := s.Put(ctx, "seg", 1, seal("seg", 1, []byte("precious bytes"))); err != nil {
 		t.Fatal(err)
 	}
 	framed, _ := inner.Get(ctx, "seg", 1)
@@ -65,7 +54,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShare(share); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenShare(share, "seg", 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("OpenShare of a rotten share = %v, want ErrCorrupt", err)
 	}
 }
@@ -94,7 +83,7 @@ func TestChecksumDetectsUnframedData(t *testing.T) {
 func TestChecksumComputesNoCRC(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
-	share := seal([]byte("the reader checks this"))
+	share := seal("seg", 0, []byte("the reader checks this"))
 	share[5] ^= 0x01 // the CRC field
 	if err := s.Put(ctx, "seg", 0, share); err != nil {
 		t.Fatalf("Put of a well-formed envelope: %v", err)
@@ -104,47 +93,6 @@ func TestChecksumComputesNoCRC(t *testing.T) {
 	}
 	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Scrub = %v, %v, want [0]", got, err)
-	}
-}
-
-// TestChecksumReadsLegacyFrame: a block directory written by a server
-// that framed every block in "RCRC" still reads and scrubs.
-func TestChecksumReadsLegacyFrame(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed, bare := seal([]byte("sealed share")), []byte("bare share of an unsealed record")
-	for i, block := range [][]byte{sealed, bare, sealed} {
-		if err := fs.Put(ctx, "seg", i, legacyFrame(block)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rotten, _ := fs.Get(ctx, "seg", 2)
-	rotten[len(rotten)-1] ^= 0x01
-	fs.Put(ctx, "seg", 2, rotten)
-	fs.Close()
-
-	fs, err = NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := WithChecksums(fs)
-	defer s.Close()
-	for i, want := range [][]byte{sealed, bare} {
-		if got, err := s.Get(ctx, "seg", i); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Get(%d) = %q, %v; want %q", i, got, err, want)
-		}
-	}
-	if _, err := s.Get(ctx, "seg", 2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get of a rotten legacy frame = %v, want ErrCorrupt", err)
-	}
-	// The bare share fails the envelope check and the rotten one its
-	// frame; only the sealed share scrubs clean.
-	if got, err := s.Scrub(ctx, "seg"); err != nil || len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Scrub = %v, %v, want [1 2]", got, err)
 	}
 }
 
@@ -160,7 +108,7 @@ func TestScrub(t *testing.T) {
 	inner := NewMemStore()
 	s := WithChecksums(inner)
 	for i := 0; i < 5; i++ {
-		s.Put(ctx, "seg", i, seal([]byte{byte(i), byte(i + 1)}))
+		s.Put(ctx, "seg", i, seal("seg", i, []byte{byte(i), byte(i + 1)}))
 	}
 	// Corrupt blocks 1 and 3 underneath.
 	for _, i := range []int{1, 3} {
@@ -182,14 +130,14 @@ func TestChecksumQuickAnyPayload(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
 	f := func(payload []byte) bool {
-		if err := s.Put(ctx, "q", 0, seal(payload)); err != nil {
+		if err := s.Put(ctx, "q", 0, seal("q", 0, payload)); err != nil {
 			return false
 		}
 		got, err := s.Get(ctx, "q", 0)
 		if err != nil {
 			return false
 		}
-		data, err := OpenShare(got)
+		data, err := OpenShare(got, "q", 0)
 		return err == nil && bytes.Equal(data, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -202,7 +150,7 @@ func TestChecksumQuickFlipAnyBit(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
 	s := WithChecksums(inner)
-	framed := seal([]byte("the quick brown fox jumps over the lazy dog"))
+	framed := seal("q", 0, []byte("the quick brown fox jumps over the lazy dog"))
 	for bit := 0; bit < len(framed)*8; bit++ {
 		bad := append([]byte(nil), framed...)
 		bad[bit/8] ^= 1 << (bit % 8)
@@ -218,7 +166,7 @@ func TestChecksumQuickFlipAnyBit(t *testing.T) {
 func TestChecksumPutBackToBack(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
-	first, second := seal(bytes.Repeat([]byte("a"), 4096)), seal(bytes.Repeat([]byte("b"), 4096))
+	first, second := seal("seg", 0, bytes.Repeat([]byte("a"), 4096)), seal("seg", 1, bytes.Repeat([]byte("b"), 4096))
 	buf := make([]byte, len(first))
 	for i, data := range [][]byte{first, second} {
 		copy(buf, data)
@@ -239,7 +187,7 @@ func TestChecksumPutConcurrent(t *testing.T) {
 	ctx := context.Background()
 	s := WithChecksums(NewMemStore())
 	const workers, puts = 8, 25
-	block := func(w, i int) []byte { return seal(bytes.Repeat([]byte{byte(w), byte(i)}, 2048)) }
+	block := func(w, i int) []byte { return seal("seg", w*puts+i, bytes.Repeat([]byte{byte(w), byte(i)}, 2048)) }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -100,13 +100,13 @@ func TestStoresHonorCanceledContext(t *testing.T) {
 			s := tc.mk(t)
 			defer s.Close()
 			live := context.Background()
-			if err := s.Put(live, "seg", 0, seal([]byte("x"))); err != nil {
+			if err := s.Put(live, "seg", 0, seal("seg", 0, []byte("x"))); err != nil {
 				t.Fatal(err)
 			}
 			canceled, cancel := context.WithCancel(context.Background())
 			cancel()
 
-			if err := s.Put(canceled, "seg", 1, seal([]byte("y"))); !errors.Is(err, context.Canceled) {
+			if err := s.Put(canceled, "seg", 1, seal("seg", 1, []byte("y"))); !errors.Is(err, context.Canceled) {
 				t.Errorf("Put err = %v, want context.Canceled", err)
 			}
 			if _, err := s.Get(canceled, "seg", 0); !errors.Is(err, context.Canceled) {

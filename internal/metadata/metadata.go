@@ -31,12 +31,12 @@ type Coding struct {
 	Delta      float64 // LT soliton parameter
 	GraphSeed  int64   // seed the writer used to build the coding graph
 	GraphN     int     // total graph size (>= N; rateless writes overshoot)
-	// ShareCRC records that every stored coded block is sealed in the
-	// CRC-32C share envelope (blockstore.SealShare), which readers
-	// verify and strip. Every write sets it. False marks a record
-	// written while sealing could be turned off: its shares may be
-	// bare, and a Repair or Update reseals them and sets it.
-	ShareCRC bool
+	// ShareFormat numbers the envelope every stored coded block is
+	// sealed in (blockstore.ShareFormat at write time). Readers open
+	// only the current format. A record stored before formats were
+	// numbered loads as 0; a repair upgrades its shares in place
+	// (blockstore.UpgradeShare) before recording the current number.
+	ShareFormat int
 }
 
 // Validate reports whether the coding record is self-consistent.

@@ -41,7 +41,7 @@ func TestRejectedShareCounted(t *testing.T) {
 	// a correctly sealed share stored under it so the GET succeeds and
 	// the envelope verifies: only the decoder can refuse it.
 	badIdx := seg.Coding.GraphN + 7
-	if err := stores[0].Put(ctx, "obj", badIdx, sealShare(make([]byte, 4<<10))); err != nil {
+	if err := stores[0].Put(ctx, "obj", badIdx, sealShare("obj", badIdx, make([]byte, 4<<10))); err != nil {
 		t.Fatal(err)
 	}
 	seg.Placement = map[string][]int{addr: {seg.Placement[addr][0], badIdx}}

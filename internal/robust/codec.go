@@ -84,7 +84,7 @@ func (sc *segCodec) encoder(data []byte) func(idx int) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("robust: block %d outside every chunk graph", idx)
 		}
-		return encodeShareInto(buf, sc.chunks[ci].graph, local, blocks[ci]), nil
+		return encodeShareInto(buf, sc.seg.Name, sc.chunks[ci].base, sc.chunks[ci].graph, local, blocks[ci]), nil
 	}
 }
 
@@ -105,16 +105,10 @@ func (sc *segCodec) affected(offset, length int64) map[int][]string {
 			}
 		}
 	}
-	return holdersOf(sc.seg.Placement, func(i int) bool { return touched[i] })
-}
-
-// holdersOf maps each share of placement that keep selects to the
-// servers holding it.
-func holdersOf(placement map[string][]int, keep func(int) bool) map[int][]string {
 	holders := map[int][]string{}
-	for addr, indices := range placement {
+	for addr, indices := range sc.seg.Placement {
 		for _, i := range indices {
-			if keep(i) {
+			if touched[i] {
 				holders[i] = append(holders[i], addr)
 			}
 		}
@@ -122,14 +116,17 @@ func holdersOf(placement map[string][]int, keep func(int) bool) map[int][]string
 	return holders
 }
 
-// everyShare selects every share for holdersOf.
-func everyShare(int) bool { return true }
-
-// checkRange refuses a byte range that is negative or runs past the
-// segment's size; Update and AffectedBlocks accept the same ranges.
-func checkRange(offset, length, size int64) error {
-	if offset < 0 || length < 0 || offset+length > size {
-		return fmt.Errorf("robust: range [%d,%d) outside segment of %d bytes", offset, offset+length, size)
+// rangeCodec looks up segment name and builds its codec, refusing a
+// byte range that is negative or runs past the segment's size: Update
+// and AffectedBlocks accept the same ranges.
+func (c *Client) rangeCodec(name string, offset, length int64) (metadata.Segment, *segCodec, error) {
+	seg, err := c.meta.LookupSegment(name)
+	if err != nil {
+		return seg, nil, err
 	}
-	return nil
+	if offset < 0 || length < 0 || offset+length > seg.Size {
+		return seg, nil, fmt.Errorf("robust: range [%d,%d) outside segment of %d bytes", offset, offset+length, seg.Size)
+	}
+	sc, err := c.segmentCodec(seg)
+	return seg, sc, err
 }

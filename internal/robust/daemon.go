@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/obs"
 )
 
@@ -103,10 +104,9 @@ type SegmentAudit struct {
 	Corrupt  int // shares failing the holder's integrity scrub
 	Missing  int // placed shares absent, or on unreachable holders
 	Degraded bool
-	// Unsealed reports a record whose shares predate sealing
-	// (ShareCRC=false): its holders are not scrubbed, and a repair
-	// reseals every share.
-	Unsealed bool
+	// Outdated reports a record in an older share format: it is not
+	// scrubbed, and a repair upgrades every share in place.
+	Outdated bool
 	// CorruptBy maps holder address to the corrupt share indices found
 	// there; the daemon deletes these before repairing so corruption
 	// becomes absence and the repair audit regenerates them.
@@ -129,8 +129,8 @@ func (a SegmentAudit) Deficit() int {
 // and a segment still short of N after that is topped up to it.
 func (a SegmentAudit) RepairShares() int {
 	n := max(a.Deficit(), a.Missing+a.Corrupt)
-	if a.Unsealed {
-		n += a.Live // each resealed in place
+	if a.Outdated {
+		n += a.Live // each upgraded in place
 	}
 	return n
 }
@@ -140,14 +140,14 @@ func (a SegmentAudit) RepairShares() int {
 // the deficit at zero: the repair prunes dead holders from the
 // placement and re-places their shares, so the placement converges
 // back onto live servers instead of pointing at ghosts forever. An
-// unsealed record needs the repair that reseals it.
+// outdated record needs the repair that upgrades it.
 func (a SegmentAudit) NeedsRepair() bool {
-	return a.Deficit() > 0 || a.Corrupt > 0 || a.Missing > 0 || a.Degraded || a.Unsealed
+	return a.Deficit() > 0 || a.Corrupt > 0 || a.Missing > 0 || a.Degraded || a.Outdated
 }
 
 // Audit scrubs one segment: every holder in the placement is listed
-// (presence) and, when the record is sealed and the holder supports
-// integrity scrubbing, scrubbed (corruption). No payload data moves.
+// (presence) and, when the record is in the current share format and
+// the holder can, scrubbed (corruption). No payload data moves.
 func (c *Client) Audit(ctx context.Context, name string) (SegmentAudit, error) {
 	seg, err := c.meta.LookupSegment(name)
 	if err != nil {
@@ -156,7 +156,7 @@ func (c *Client) Audit(ctx context.Context, name string) (SegmentAudit, error) {
 	audit := SegmentAudit{
 		Name: name, K: seg.Coding.K, N: seg.Coding.N,
 		Degraded:  seg.Degraded,
-		Unsealed:  !seg.Coding.ShareCRC,
+		Outdated:  seg.Coding.ShareFormat != blockstore.ShareFormat,
 		CorruptBy: make(map[string][]int),
 	}
 	holders, err := c.survey(ctx, seg, true)

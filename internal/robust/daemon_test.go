@@ -285,43 +285,54 @@ func bucketWait(debt, rate int64) time.Duration {
 // repair's share bytes before repairing. On a clock that never moves
 // the bucket never refills, so the wait is exactly the charge beyond
 // the burst at the configured rate.
-// TestDaemonResealsUnsealedRecord: on checksummed stores, an unsealed
-// record's bare shares would all fail a scrub. Audit must not scrub it
-// but queue it, and one daemon pass reseals it without deleting a share.
-func TestDaemonResealsUnsealedRecord(t *testing.T) {
-	addrs := []string{"s1", "s2", "s3", "s4"}
-	c, inners := newDaemonClient(t, nil, addrs...)
-	ctx := context.Background()
-	puts := make([]blockstore.Store, len(addrs))
-	for i, a := range addrs {
-		puts[i] = inners[a] // bare shares go in beneath the envelope check
-	}
-	data := randData(16<<10, 26)
-	putLegacyRecord(t, c, addrs, puts, "legacy", data, false)
+// TestDaemonUpgradesOutdatedRecord: on checksummed stores, every share
+// of a record stored before share formats were numbered would fail a
+// scrub. Audit must not scrub it but queue it as Outdated, and one
+// daemon pass upgrades it in place, with no decode and no share
+// deleted.
+func TestDaemonUpgradesOutdatedRecord(t *testing.T) {
+	for _, form := range []shareForm{formBare, formRSC1} {
+		t.Run(form.String(), func(t *testing.T) {
+			addrs := []string{"s1", "s2", "s3", "s4"}
+			reg := obs.NewRegistry()
+			c, inners := newDaemonClient(t, reg, addrs...)
+			ctx := context.Background()
+			puts := make([]blockstore.Store, len(addrs))
+			for i, a := range addrs {
+				puts[i] = inners[a] // old shares go in beneath the envelope check
+			}
+			data := randData(16<<10, 26)
+			putRecord(t, c, addrs, puts, "legacy", data, form)
 
-	audit, err := c.Audit(ctx, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if audit.Live != 64 || audit.Corrupt != 0 || !audit.Unsealed || !audit.NeedsRepair() {
-		t.Fatalf("audit of an unsealed record = %+v, want 64 live, none corrupt, queued", audit)
-	}
-	st, err := NewDaemon(c, DaemonOptions{}).RunOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Repaired != 1 || st.Corrupt != 0 {
-		t.Fatalf("daemon pass = %+v, want one repair and no corrupt share", st)
-	}
-	if bare, sealed := shareForms(t, c, "legacy", true); bare != 0 || sealed != 64 {
-		t.Fatalf("after the pass: %d bare and %d sealed shares, want 0 and 64", bare, sealed)
-	}
-	if audit, err = c.Audit(ctx, "legacy"); err != nil || audit.Live != 64 || audit.NeedsRepair() {
-		t.Fatalf("audit after the reseal = %+v, %v", audit, err)
-	}
-	got, _, err := c.Read(ctx, "legacy")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after the reseal: %v", err)
+			audit, err := c.Audit(ctx, "legacy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audit.Live != 64 || audit.Corrupt != 0 || !audit.Outdated || !audit.NeedsRepair() || audit.RepairShares() != 64 {
+				t.Fatalf("audit of an outdated record = %+v, want 64 live, none corrupt, queued to upgrade 64", audit)
+			}
+			reads := readsTotal(reg)
+			st, err := NewDaemon(c, DaemonOptions{}).RunOnce(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Repaired != 1 || st.Corrupt != 0 {
+				t.Fatalf("daemon pass = %+v, want one repair and no corrupt share", st)
+			}
+			if n := readsTotal(reg) - reads; n != 0 {
+				t.Fatalf("the upgrade made %d reads, want none", n)
+			}
+			if old, current := shareForms(t, c, "legacy", blockstore.ShareFormat); old != 0 || current != 64 {
+				t.Fatalf("after the pass: %d old and %d current shares, want 0 and 64", old, current)
+			}
+			if audit, err = c.Audit(ctx, "legacy"); err != nil || audit.Live != 64 || audit.NeedsRepair() {
+				t.Fatalf("audit after the upgrade = %+v, %v", audit, err)
+			}
+			got, _, err := c.Read(ctx, "legacy")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after the upgrade: %v", err)
+			}
+		})
 	}
 }
 

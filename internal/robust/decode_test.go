@@ -182,8 +182,10 @@ type parentSegment struct {
 }
 
 func TestSegmentsFromPeelOnlyReleaseRead(t *testing.T) {
-	// Segments written before reads finished by inactivation still read:
-	// the graph, share format and placement they recorded are unchanged.
+	// Segments written before reads finished by inactivation still read
+	// once their shares are upgraded: the graph and placement they
+	// recorded are unchanged, and the RSC1 shares they hold refuse reads
+	// until a repair reseals them in the current format.
 	raw, err := os.ReadFile("testdata/parent_segments.json")
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +211,12 @@ func TestSegmentsFromPeelOnlyReleaseRead(t *testing.T) {
 		}
 		if err := c.meta.CreateSegment(ps.Record); err != nil {
 			t.Fatal(err)
+		}
+		if _, _, err := c.Read(ctx, ps.Record.Name); !errors.Is(err, ErrShareFormat) {
+			t.Fatalf("%s: read before the upgrade = %v, want ErrShareFormat", ps.Record.Name, err)
+		}
+		if rs, err := c.Repair(ctx, ps.Record.Name); err != nil || rs.Regenerated != 0 {
+			t.Fatalf("%s: upgrade %+v, %v", ps.Record.Name, rs, err)
 		}
 		got, _, err := c.Read(ctx, ps.Record.Name)
 		if err != nil {

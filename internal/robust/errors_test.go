@@ -178,7 +178,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "corrupt share: truncated envelope",
 			provoke: func(t *testing.T) error {
-				_, err := shareData([]byte{0x52, 0x53}, 64, true)
+				_, err := shareData([]byte{0x52, 0x53}, "seg", 0, 64)
 				return err
 			},
 			want: ErrCorruptShare,
@@ -186,7 +186,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "corrupt share: missing magic",
 			provoke: func(t *testing.T) error {
-				_, err := shareData(make([]byte, 32), 32, true)
+				_, err := shareData(make([]byte, 32), "seg", 0, 32)
 				return err
 			},
 			want: ErrCorruptShare,
@@ -194,12 +194,38 @@ func TestErrorTaxonomy(t *testing.T) {
 		{
 			name: "corrupt share: flipped payload bit",
 			provoke: func(t *testing.T) error {
-				framed := sealShare(randData(64, 2))
+				framed := sealShare("seg", 0, randData(64, 2))
 				framed[blockstore.ShareOverhead+5] ^= 0x10
-				_, err := shareData(framed, 64, true)
+				_, err := shareData(framed, "seg", 0, 64)
 				return err
 			},
 			want: ErrCorruptShare,
+		},
+		{
+			name: "corrupt share: another index's envelope",
+			provoke: func(t *testing.T) error {
+				_, err := shareData(sealShare("seg", 1, randData(64, 2)), "seg", 0, 64)
+				return err
+			},
+			want: ErrCorruptShare,
+		},
+		{
+			name: "corrupt share: another segment's envelope",
+			provoke: func(t *testing.T) error {
+				_, err := shareData(sealShare("other", 0, randData(64, 2)), "seg", 0, 64)
+				return err
+			},
+			want: ErrCorruptShare,
+		},
+		{
+			name: "older share format",
+			provoke: func(t *testing.T) error {
+				c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
+				putRecord(t, c, memAddrs(4), asStores(stores), "old", randData(16<<10, 3), formRSC1)
+				_, _, err := c.Read(ctx, "old")
+				return err
+			},
+			want: ErrShareFormat,
 		},
 	}
 	for _, tc := range tests {

@@ -19,23 +19,17 @@ type fetcher struct {
 	c          *Client
 	name       string
 	blockBytes int64
-	sealed     bool // the record says every share is sealed (ShareCRC)
 
 	corrupt atomic.Int64
 	late    atomic.Int64 // shares that arrived after the read was canceled
 }
 
 // shareData checks a delivered share and returns its payload: an
-// envelope that opens to exactly blockBytes, or, on a record still
-// marked unsealed, a bare share of exactly blockBytes. Telling the two
-// forms apart by length keeps a record readable while its reseal is
-// half done. Any other share is ErrCorruptShare — an erasure to the
-// decoder, not a panic in it.
-func shareData(share []byte, blockBytes int64, sealed bool) ([]byte, error) {
-	if !sealed && int64(len(share)) == blockBytes {
-		return share, nil
-	}
-	data, err := blockstore.OpenShare(share)
+// envelope that opens as block idx of segment name to exactly
+// blockBytes. Any other share is ErrCorruptShare — an erasure to the
+// decoder, not a panic in it or wrong bytes out of it.
+func shareData(share []byte, name string, idx int, blockBytes int64) ([]byte, error) {
+	data, err := blockstore.OpenShare(share, name, idx)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptShare, err)
 	}
@@ -50,7 +44,7 @@ func shareData(share []byte, blockBytes int64, sealed bool) ([]byte, error) {
 // corruption is not — one retry tells them apart without letting a
 // rotten server stall the read.
 func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int, share []byte) ([]byte, error) {
-	data, err := shareData(share, f.blockBytes, f.sealed)
+	data, err := shareData(share, f.name, idx, f.blockBytes)
 	if err == nil {
 		return data, nil
 	}
@@ -64,7 +58,7 @@ func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int,
 	if gerr != nil {
 		return nil, errors.Join(err, gerr)
 	}
-	if data, err = shareData(share, f.blockBytes, f.sealed); err != nil {
+	if data, err = shareData(share, f.name, idx, f.blockBytes); err != nil {
 		f.corrupt.Add(1)
 		f.c.m.readCorruptShares.Inc()
 		return nil, err

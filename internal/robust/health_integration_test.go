@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/health"
+	"repro/internal/ltcode"
 	"repro/internal/metadata"
 )
 
@@ -163,17 +164,50 @@ func TestHealthExcludedHolderSkippedOnRead(t *testing.T) {
 func TestHealthRepairAvoidsExcluded(t *testing.T) {
 	tr := newFakeTracker()
 	// Four holders, each capped well below 1/3 of the commit target, so
-	// losing one server and excluding another still leaves the two
-	// survivors holding a decodable majority for the repair read.
+	// losing one server and excluding another leaves the two survivors
+	// holding most of the shares.
 	c := newHealthClient(t, tr, 0.28, "s1", "s2", "s3", "s4")
 	data := randData(8<<10, 1)
 	if _, err := c.Write(context.Background(), "seg", data, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Lose s1 entirely, and evict s2, so repair must rebuild onto the
-	// survivors without touching s2.
-	c.DetachStore("s1")
-	tr.exclude("s2", true)
+	// Write timing decides which shares each server holds, and some
+	// pairs of survivors do not decode K=8: lose and evict a pair whose
+	// survivors do, so the repair read can succeed.
+	seg, err := c.meta.LookupSegment("seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.segmentCodec(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost, evicted string
+	for _, pair := range [][2]string{{"s1", "s2"}, {"s3", "s4"}, {"s1", "s3"}, {"s2", "s4"}, {"s1", "s4"}, {"s2", "s3"}} {
+		decs := sc.decoders(ltcode.NewSymbolicDecoder)
+		for addr, indices := range seg.Placement {
+			for _, i := range indices {
+				if ci, local, ok := sc.locate(i); ok && addr != pair[0] && addr != pair[1] {
+					decs[ci].Add(local)
+				}
+			}
+		}
+		decodes := true
+		for _, dec := range decs {
+			decodes = decodes && dec.Solve()
+		}
+		if decodes {
+			lost, evicted = pair[0], pair[1]
+			break
+		}
+	}
+	if lost == "" {
+		t.Fatalf("no two of the four servers hold a decodable set: %v", seg.Placement)
+	}
+	// Lose one server entirely, and evict another, so repair must
+	// rebuild onto the survivors without touching the evicted one.
+	c.DetachStore(lost)
+	tr.exclude(evicted, true)
 	before, err := c.Stat("seg")
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +220,11 @@ func TestHealthRepairAvoidsExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Regenerated > 0 && after.Servers["s2"] > before.Servers["s2"] {
+	if stats.Regenerated > 0 && after.Servers[evicted] > before.Servers[evicted] {
 		t.Fatalf("repair placed new blocks on excluded server: before=%v after=%v",
 			before.Servers, after.Servers)
 	}
-	if _, ok := after.Servers["s1"]; ok {
+	if _, ok := after.Servers[lost]; ok {
 		t.Fatal("dead holder survived repair")
 	}
 }

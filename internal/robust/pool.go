@@ -43,12 +43,12 @@ func putShareBuf(b *[]byte) {
 	shareBufPool.Put(b)
 }
 
-// encodeShareInto encodes coded block idx into a pooled buffer and
-// seals it in place. The returned share aliases buf; recycle buf only
-// after the share's last use.
-func encodeShareInto(buf []byte, graph *ltcode.Graph, idx int, blocks [][]byte) []byte {
-	graph.EncodeBlockInto(buf[blockstore.ShareOverhead:], idx, blocks)
-	return blockstore.SealShare(buf)
+// encodeShareInto encodes block local of a chunk's graph into a pooled
+// buffer, sealed as block base+local of segment name. The returned
+// share aliases buf; recycle buf only after the share's last use.
+func encodeShareInto(buf []byte, name string, base int, graph *ltcode.Graph, local int, blocks [][]byte) []byte {
+	graph.EncodeBlockInto(buf[blockstore.ShareOverhead:], local, blocks)
+	return blockstore.SealShare(buf, name, base+local)
 }
 
 // shareBufLen is the pooled-buffer size for a block: envelope plus

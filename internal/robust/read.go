@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/ltcode"
 )
 
@@ -47,6 +48,9 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
+	if f := seg.Coding.ShareFormat; f != blockstore.ShareFormat {
+		return nil, ReadStats{}, fmt.Errorf("%w: segment %q is in format %d, not %d", ErrShareFormat, name, f, blockstore.ShareFormat)
+	}
 	tr.Stage("lookup")
 	// One decoder per chunk: each chunk's graph decodes independently,
 	// shares routing to their chunk by index stride.
@@ -59,7 +63,7 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		tr.Stagef("graph", "K=%d N=%d chunks=%d", seg.Coding.K, seg.Coding.N, len(decs))
 	}
 
-	fx := &fetcher{c: c, name: name, blockBytes: seg.Coding.BlockBytes, sealed: seg.Coding.ShareCRC}
+	fx := &fetcher{c: c, name: name, blockBytes: seg.Coding.BlockBytes}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

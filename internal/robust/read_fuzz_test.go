@@ -20,14 +20,14 @@ type damagedStore struct {
 // damage is one fuzzer-chosen rule, decoded from four input bytes.
 type damage struct {
 	index int    // share the rule applies to
-	mode  byte   // what it does, mod 4: truncate, pad, flip a bit, swap
+	mode  byte   // what it does, mod 5: truncate, pad, flip a bit, swap, misfile
 	arg   uint16 // length, bit or other share, by mode
 }
 
-// swaps reports whether a rule serves one share's bytes for another:
-// the envelope covers a share's payload but not its index, so a sealed
-// record read through such a rule may decode to wrong bytes.
-func (d damage) swaps() bool { return d.mode%4 == 3 && int(d.arg)%64 != d.index }
+// twinSegment is stored beside the fuzzed segment with the same
+// geometry, so a misfiled share is an intact envelope of the same index
+// bound to another name.
+const twinSegment = "twin"
 
 func (s damagedStore) Get(ctx context.Context, segment string, index int) ([]byte, error) {
 	share, err := s.Store.Get(ctx, segment, index)
@@ -39,7 +39,8 @@ func (s damagedStore) Get(ctx context.Context, segment string, index int) ([]byt
 		if r.index != index {
 			continue
 		}
-		switch r.mode % 4 {
+		var other []byte
+		switch r.mode % 5 {
 		case 0:
 			share = share[:int(r.arg)%(len(share)+1)]
 		case 1:
@@ -50,32 +51,39 @@ func (s damagedStore) Get(ctx context.Context, segment string, index int) ([]byt
 				share[bit/8] ^= 1 << (bit % 8)
 			}
 		case 3:
-			other, gerr := s.Store.Get(ctx, segment, int(r.arg)%64)
-			if gerr != nil {
-				return nil, gerr
-			}
+			other, err = s.Store.Get(ctx, segment, int(r.arg)%64)
+		case 4:
+			other, err = s.Store.Get(ctx, twinSegment, index)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if other != nil {
 			share = bytes.Clone(other)
 		}
 	}
 	return share, nil
 }
 
-// FuzzRead drives whole reads of a sealed and of an unsealed record
-// over stores that damage chosen shares: truncated, padded,
-// bit-flipped, or another share's bytes. A read never panics, and a
-// read of a sealed record without swapped shares never returns wrong
-// bytes.
+// FuzzRead drives whole reads over a store that damages chosen shares:
+// truncated, padded, bit-flipped, another index's share, or the same
+// index of another segment. A read never panics, and a read that
+// returns data returns the right bytes: the envelope binds each share
+// to its segment and index, so no damage is exempt.
 func FuzzRead(f *testing.F) {
-	f.Add(true, []byte{})
-	f.Add(false, []byte{})
-	f.Add(false, []byte{3, 0, 0, 200}) // truncated bare share
-	f.Add(false, []byte{5, 1, 0, 7})   // padded bare share
-	f.Add(true, []byte{3, 0, 4, 7})    // truncated envelope
-	f.Add(true, []byte{2, 1, 0, 7})    // envelope with slack
-	f.Add(true, []byte{9, 2, 1, 0, 10, 2, 0, 70})
-	f.Add(true, []byte{4, 3, 0, 4}) // a share served as itself
-	f.Add(false, []byte{4, 3, 0, 9, 8, 3, 0, 1})
-	f.Fuzz(func(t *testing.T, sealed bool, rules []byte) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0, 200})                 // truncated envelope
+	f.Add([]byte{3, 0, 4, 0})                   // truncated to exactly one block
+	f.Add([]byte{5, 1, 0, 7})                   // envelope with slack
+	f.Add([]byte{9, 2, 1, 0, 10, 2, 0, 70})     // flipped bits
+	f.Add([]byte{4, 3, 0, 4})                   // a share served as itself
+	f.Add([]byte{4, 3, 0, 9, 8, 3, 0, 1})       // shares served as others
+	f.Add([]byte{6, 4, 0, 0})                   // the twin segment's share
+	f.Add([]byte{0, 3, 0, 1, 1, 3, 0, 0})       // two shares exchanged
+	f.Add([]byte{2, 4, 0, 0, 2, 2, 0, 9, 7, 0}) // misfiled, then flipped
+	// Shares 0-7, the first a read asks for, all misfiled.
+	f.Add([]byte{0, 4, 0, 0, 1, 4, 0, 0, 2, 4, 0, 0, 3, 4, 0, 0, 4, 4, 0, 0, 5, 4, 0, 0, 6, 4, 0, 0, 7, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, rules []byte) {
 		if len(rules) > 64 {
 			return
 		}
@@ -84,20 +92,19 @@ func FuzzRead(f *testing.F) {
 			t.Fatal(err)
 		}
 		store := damagedStore{Store: blockstore.NewMemStore()}
-		exact := true
 		for ; len(rules) >= 4; rules = rules[4:] {
-			r := damage{index: int(rules[0]) % 64, mode: rules[1], arg: binary.BigEndian.Uint16(rules[2:4])}
-			store.rules = append(store.rules, r)
-			exact = exact && !r.swaps()
+			store.rules = append(store.rules, damage{index: int(rules[0]) % 64, mode: rules[1], arg: binary.BigEndian.Uint16(rules[2:4])})
 		}
 		if err := c.AttachStore("damaged", store); err != nil {
 			t.Fatal(err)
 		}
 		data := randData(16<<10, 27)
-		putLegacyRecord(t, c, []string{"damaged"}, []blockstore.Store{store.Store}, "fuzz", data, sealed)
+		puts := []blockstore.Store{store.Store}
+		putRecord(t, c, []string{"damaged"}, puts, "fuzz", data, formCurrent)
+		putRecord(t, c, []string{"damaged"}, puts, twinSegment, randData(16<<10, 28), formCurrent)
 		got, _, err := c.Read(context.Background(), "fuzz")
-		if err == nil && sealed && exact && !bytes.Equal(got, data) {
-			t.Fatal("read of a sealed record returned wrong bytes")
+		if err == nil && !bytes.Equal(got, data) {
+			t.Fatal("read returned wrong bytes")
 		}
 	})
 }

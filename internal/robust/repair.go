@@ -78,8 +78,8 @@ type holderReport struct {
 
 // survey lists every placement holder of seg, in address order — and,
 // with scrub, has each one that can verify its shares in place do so.
-// Only a sealed record is scrubbed: a holder's scrub verifies envelopes,
-// so it would condemn every bare share of an unsealed one.
+// Only a record in the current share format is scrubbed: a scrub would
+// condemn every share of an older one.
 // Health, Repair and Audit derive their reports from it; no payload
 // data moves. Only a canceled ctx fails the survey: a holder that is
 // detached or fails its listing or scrub is reported down.
@@ -100,7 +100,7 @@ func (c *Client) survey(ctx context.Context, seg metadata.Segment, scrub bool) (
 		var err error
 		if ok {
 			present, err = store.List(ctx, seg.Name)
-			if scrubber, canScrub := store.(blockstore.Scrubber); err == nil && scrub && seg.Coding.ShareCRC && canScrub {
+			if scrubber, canScrub := store.(blockstore.Scrubber); err == nil && scrub && seg.Coding.ShareFormat == blockstore.ShareFormat && canScrub {
 				if bad, err = scrubber.Scrub(ctx, seg.Name); errors.Is(err, blockstore.ErrScrubUnsupported) {
 					err = nil
 				}
@@ -153,12 +153,12 @@ type RepairStats struct {
 // corruption: it reconstructs the data from the surviving blocks,
 // regenerates the unreachable coded blocks (same graph indices), and
 // re-places them on healthy attached servers, updating the placement.
-// A record whose shares predate sealing (ShareCRC=false) has every
-// surviving share rewritten sealed in place and is recorded sealed.
 // A segment holding fewer than N blocks — a degraded-mode commit, or
 // cumulative attrition — is promoted back to full redundancy with
-// fresh graph indices and its Degraded mark cleared. The segment must
-// still be decodable; Repair fails with ErrUnrecoverable otherwise.
+// fresh graph indices and its Degraded mark cleared. A record in an
+// older share format first has its live shares upgraded in place. Data
+// is decoded only to regenerate a block, and Repair fails with
+// ErrUnrecoverable if it cannot be.
 func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, err error) {
 	start := time.Now()
 	tr := c.obs.StartTrace("repair", name)
@@ -184,21 +184,36 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 	if err != nil {
 		return RepairStats{}, err
 	}
-	data, _, err := c.readLocked(ctx, name)
-	if err != nil {
-		return RepairStats{}, fmt.Errorf("robust: repair read: %w", err)
-	}
-	tr.Stage("reconstruct")
 	sc, err := c.segmentCodec(seg)
 	if err != nil {
 		return RepairStats{}, err
 	}
-	encode := sc.encoder(data)
+	var regenerate func(int) ([]byte, error)
+	encode := func(idx int) ([]byte, error) {
+		if regenerate == nil { // the first block to regenerate
+			data, _, err := c.readLocked(ctx, name)
+			if err != nil {
+				return nil, fmt.Errorf("robust: repair read: %w", err)
+			}
+			regenerate = sc.encoder(data)
+		}
+		return regenerate(idx)
+	}
 
 	// Determine which placed blocks are gone and which remain.
 	holders, err := c.survey(ctx, seg, false)
 	if err != nil {
 		return stats, err
+	}
+	if seg.Coding.ShareFormat != blockstore.ShareFormat {
+		if err := c.upgradeShares(ctx, seg, holders); err != nil {
+			return stats, fmt.Errorf("robust: repair upgrade: %w", err)
+		}
+		// Recorded now: a regeneration's read refuses other formats.
+		seg.Coding.ShareFormat = blockstore.ShareFormat
+		if err := c.meta.UpdateSegment(seg); err != nil {
+			return stats, err
+		}
 	}
 	newPlacement := make(map[string][]int)
 	var lost []int
@@ -212,17 +227,6 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 	sort.Ints(lost)
 	if tr != nil {
 		tr.Stagef("audit", "lost=%d pruned=%d", len(lost), stats.Pruned)
-	}
-	if !seg.Coding.ShareCRC {
-		// The record predates sealed shares: rewrite each surviving
-		// share sealed, in place on its holder. Readers tell the two
-		// forms apart by length, so a reseal cut short still reads,
-		// and the next repair finishes it.
-		if err := c.putShares(ctx, name, holdersOf(newPlacement, everyShare), encode); err != nil {
-			return stats, fmt.Errorf("robust: repair reseal: %w", err)
-		}
-		seg.Coding.ShareCRC = true
-		tr.Stage("reseal")
 	}
 
 	// Re-place lost blocks round-robin through the placement manager:
@@ -326,4 +330,35 @@ func (c *Client) Repair(ctx context.Context, name string) (stats RepairStats, er
 	tr.Stage("metadata")
 	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// upgradeShares reseals each live share of seg in the current format,
+// in place on its holder (Get, UpgradeShare, Put), decoding nothing.
+// Current shares are kept, so an upgrade cut short finishes on the next
+// repair; a share that does not upgrade is left for a scrub to report.
+func (c *Client) upgradeShares(ctx context.Context, seg metadata.Segment, holders []holderReport) error {
+	for _, h := range holders {
+		store, ok := c.store(h.addr)
+		if !ok && len(h.live) > 0 {
+			return fmt.Errorf("holder %q detached", h.addr)
+		}
+		for _, i := range h.live {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			stored, err := store.Get(ctx, seg.Name, i)
+			if err == nil {
+				share, changed := blockstore.UpgradeShare(stored, seg.Coding.BlockBytes, seg.Name, i)
+				if !changed {
+					continue
+				}
+				err = store.Put(ctx, seg.Name, i, share)
+			}
+			c.reportOutcome(h.addr, err)
+			if err != nil {
+				return fmt.Errorf("block %d on %s: %w", i, h.addr, err)
+			}
+		}
+	}
+	return nil
 }

@@ -198,6 +198,10 @@ var (
 	// rejected before it can poison the decoder; the read proceeds
 	// from other shares.
 	ErrCorruptShare = errors.New("robust: share checksum mismatch")
+	// ErrShareFormat reports a Read, ReadAt or Update of a segment whose
+	// shares are in an older format. Repair (`robustore repair`, or the
+	// repair daemon's next pass) upgrades them in place.
+	ErrShareFormat = errors.New("robust: shares stored in an older format (run robustore repair, or let the repair daemon upgrade them)")
 	// ErrDegradedWrite reports a write that committed below the
 	// target N but at or above the degraded floor. The segment WAS
 	// created (marked Degraded in metadata) and is readable; Repair

@@ -56,10 +56,10 @@ func holdersByShare(counts map[string]int) []string {
 	return out
 }
 
-// sealShare frames a coded block with its envelope, as the write path
-// seals shares in place.
-func sealShare(data []byte) []byte {
-	return blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), data...))
+// sealShare frames a coded block with its envelope as block idx of
+// segment name, as the write path seals shares in place.
+func sealShare(name string, idx int, data []byte) []byte {
+	return blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), data...), name, idx)
 }
 
 func randData(n int, seed int64) []byte {
@@ -135,7 +135,7 @@ func TestSpikeFloorRecordedAndLegacyGraphsRead(t *testing.T) {
 	placement := map[string][]int{}
 	for i := 0; i < legacy.N; i++ {
 		addr := fmt.Sprintf("mem-%02d", i%len(stores))
-		if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare(lg.EncodeBlock(i, blocks))); err != nil {
+		if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare("old", i, lg.EncodeBlock(i, blocks))); err != nil {
 			t.Fatal(err)
 		}
 		placement[addr] = append(placement[addr], i)

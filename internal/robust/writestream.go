@@ -314,15 +314,15 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		Name: name,
 		Size: total,
 		Coding: metadata.Coding{
-			Algorithm:  algLTSpike3,
-			K:          totK,
-			N:          totN,
-			BlockBytes: c.opts.BlockBytes,
-			C:          ltC,
-			Delta:      ltDelta,
-			GraphSeed:  chunks[0].GraphSeed,
-			GraphN:     stride*(len(chunks)-1) + chunks[len(chunks)-1].GraphN,
-			ShareCRC:   true,
+			Algorithm:   algLTSpike3,
+			K:           totK,
+			N:           totN,
+			BlockBytes:  c.opts.BlockBytes,
+			C:           ltC,
+			Delta:       ltDelta,
+			GraphSeed:   chunks[0].GraphSeed,
+			GraphN:      stride*(len(chunks)-1) + chunks[len(chunks)-1].GraphN,
+			ShareFormat: blockstore.ShareFormat,
 		},
 		Placement:   placed,
 		Degraded:    degraded,
@@ -495,7 +495,7 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 				for bi, i := range w.indices {
 					puts = append(puts, blockstore.BatchPut{
 						Index: p.base + i,
-						Data:  encodeShareInto(*bufs[bi], p.graph, i, p.blocks),
+						Data:  encodeShareInto(*bufs[bi], name, p.base, p.graph, i, p.blocks),
 					})
 				}
 				runOK = false

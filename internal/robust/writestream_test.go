@@ -3,9 +3,11 @@ package robust
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -199,7 +201,7 @@ func TestChunklessRecordIsOneChunk(t *testing.T) {
 				Size: int64(len(data)),
 				Coding: metadata.Coding{
 					Algorithm: algLTSpike3, K: 16, N: 64, BlockBytes: 1 << 10, C: 1, Delta: 0.1,
-					GraphSeed: graphSeed("old", int64(len(data))), GraphN: graphN, ShareCRC: true,
+					GraphSeed: graphSeed("old", int64(len(data))), GraphN: graphN, ShareFormat: blockstore.ShareFormat,
 				},
 				Placement: map[string][]int{},
 			}
@@ -217,7 +219,7 @@ func TestChunklessRecordIsOneChunk(t *testing.T) {
 			blocks := splitBlocks(data, cod.BlockBytes)
 			for i := 0; i < rec.Coding.N; i++ {
 				addr := fmt.Sprintf("mem-%02d", i%len(stores))
-				if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare(graph.EncodeBlock(i, blocks))); err != nil {
+				if err := stores[i%len(stores)].Put(ctx, "old", i, sealShare("old", i, graph.EncodeBlock(i, blocks))); err != nil {
 					t.Fatal(err)
 				}
 				rec.Placement[addr] = append(rec.Placement[addr], i)
@@ -309,12 +311,31 @@ func TestChunklessRecordIsOneChunk(t *testing.T) {
 	}
 }
 
-// putLegacyRecord hand-builds a record of data (K=16 shares of 1 KiB,
-// N=64) with share i stored through puts[i%len(puts)] and placed on
-// addrs[i%len(addrs)]. Sealed false writes the format of segments
-// written while share checksums could be turned off: ShareCRC=false and
-// bare shares.
-func putLegacyRecord(t *testing.T, c *Client, addrs []string, puts []blockstore.Store, name string, data []byte, sealed bool) {
+// shareForm is how putRecord stores each share of a record.
+type shareForm int
+
+const (
+	formBare    shareForm = iota // the coded block alone, no ShareFormat
+	formRSC1                     // the envelope whose CRC covers the payload only, no ShareFormat
+	formCurrent                  // the current envelope, bound to name and index
+)
+
+func (f shareForm) String() string { return [...]string{"bare", "RSC1", "current"}[f] }
+
+// sealRSC1 frames a coded block in the envelope segments were stored
+// in before RSC2: magic "RSC1", then the CRC-32C of the payload alone.
+func sealRSC1(data []byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, 0x52534331)
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, data...)
+}
+
+// putRecord hand-builds a record of data (K=16 shares of 1 KiB, N=64)
+// with its shares in form: bare and RSC1 records are stored as a client
+// before share formats were numbered stored them, without ShareFormat.
+// Share i goes through puts[i%len(puts)] and is placed on
+// addrs[i%len(addrs)].
+func putRecord(t *testing.T, c *Client, addrs []string, puts []blockstore.Store, name string, data []byte, form shareForm) {
 	t.Helper()
 	ctx := context.Background()
 	rec := metadata.Segment{
@@ -322,9 +343,12 @@ func putLegacyRecord(t *testing.T, c *Client, addrs []string, puts []blockstore.
 		Size: int64(len(data)),
 		Coding: metadata.Coding{
 			Algorithm: algLTSpike3, K: 16, N: 64, BlockBytes: 1 << 10, C: 1, Delta: 0.1,
-			GraphSeed: graphSeed(name, int64(len(data))), GraphN: 80, ShareCRC: sealed,
+			GraphSeed: graphSeed(name, int64(len(data))), GraphN: 80,
 		},
 		Placement: map[string][]int{},
+	}
+	if form == formCurrent {
+		rec.Coding.ShareFormat = blockstore.ShareFormat
 	}
 	graph, err := buildGraph(rec.Coding)
 	if err != nil {
@@ -333,8 +357,11 @@ func putLegacyRecord(t *testing.T, c *Client, addrs []string, puts []blockstore.
 	blocks := splitBlocks(data, rec.Coding.BlockBytes)
 	for i := 0; i < rec.Coding.N; i++ {
 		share := graph.EncodeBlock(i, blocks)
-		if sealed {
-			share = sealShare(share)
+		switch form {
+		case formRSC1:
+			share = sealRSC1(share)
+		case formCurrent:
+			share = sealShare(name, i, share)
 		}
 		if err := puts[i%len(puts)].Put(ctx, name, i, share); err != nil {
 			t.Fatal(err)
@@ -365,19 +392,18 @@ func asStores(mems []*blockstore.MemStore) []blockstore.Store {
 	return out
 }
 
-// shareForms counts the placed shares of name stored bare and stored
-// sealed, and checks the record's ShareCRC mark against want. A share
-// that is neither a bare block nor an envelope opening to one fails the
-// test.
-func shareForms(t *testing.T, c *Client, name string, want bool) (bare, sealed int) {
+// shareForms counts the placed shares of name stored in the current
+// format and in an older one that upgrades, and checks the record's
+// ShareFormat against want. A share that is neither fails the test.
+func shareForms(t *testing.T, c *Client, name string, want int) (old, current int) {
 	t.Helper()
 	ctx := context.Background()
 	seg, err := c.meta.LookupSegment(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Coding.ShareCRC != want {
-		t.Fatalf("%s: ShareCRC = %v, want %v", name, seg.Coding.ShareCRC, want)
+	if seg.Coding.ShareFormat != want {
+		t.Fatalf("%s: ShareFormat = %d, want %d", name, seg.Coding.ShareFormat, want)
 	}
 	bb := seg.Coding.BlockBytes
 	for addr, indices := range seg.Placement {
@@ -390,67 +416,81 @@ func shareForms(t *testing.T, c *Client, name string, want bool) (bare, sealed i
 			if err != nil {
 				t.Fatal(err)
 			}
-			if int64(len(share)) == bb {
-				bare++
-			} else if data, err := blockstore.OpenShare(share); err == nil && int64(len(data)) == bb {
-				sealed++
+			if data, err := blockstore.OpenShare(share, name, idx); err == nil && int64(len(data)) == bb {
+				current++
+			} else if _, changed := blockstore.UpgradeShare(share, bb, name, idx); changed {
+				old++
 			} else {
-				t.Fatalf("%s share %d on %s is %d bytes and no %d-byte block (%v)", name, idx, addr, len(share), bb, err)
+				t.Fatalf("%s share %d on %s is %d bytes and neither current nor upgradable", name, idx, addr, len(share))
 			}
 		}
 	}
-	return bare, sealed
+	return old, current
 }
 
-// TestUnsealedRecordReadsAndRepairs: a record with ShareCRC=false and
-// bare shares reads, and both Update and Repair reseal it — every
-// placed share rewritten sealed and the record marked ShareCRC=true.
-func TestUnsealedRecordReadsAndRepairs(t *testing.T) {
-	c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10})
-	ctx := context.Background()
-	readBack := func(name string, want []byte, how string) {
-		t.Helper()
-		got, _, err := c.Read(ctx, name)
-		if err != nil {
-			t.Fatalf("read %s: %v", how, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("read %s differs", how)
-		}
-	}
+// readsTotal is the client's robust_reads_total: every read, including
+// the one a repair makes to regenerate shares.
+func readsTotal(reg *obs.Registry) int64 { return reg.Snapshot().Counters["robust_reads_total"] }
 
-	updated := randData(16<<10, 22)
-	putLegacyRecord(t, c, memAddrs(4), asStores(stores), "updated", updated, false)
-	readBack("updated", updated, "of an unsealed record")
-	patch := randData(3<<10, 23)
-	off := int64(5<<10 + 7)
-	if err := c.Update(ctx, "updated", off, patch); err != nil {
-		t.Fatal(err)
-	}
-	copy(updated[off:], patch)
-	if bare, sealed := shareForms(t, c, "updated", true); bare != 0 || sealed != 64 {
-		t.Fatalf("after update: %d bare and %d sealed shares, want 0 and 64", bare, sealed)
-	}
-	readBack("updated", updated, "after update")
+// TestOutdatedRecordUpgradesOnRepair: a record stored before share
+// formats were numbered, bare or RSC1, refuses Read, ReadAt and Update
+// with ErrShareFormat. Repair upgrades every share in place with no
+// decode and records the current format; the segment then reads. With
+// a holder's shares lost, the same repair also regenerates them.
+func TestOutdatedRecordUpgradesOnRepair(t *testing.T) {
+	for _, form := range []shareForm{formBare, formRSC1} {
+		t.Run(form.String(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c, stores := newTestClient(t, 4, Options{BlockBytes: 1 << 10, Obs: reg})
+			ctx := context.Background()
+			data := randData(16<<10, 22)
+			putRecord(t, c, memAddrs(4), asStores(stores), "old", data, form)
+			if _, _, err := c.Read(ctx, "old"); !errors.Is(err, ErrShareFormat) {
+				t.Fatalf("Read = %v, want ErrShareFormat", err)
+			}
+			if _, _, err := c.ReadAt(ctx, "old", 10, 10); !errors.Is(err, ErrShareFormat) {
+				t.Fatalf("ReadAt = %v, want ErrShareFormat", err)
+			}
+			if err := c.Update(ctx, "old", 10, []byte("patch")); !errors.Is(err, ErrShareFormat) {
+				t.Fatalf("Update = %v, want ErrShareFormat", err)
+			}
 
-	repaired := randData(16<<10, 24)
-	putLegacyRecord(t, c, memAddrs(4), asStores(stores), "repaired", repaired, false)
-	for i := 1; i < 64; i += 4 { // mem-01's shares
-		if err := stores[1].Delete(ctx, "repaired", i); err != nil {
-			t.Fatal(err)
-		}
+			reads := readsTotal(reg)
+			rs, err := c.Repair(ctx, "old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := readsTotal(reg) - reads; n != 0 || rs.Regenerated != 0 {
+				t.Fatalf("upgrade made %d reads and regenerated %d shares, want none", n, rs.Regenerated)
+			}
+			if old, current := shareForms(t, c, "old", blockstore.ShareFormat); old != 0 || current != 64 {
+				t.Fatalf("after the upgrade: %d old and %d current shares, want 0 and 64", old, current)
+			}
+			if got, _, err := c.Read(ctx, "old"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after the upgrade: %v (bytes equal %v)", err, bytes.Equal(got, data))
+			}
+
+			lost := randData(16<<10, 24)
+			putRecord(t, c, memAddrs(4), asStores(stores), "lost", lost, form)
+			for i := 1; i < 64; i += 4 { // mem-01's shares
+				if err := stores[1].Delete(ctx, "lost", i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rs, err = c.Repair(ctx, "lost"); err != nil {
+				t.Fatal(err)
+			}
+			if rs.Regenerated != 16 {
+				t.Fatalf("repair regenerated %d of 16 lost shares", rs.Regenerated)
+			}
+			if old, current := shareForms(t, c, "lost", blockstore.ShareFormat); old != 0 || current != 64 {
+				t.Fatalf("after the repair: %d old and %d current shares, want 0 and 64", old, current)
+			}
+			if got, _, err := c.Read(ctx, "lost"); err != nil || !bytes.Equal(got, lost) {
+				t.Fatalf("read after the repair: %v (bytes equal %v)", err, bytes.Equal(got, lost))
+			}
+		})
 	}
-	rs, err := c.Repair(ctx, "repaired")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Regenerated != 16 {
-		t.Fatalf("repair regenerated %d of 16 lost shares", rs.Regenerated)
-	}
-	if bare, sealed := shareForms(t, c, "repaired", true); bare != 0 || sealed != 64 {
-		t.Fatalf("after repair: %d bare and %d sealed shares, want 0 and 64", bare, sealed)
-	}
-	readBack("repaired", repaired, "after repair")
 }
 
 // putBudget is a store whose Puts fail once a budget shared with its
@@ -468,50 +508,62 @@ func (p putBudget) Put(ctx context.Context, segment string, index int, data []by
 	return p.Store.Put(ctx, segment, index, data)
 }
 
-// TestUnsealedResealCutShortReads stops a reseal halfway: half of the
-// record's shares are sealed, half still bare, and the record is still
-// marked unsealed. It reads, and the next Repair finishes the reseal.
-func TestUnsealedResealCutShortReads(t *testing.T) {
-	meta := metadata.NewService()
-	c, err := NewClient(meta, Options{BlockBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var left atomic.Int64
-	mems := make([]blockstore.Store, 4)
-	for i, addr := range memAddrs(4) {
-		mems[i] = blockstore.NewMemStore()
-		if err := c.AttachStore(addr, putBudget{Store: mems[i], left: &left}); err != nil {
-			t.Fatal(err)
-		}
-		meta.RegisterServer(metadata.Server{Addr: addr})
-	}
-	ctx := context.Background()
-	data := randData(16<<10, 25)
-	putLegacyRecord(t, c, memAddrs(4), mems, "cut", data, false)
+// TestOutdatedUpgradeCutShortFinishes stops an upgrade halfway: half of
+// the record's shares are current, half still old, and the record
+// keeps its old format, so it still refuses reads. The next Repair
+// keeps the upgraded half and finishes the rest, with no decode.
+func TestOutdatedUpgradeCutShortFinishes(t *testing.T) {
+	for _, form := range []shareForm{formBare, formRSC1} {
+		t.Run(form.String(), func(t *testing.T) {
+			meta := metadata.NewService()
+			reg := obs.NewRegistry()
+			c, err := NewClient(meta, Options{BlockBytes: 1 << 10, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var left atomic.Int64
+			mems := make([]blockstore.Store, 4)
+			for i, addr := range memAddrs(4) {
+				mems[i] = blockstore.NewMemStore()
+				if err := c.AttachStore(addr, putBudget{Store: mems[i], left: &left}); err != nil {
+					t.Fatal(err)
+				}
+				meta.RegisterServer(metadata.Server{Addr: addr})
+			}
+			ctx := context.Background()
+			data := randData(16<<10, 25)
+			putRecord(t, c, memAddrs(4), mems, "cut", data, form)
 
-	left.Store(32)
-	if _, err := c.Repair(ctx, "cut"); err == nil {
-		t.Fatal("repair succeeded with half of its puts failing")
-	}
-	if bare, sealed := shareForms(t, c, "cut", false); bare != 32 || sealed != 32 {
-		t.Fatalf("cut-short reseal left %d bare and %d sealed shares, want 32 and 32", bare, sealed)
-	}
-	got, _, err := c.Read(ctx, "cut")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read of a half-resealed record: %v (bytes equal %v)", err, bytes.Equal(got, data))
-	}
+			left.Store(32)
+			if _, err := c.Repair(ctx, "cut"); err == nil {
+				t.Fatal("repair succeeded with half of its puts failing")
+			}
+			if old, current := shareForms(t, c, "cut", 0); old != 32 || current != 32 {
+				t.Fatalf("cut-short upgrade left %d old and %d current shares, want 32 and 32", old, current)
+			}
+			if _, _, err := c.Read(ctx, "cut"); !errors.Is(err, ErrShareFormat) {
+				t.Fatalf("read of a half-upgraded record = %v, want ErrShareFormat", err)
+			}
 
-	left.Store(1 << 20)
-	if _, err := c.Repair(ctx, "cut"); err != nil {
-		t.Fatal(err)
-	}
-	if bare, sealed := shareForms(t, c, "cut", true); bare != 0 || sealed != 64 {
-		t.Fatalf("second repair left %d bare and %d sealed shares, want 0 and 64", bare, sealed)
-	}
-	got, _, err = c.Read(ctx, "cut")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after the reseal: %v (bytes equal %v)", err, bytes.Equal(got, data))
+			left.Store(1 << 20)
+			reads := readsTotal(reg)
+			if _, err := c.Repair(ctx, "cut"); err != nil {
+				t.Fatal(err)
+			}
+			if n := readsTotal(reg) - reads; n != 0 {
+				t.Fatalf("finishing the upgrade made %d reads, want none", n)
+			}
+			if puts := 1<<20 - left.Load(); puts != 32 {
+				t.Fatalf("finishing the upgrade made %d puts, want the 32 old shares'", puts)
+			}
+			if old, current := shareForms(t, c, "cut", blockstore.ShareFormat); old != 0 || current != 64 {
+				t.Fatalf("second repair left %d old and %d current shares, want 0 and 64", old, current)
+			}
+			got, _, err := c.Read(ctx, "cut")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after the upgrade: %v (bytes equal %v)", err, bytes.Equal(got, data))
+			}
+		})
 	}
 }
 

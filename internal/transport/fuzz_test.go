@@ -90,18 +90,18 @@ func TestQuickDispatchNeverPanics(t *testing.T) {
 	t.Cleanup(func() { plain.Close(); framed.Close() })
 	ctx := context.Background()
 	f := func(op byte, segRaw []byte, index uint16, payload []byte, useFramed bool) bool {
+		seg := string(segRaw)
+		if len(seg) > 0xFFFF {
+			return true
+		}
 		srv := plain
 		if useFramed {
 			srv = framed
 			if op%2 == 0 && len(payload) >= blockstore.ShareOverhead {
 				// Half the payloads reach the framed store sealed,
 				// so its Puts land as well as fail.
-				payload = blockstore.SealShare(payload)
+				payload = blockstore.SealShare(payload, seg, int(index))
 			}
-		}
-		seg := string(segRaw)
-		if len(seg) > 0xFFFF {
-			return true
 		}
 		status, _ := srv.dispatch(ctx, request{
 			op: op, segment: seg, index: int(index), payload: payload,

@@ -39,8 +39,7 @@ func TestScrubRoundTrip(t *testing.T) {
 	client, inner := startChecksumServer(t)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		share := blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), byte(i), 0xAA))
-		if err := client.Put(ctx, "seg", i, share); err != nil {
+		if err := client.Put(ctx, "seg", i, sealed("seg", i, byte(i), 0xAA)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,6 +74,38 @@ func TestScrubRoundTrip(t *testing.T) {
 	bad, err = client.Scrub(ctx, "nothing")
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("Scrub(empty) = %v, %v", bad, err)
+	}
+}
+
+// sealed returns payload sealed as block index of segment.
+func sealed(segment string, index int, payload ...byte) []byte {
+	return blockstore.SealShare(append(make([]byte, blockstore.ShareOverhead), payload...), segment, index)
+}
+
+// TestScrubCatchesMisfiledShares: over the SCRUB op, an entry holding
+// another index's intact share, or the same index of another segment,
+// is reported corrupt while its neighbours scrub clean.
+func TestScrubCatchesMisfiledShares(t *testing.T) {
+	client, _ := startChecksumServer(t)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		if err := client.Put(ctx, "seg", i, sealed("seg", i, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Entry 1 gets share 2's bytes; entry 3 gets block 3 of "other".
+	if err := client.Put(ctx, "seg", 1, sealed("seg", 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Put(ctx, "seg", 3, sealed("other", 3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := client.Scrub(ctx, "seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(bad) != "[1 3]" {
+		t.Fatalf("Scrub = %v, want [1 3]", bad)
 	}
 }
 
