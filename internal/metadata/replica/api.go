@@ -52,7 +52,7 @@ func (n *Node) SetServerState(addr string, state metadata.ServerState) error {
 // proposeTimed proposes under the configured commit timeout (the API
 // methods carry no context).
 func (n *Node) proposeTimed(c Command) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CommitTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.tune.commitTimeout)
 	defer cancel()
 	return n.propose(ctx, c)
 }
@@ -87,7 +87,7 @@ func (n *Node) Servers() []metadata.Server {
 // frontier that a confirmed leader vouches for, then wait until the
 // local state machine has applied it.
 func (n *Node) readBarrier() error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CommitTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.tune.commitTimeout)
 	defer cancel()
 	ri, err := n.readIndex(ctx)
 	if err != nil {

@@ -110,7 +110,7 @@ type cluster struct {
 	// wrapRaft optionally wraps each node's consensus listener
 	// (fault injection).
 	wrapRaft func(net.Listener) net.Listener
-	// snapshotEvery overrides Config.SnapshotEvery when > 0.
+	// snapshotEvery overrides the default snapshot interval when > 0.
 	snapshotEvery int
 
 	mu    sync.Mutex
@@ -180,19 +180,21 @@ func (c *cluster) start(id int) *clusterNode {
 	c.t.Helper()
 	self := c.peer(id)
 	cfg := Config{
-		ID:              id,
-		Peers:           c.peers,
-		Dir:             filepath.Join(c.dir, self.RaftAddr+"-node"),
-		ElectionTimeout: testElectionTimeout,
-		RPCTimeout:      testRPCTimeout,
-		CommitTimeout:   testCommitTimeout,
-		Dial:            c.part.dialFor(id),
-		Logf:            c.t.Logf,
+		ID:    id,
+		Peers: c.peers,
+		Dir:   filepath.Join(c.dir, self.RaftAddr+"-node"),
+		Dial:  c.part.dialFor(id),
+		Logf:  c.t.Logf,
 	}
+	tune := defaultTuning()
+	tune.electionTimeout = testElectionTimeout
+	tune.heartbeatInterval = testElectionTimeout / 4
+	tune.rpcTimeout = testRPCTimeout
+	tune.commitTimeout = testCommitTimeout
 	if c.snapshotEvery > 0 {
-		cfg.SnapshotEvery = c.snapshotEvery
+		tune.snapshotEvery = c.snapshotEvery
 	}
-	node, err := Open(cfg)
+	node, err := openTuned(cfg, tune)
 	if err != nil {
 		c.t.Fatalf("open node %d: %v", id, err)
 	}

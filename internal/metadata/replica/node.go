@@ -49,28 +49,43 @@ type Config struct {
 	// Dir is the node's data directory (wal.log, state.json,
 	// snapshot.bin). Created if missing.
 	Dir string
-	// ElectionTimeout is the base leader-silence span before a node
-	// campaigns; the live timeout is re-randomized into
-	// [base, 2·base) at every reset so split votes break themselves
-	// (default 150ms).
-	ElectionTimeout time.Duration
-	// HeartbeatInterval spaces leader AppendEntries rounds (default
-	// ElectionTimeout/4).
-	HeartbeatInterval time.Duration
-	// RPCTimeout bounds one peer round trip (default 1s).
-	RPCTimeout time.Duration
-	// CommitTimeout bounds a proposal's wait for majority commit and
-	// a read's wait for its read index (default 5s).
-	CommitTimeout time.Duration
-	// SnapshotEvery triggers a snapshot + log compaction after this
-	// many applied entries (default 1024).
-	SnapshotEvery int
 	// Obs, when non-nil, receives the meta_* metrics.
 	Obs *obs.Registry
 	// Dial overrides peer dialing; tests inject partitions here.
 	Dial dialFunc
 	// Logf, when non-nil, receives debug lines.
 	Logf func(format string, args ...any)
+}
+
+// tuning is the consensus timing a node runs with. Every deployment
+// runs defaultTuning; in-package tests shorten it (openTuned).
+type tuning struct {
+	// electionTimeout is the base leader-silence span before a node
+	// campaigns; the live timeout is re-randomized into [base, 2·base)
+	// at every reset so split votes break themselves.
+	electionTimeout time.Duration
+	// heartbeatInterval spaces leader AppendEntries rounds.
+	heartbeatInterval time.Duration
+	// rpcTimeout bounds one peer round trip.
+	rpcTimeout time.Duration
+	// commitTimeout bounds a proposal's wait for majority commit and a
+	// read's wait for its read index.
+	commitTimeout time.Duration
+	// snapshotEvery triggers a snapshot and log compaction after this
+	// many applied entries.
+	snapshotEvery int
+}
+
+// defaultTuning is every node's timing outside tests.
+func defaultTuning() tuning {
+	const election = 150 * time.Millisecond
+	return tuning{
+		electionTimeout:   election,
+		heartbeatInterval: election / 4,
+		rpcTimeout:        time.Second,
+		commitTimeout:     5 * time.Second,
+		snapshotEvery:     1024,
+	}
 }
 
 // role is a node's consensus role.
@@ -126,6 +141,7 @@ func newNodeMetrics(r *obs.Registry) nodeMetrics {
 // Node in metadata.NewNetworkServerFor to serve clients.
 type Node struct {
 	cfg   Config
+	tune  tuning
 	id    int
 	self  Peer
 	peers []Peer // excluding self
@@ -171,23 +187,13 @@ type Node struct {
 // start any network activity; call Serve with the consensus
 // listener.
 func Open(cfg Config) (*Node, error) {
+	return openTuned(cfg, defaultTuning())
+}
+
+// openTuned is Open with the consensus timing tune.
+func openTuned(cfg Config, tune tuning) (*Node, error) {
 	if cfg.ID < 1 {
 		return nil, fmt.Errorf("replica: node id %d must be >= 1", cfg.ID)
-	}
-	if cfg.ElectionTimeout <= 0 {
-		cfg.ElectionTimeout = 150 * time.Millisecond
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = cfg.ElectionTimeout / 4
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = time.Second
-	}
-	if cfg.CommitTimeout <= 0 {
-		cfg.CommitTimeout = 5 * time.Second
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1024
 	}
 	var self Peer
 	var peers []Peer
@@ -215,6 +221,7 @@ func Open(cfg Config) (*Node, error) {
 
 	n := &Node{
 		cfg:        cfg,
+		tune:       tune,
 		id:         cfg.ID,
 		self:       self,
 		peers:      peers,
@@ -279,7 +286,7 @@ func Open(cfg Config) (*Node, error) {
 	n.lastContact = time.Now()
 	n.timeout = n.randTimeout()
 	for _, p := range peers {
-		n.clients[p.ID] = newPeerClient(p.RaftAddr, cfg.Dial, cfg.RPCTimeout)
+		n.clients[p.ID] = newPeerClient(p.RaftAddr, cfg.Dial, tune.rpcTimeout)
 		n.peerKicks[p.ID] = make(chan struct{}, 1)
 	}
 	return n, nil
@@ -359,7 +366,7 @@ func (n *Node) logf(format string, args ...any) {
 // randTimeout draws the next randomized election timeout in
 // [base, 2·base).
 func (n *Node) randTimeout() time.Duration {
-	base := n.cfg.ElectionTimeout
+	base := n.tune.electionTimeout
 	return base + time.Duration(rand.Int63n(int64(base)))
 }
 

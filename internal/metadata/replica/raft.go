@@ -27,7 +27,7 @@ import (
 // tickLoop campaigns when the leader has been silent for the
 // randomized election timeout.
 func (n *Node) tickLoop() {
-	tick := n.cfg.ElectionTimeout / 10
+	tick := n.tune.electionTimeout / 10
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -186,7 +186,7 @@ func (n *Node) appendLocalLocked(command []byte) error {
 // peerLoop replicates to one peer: heartbeats on a timer, immediate
 // rounds on kicks (new proposals, commit advances).
 func (n *Node) peerLoop(p Peer) {
-	hb := time.NewTicker(n.cfg.HeartbeatInterval)
+	hb := time.NewTicker(n.tune.heartbeatInterval)
 	defer hb.Stop()
 	kick := n.peerKicks[p.ID]
 	for {
@@ -531,7 +531,7 @@ func (n *Node) handleProbe(req *rpcRequest) *rpcResponse {
 // confirms its leadership with a probe quorum and returns its commit
 // frontier.
 func (n *Node) handleReadIndex(req *rpcRequest) *rpcResponse {
-	timeout := n.cfg.RPCTimeout / 2
+	timeout := n.tune.rpcTimeout / 2
 	if timeout < 50*time.Millisecond {
 		timeout = 50 * time.Millisecond
 	}
@@ -576,7 +576,7 @@ func (n *Node) applyLoop() {
 				return
 			}
 			if n.applied >= n.commitIndex {
-				if n.sinceSnap >= n.cfg.SnapshotEvery && n.applied > n.snapIndex {
+				if n.sinceSnap >= n.tune.snapshotEvery && n.applied > n.snapIndex {
 					if err := n.snapshotLocked(); err != nil {
 						n.logf("snapshot failed: %v", err)
 					}

@@ -7,9 +7,9 @@ import (
 )
 
 // backend is the one interface the data paths speak to a store
-// through: a run of coded blocks goes out as one streaming put, a
-// window of shares comes back as one streaming get, and a server's
-// blocks of a segment go away in one batch delete. transport.Client
+// through: a run of coded blocks goes out as one streaming put, a run
+// of shares comes back as one streaming get, and a server's blocks of
+// a segment go away in one batch delete. transport.Client
 // has exactly these methods; AttachStore wraps any other store in a
 // localBackend.
 //
@@ -26,10 +26,8 @@ type backend interface {
 
 // asBackend returns store itself when it streams, else a localBackend
 // over it, and whether the store moves many blocks per call. On a
-// store that moves one block per call a long run or window gains
-// nothing and is served serially: a write worker claiming one would
-// keep its blocks from other servers' workers, and one stalled block
-// would hold up the rest of a read window.
+// store that moves one block per call a long run gains nothing and is
+// served serially, keeping its blocks from other servers' workers.
 func asBackend(store blockstore.Store) (backend, bool) {
 	if be, ok := store.(backend); ok {
 		return be, true
@@ -60,7 +58,7 @@ func (l localBackend) PutStream(ctx context.Context, segment string, puts []bloc
 	return nil
 }
 
-// GetStream serves a window block by block, even from a Batcher: each
+// GetStream serves a run block by block, even from a Batcher: each
 // share reaches deliver as soon as it is read, and an in-process Get
 // costs no more than its entry in a batch.
 func (l localBackend) GetStream(ctx context.Context, segment string, indices []int, deliver func(index int, data []byte, err error)) error {

@@ -12,6 +12,7 @@ import "repro/internal/obs"
 //	robust_reads_total / robust_read_errors_total
 //	robust_read_blocks_total       blocks delivered before completion
 //	robust_read_failed_gets_total  failed block GETs tolerated
+//	robust_read_speculative_total  one-share probes sent past the need because a holder's run was late
 //	robust_read_bytes_total        decoded payload bytes returned
 //	robust_read_latency_seconds    whole-access latency histogram
 //	robust_writes_total / robust_write_errors_total
@@ -44,6 +45,7 @@ type clientMetrics struct {
 	readRejectedShares *obs.Counter
 	readInactivations  *obs.Counter
 	readLateShares     *obs.Counter
+	readSpeculative    *obs.Counter
 
 	writes           *obs.Counter
 	writeErrors      *obs.Counter
@@ -82,6 +84,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		readRejectedShares: r.Counter("robust_read_rejected_shares_total"),
 		readInactivations:  r.Counter("robust_read_inactivations_total"),
 		readLateShares:     r.Counter("robust_read_late_shares_total"),
+		readSpeculative:    r.Counter("robust_read_speculative_total"),
 
 		writes:           r.Counter("robust_writes_total"),
 		writeErrors:      r.Counter("robust_write_errors_total"),

@@ -2,7 +2,10 @@ package robust
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,12 +14,15 @@ import (
 	"repro/internal/ltcode"
 )
 
-// Read reconstructs a segment speculatively (§4.3.3): workers fan out
-// block requests to every holder in parallel, each delivered block
-// feeds the incremental decoder (peeling, finished by inactivation once
-// the blocks held have full rank), and the moment decoding completes
-// every outstanding request is canceled. Missing blocks and
-// failing servers are tolerated while any decodable subset survives.
+// Read reconstructs a segment speculatively (§4.3.3): each chunk's
+// engine asks the holders for about as many shares as its decoder is
+// expected to need (readNeed), in equal runs, probes past a holder
+// whose run is late, and asks for more only when the decoder is still
+// short once those are in. Each delivered share feeds the incremental
+// decoder (peeling, finished by inactivation once the shares held have
+// full rank), and the moment a chunk decodes its outstanding requests
+// are canceled. Missing blocks and failing servers are tolerated while
+// any decodable subset survives.
 func (c *Client) Read(ctx context.Context, name string) ([]byte, ReadStats, error) {
 	unlock, err := c.meta.LockRead(ctx, name)
 	if err != nil {
@@ -31,8 +37,10 @@ func (c *Client) Read(ctx context.Context, name string) ([]byte, ReadStats, erro
 func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stats ReadStats, err error) {
 	start := time.Now()
 	tr := c.obs.StartTrace("read", name)
+	probes := 0 // one-share probes past late runs, over every chunk
 	defer func() {
 		c.m.reads.Inc()
+		c.m.readSpeculative.Add(int64(probes))
 		c.m.readBlocks.Add(int64(stats.Received))
 		c.m.readFailedGets.Add(int64(stats.FailedGets))
 		c.m.readLateShares.Add(int64(stats.Late))
@@ -67,144 +75,152 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Int64
-		// Stage markers raced for by the fan-out workers: the first
-		// delivered block and a worker observing completion and
-		// canceling the rest (§4.3.3 early cancellation).
-		firstByte, earlyCancel atomic.Bool
-	)
-	// Fan out to the attached holders the failure detector has not
+	// Read from the attached holders the failure detector has not
 	// evicted. If exclusion would silence every holder, fall back to
 	// all attached ones: a read against suspect servers can still
 	// succeed (and its outcomes refresh the detector), a read against
-	// nobody cannot.
-	targets := make(map[string]attached, len(seg.Placement))
-	skipped := make(map[string]attached)
+	// nobody cannot. Each holder is a slot of every chunk's engine.
+	holders := make([]string, 0, len(seg.Placement))
+	var skipped []string
 	for addr := range seg.Placement {
-		store, ok := c.attachment(addr)
-		if !ok {
+		if _, ok := c.attachment(addr); !ok {
 			continue // server gone; speculative access shrugs
 		}
 		if c.excluded(addr) {
-			skipped[addr] = store
-			continue
+			skipped = append(skipped, addr)
+		} else {
+			holders = append(holders, addr)
 		}
-		targets[addr] = store
 	}
-	if len(targets) == 0 {
-		targets = skipped
+	if len(holders) == 0 {
+		holders = skipped
 	}
+	sort.Strings(holders)
 	if tr != nil {
-		tr.Stagef("fanout", "servers=%d excluded=%d", len(targets), len(seg.Placement)-len(targets))
+		tr.Stagef("fanout", "servers=%d excluded=%d", len(holders), len(seg.Placement)-len(holders))
 	}
-	// The decoder runs on its own goroutine fed by a channel: LT
-	// peeling is inherently single-threaded, and funneling shares
-	// through a channel keeps the decoder lock (and its contention)
-	// out of the network workers' hot path entirely. The goroutine
-	// owns the decoder, the per-server receive counts, and the
-	// rejected- and late-share counts; all are read only after it
-	// exits.
+	// One engine per chunk, all running at once, with every holder's
+	// shares of the chunk in placement order; a share no chunk's graph
+	// owns (corrupt metadata or placement) is rejected unfetched.
+	budget := readBudget(seg.Coding.BlockBytes, len(sc.chunks))
+	rejected := 0
+	fetches := make([]*readChunk, len(sc.chunks))
+	for ci, v := range sc.chunks {
+		fetches[ci] = &readChunk{k: v.graph.K, left: make([][]int, len(holders))}
+	}
+	stores := make([]attached, len(holders))
+	for slot, addr := range holders {
+		stores[slot], _ = c.attachment(addr)
+		for _, idx := range seg.Placement[addr] {
+			ci, _, ok := sc.locate(idx)
+			if !ok {
+				rejected++
+				continue
+			}
+			left := &fetches[ci].left[slot]
+			if *left == nil {
+				*left = make([]int, 0, len(seg.Placement[addr])/len(fetches)+1)
+			}
+			*left = append(*left, idx)
+		}
+	}
+	c.m.readRejectedShares.Add(int64(rejected))
+	// The decoders run on one goroutine fed by a channel, out of the
+	// workers' hot path; it owns them and the receive, rejected and
+	// resolved counts. A chunk still short once its need has resolved
+	// raises the need (readNeed); a chunk that decodes ends its engine,
+	// canceling its outstanding requests (§4.3.3).
 	type deliveredShare struct {
+		chunk   int
 		addr    string
 		idx     int
 		payload []byte
 	}
 	shares := make(chan deliveredShare, 4*batchBlocks)
 	decodeDone := make(chan struct{})
-	received := make(map[string]int, len(targets))
-	rejected, late := 0, 0
-	var decComplete atomic.Bool
+	received := make(map[string]int, len(holders))
 	go func() {
 		defer close(decodeDone)
 		remaining := len(decs)
 		for s := range shares {
-			ci, local, ok := sc.locate(s.idx)
-			if !ok {
-				// No chunk owns this index (corrupt metadata or
-				// placement). Neither a failed GET nor a CRC reject;
-				// count it instead of dropping it silently.
-				rejected++
-				c.m.readRejectedShares.Inc()
-				continue
-			}
-			dec := decs[ci]
+			f, dec := fetches[s.chunk], decs[s.chunk]
 			if dec.Complete() {
-				late++
+				fx.late.Add(1)
 				continue // drain so no worker blocks on send
 			}
-			if _, aerr := dec.AddData(local, s.payload); aerr != nil {
-				// The chunk's graph cannot place this share either.
-				rejected++
+			f.resolved++
+			if _, aerr := dec.AddData(s.idx-sc.chunks[s.chunk].base, s.payload); aerr != nil {
+				rejected++ // the chunk's graph cannot place this share
 				c.m.readRejectedShares.Inc()
-				continue
-			}
-			received[s.addr]++
-			// Peeling stalls well before the shares held stop
-			// determining the chunk; Solve finishes it by inactivation
-			// at the first share of full rank (it returns at once
-			// while too few are held).
-			if !dec.Complete() {
+			} else {
+				received[s.addr]++
+				// Solve finishes a stalled peel by inactivation at the
+				// first share of full rank.
 				dec.Solve()
 			}
-			if dec.Complete() {
-				if remaining--; remaining == 0 {
-					decComplete.Store(true)
-					if tr != nil {
-						tr.Stagef("decode-complete", "inactivated=%d", inactivated(decs))
-					}
-					cancel()
+			if !dec.Complete() {
+				f.e.raise(f.resolved, readNeed(f.k, budget, f.resolved))
+				continue
+			}
+			f.e.cancel() // its workers see the end through the context
+			if remaining--; remaining == 0 {
+				if tr != nil {
+					tr.Stagef("decode-complete", "inactivated=%d", inactivated(decs))
 				}
+				cancel()
 			}
 		}
 	}()
-	for addr, indices := range seg.Placement {
-		a, ok := targets[addr]
-		if !ok {
-			continue
-		}
-		// Split the server's block list among its worker pipelines;
-		// each pipeline walks its share of the list one window at a
-		// time (see readWindow), so a store that moves one block per
-		// call gets a window per block.
-		win := readWindow(seg.Coding.BlockBytes, a.run)
-		for w := 0; w < perServerParallel; w++ {
-			wg.Add(1)
-			go func(addr string, store backend, mine []int) {
-				defer wg.Done()
-				deliver := func(idx int, payload []byte) {
-					if !firstByte.Swap(true) {
-						tr.StageDetail("first-byte", addr)
-					}
-					select {
-					case shares <- deliveredShare{addr: addr, idx: idx, payload: payload}:
-					case <-rctx.Done():
-						fx.late.Add(1)
-					}
+	var wg sync.WaitGroup
+	var firstByte atomic.Bool // raced for by the workers
+	//lint:ignore ctxcancel starts one engine per chunk and blocks on nothing; its workers observe cctx
+	for ci, f := range fetches {
+		cctx, ccancel := context.WithCancel(rctx)
+		f.e = newEngine(cctx, ccancel, f, readNeed(f.k, budget, 0), stores)
+		f.e.start(&wg, func(w *worker) {
+			addr, store := holders[w.slot], stores[w.slot].backend
+			run := &w.run
+			deliver := func(idx int, payload []byte, err error) {
+				if err == nil && cctx.Err() != nil { // dropped unverified
+					fx.late.Add(1)
+					return
 				}
-				ws := fx.newWindow(addr, store, deliver)
-				for lo := 0; lo < len(mine); lo += win {
-					if rctx.Err() != nil {
-						return
-					}
-					if decComplete.Load() {
-						if !earlyCancel.Swap(true) {
-							tr.Stage("early-cancel")
-						}
-						cancel()
-						return
-					}
-					hi := min(lo+win, len(mine))
-					failed.Add(int64(ws.fetch(rctx, mine[lo:hi])))
+				if err == nil {
+					payload, err = fx.open(cctx, addr, store, idx, payload)
 				}
-			}(addr, a.backend, stripeSlice(indices, w, perServerParallel))
-		}
+				f.e.ack(run, idx, len(payload), err)
+				if err != nil {
+					return
+				}
+				if !firstByte.Swap(true) {
+					tr.StageDetail("first-byte", addr)
+				}
+				select {
+				case shares <- deliveredShare{chunk: ci, addr: addr, idx: idx, payload: payload}:
+				case <-cctx.Done():
+					fx.late.Add(1)
+				}
+			}
+			for cctx.Err() == nil && (len(w.indices) > 0 || f.e.take(w)) {
+				store.GetStream(cctx, name, w.indices, deliver)
+				// Once the chunk is over, a failure says nothing about
+				// the holder.
+				if out := f.e.finish(run); cctx.Err() == nil {
+					c.reportOutcome(addr, out)
+				}
+				w.indices = w.indices[:0]
+			}
+		})
 	}
 	wg.Wait()
 	close(shares)
 	<-decodeDone
 
+	failed := 0
+	for _, f := range fetches {
+		failed += f.failedGets
+		probes += f.e.probes
+	}
 	totalReceived, totalUsed := 0, 0
 	complete := true
 	for _, dec := range decs {
@@ -218,16 +234,16 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		Reception:      float64(totalReceived)/float64(seg.Coding.K) - 1,
 		Duration:       time.Since(start),
 		PerServer:      received,
-		FailedGets:     int(failed.Load()),
+		FailedGets:     failed,
 		UsedDecoder:    totalUsed,
 		CorruptShares:  int(fx.corrupt.Load()),
 		RejectedShares: rejected,
-		Late:           late + int(fx.late.Load()),
+		Late:           int(fx.late.Load()),
 		Inactivated:    inactivated(decs),
 	}
 	if tr != nil {
-		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d late=%d rejected=%d",
-			received, stats.FailedGets, stats.CorruptShares, stats.Late, stats.RejectedShares)
+		tr.Stagef("per-server", "blocks=%v failed-gets=%d corrupt=%d late=%d rejected=%d speculative=%d",
+			received, stats.FailedGets, stats.CorruptShares, stats.Late, stats.RejectedShares, probes)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -243,17 +259,10 @@ func (c *Client) readLocked(ctx context.Context, name string) (data []byte, stat
 		if derr != nil {
 			return nil, stats, derr
 		}
-		var got int64
-		for _, b := range blocks {
-			need := v.size - got
-			if need <= 0 {
-				break
-			}
-			if need > int64(len(b)) {
-				need = int64(len(b))
-			}
-			out = append(out, b[:need]...)
-			got += need
+		for left, j := v.size, 0; left > 0; j++ {
+			n := min(left, int64(len(blocks[j])))
+			out = append(out, blocks[j][:n]...)
+			left -= n
 		}
 	}
 	return out, stats, nil
@@ -269,32 +278,122 @@ func inactivated(decs []*ltcode.Decoder) int {
 	return n
 }
 
-// readWindowBytes caps the share bytes one read keeps requested and
-// undelivered at one holder: one mux stream window, roughly a LAN
-// holder's bandwidth-delay product. The paper's disks serve one request
-// at a time and drop the queued ones on cancel (§6.2.5); a server that
-// runs every GET at once ships whatever was asked for before the cancel
-// lands, so asking a fast holder for all of its large shares moves
-// several times the bytes the decoder needs.
+// readWindowBytes is one read's byte budget, one mux stream window: a
+// read asks at once for at least the shares it covers, over all its
+// chunks (readNeed). The paper's disks drop queued requests on cancel
+// (§6.2.5); our servers ship whatever was asked for before the cancel
+// lands, so bytes asked for are bytes paid for. Small shares (16 KiB ×
+// 64) are all asked for at once, as cheap insurance against stalls;
+// large ones only as far as the decoder is expected to need them.
 const readWindowBytes = 1 << 20
 
-// readWindow returns the shares one of a holder's pipelines requests
-// per GetStream call: readWindowBytes split across the pipelines, at
-// least one share and at most the store's run. The cap is in bytes, not
-// shares, because bytes are what a canceled read wastes: small shares
-// (up to 32 KiB) keep the full run, and only large ones are paced.
-func readWindow(blockBytes int64, run int) int {
-	n := readWindowBytes / max(blockBytes*perServerParallel, 1)
-	return int(max(1, min(n, int64(run))))
+// readOverhead is ε, the reception overhead a read plans for: a
+// symbolic model of "lt-spike3" with placement-ordered arrivals needs
+// a median of 1.19·K shares at K = 16 and 32 (means 1.21 and 1.23).
+const readOverhead = 0.2
+
+// readBudget is the share count of each chunk's part of the read's
+// byte budget.
+func readBudget(blockBytes int64, chunks int) int {
+	perChunk := readWindowBytes / max(blockBytes, 1)
+	return int((perChunk + int64(chunks) - 1) / int64(max(chunks, 1)))
 }
 
-// stripeSlice deals element i of xs to worker i mod workers.
-func stripeSlice(xs []int, worker, workers int) []int {
-	out := make([]int, 0, (len(xs)-worker+workers-1)/workers)
-	for i := worker; i < len(xs); i += workers {
-		out = append(out, xs[i])
+// readNeed is how many of a chunk's shares a read asks for, k its
+// originals and budget its part of the byte budget in shares, once its
+// decoder holds resolved shares and is still short: ceil((1+ε)·k) and
+// the budget, and ceil(ε·k) more than the decoder holds.
+func readNeed(k, budget, resolved int) int {
+	extra := int(math.Ceil(readOverhead * float64(k)))
+	return max(k+extra, budget, resolved+extra)
+}
+
+// readChunk is one chunk's read source: a holder's room is its shares
+// of the chunk not yet asked for, so none is asked for twice. resolved
+// is the decode goroutine's, which raises the need and ends the engine.
+type readChunk struct {
+	e          *engine
+	k          int
+	left       [][]int // per holder slot, in placement order
+	failedGets int
+	resolved   int // shares the decoder has taken, placed or refused
+}
+
+func (r *readChunk) room(slot int) int   { return len(r.left[slot]) }
+func (r *readChunk) ready(slot int) bool { return len(r.left[slot]) > 0 }
+
+func (r *readChunk) take(slot int, dst []int, want int) []int {
+	n := min(want, len(r.left[slot]))
+	dst = append(dst, r.left[slot][:n]...)
+	r.left[slot] = r.left[slot][n:]
+	return dst
+}
+
+func (r *readChunk) landed(slot, i, size int) bool { return false }
+func (r *readChunk) serial() bool                  { return false }
+
+// failed counts a failed GET; another share takes its place.
+func (r *readChunk) failed(slot, i int, settled bool) bool {
+	if !settled {
+		r.failedGets++
 	}
-	return out
+	return false
+}
+
+// fetcher checks one read access's shares: envelope checks with
+// reject-and-refetch, and the per-access recovery counters that end up
+// in ReadStats. Each share is asked for once, from its one holder;
+// stragglers are masked by asking other holders for other shares
+// (§4.3.3), not by asking again.
+type fetcher struct {
+	c          *Client
+	name       string
+	blockBytes int64
+
+	corrupt atomic.Int64
+	late    atomic.Int64 // shares that arrived after their chunk decoded or the cancel
+}
+
+// shareData checks a delivered share and returns its payload: an
+// envelope that opens as block idx of segment name to exactly
+// blockBytes. Any other share is ErrCorruptShare — an erasure to the
+// decoder, not a panic in it or wrong bytes out of it.
+func shareData(share []byte, name string, idx int, blockBytes int64) ([]byte, error) {
+	data, err := blockstore.OpenShare(share, name, idx)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptShare, err)
+	}
+	if int64(len(data)) != blockBytes {
+		return nil, fmt.Errorf("%w: %d-byte payload, want %d", ErrCorruptShare, len(data), blockBytes)
+	}
+	return data, nil
+}
+
+// open checks a share, refetching it once through the single-block op
+// when it fails: transit corruption is usually transient, disk
+// corruption is not — one retry tells them apart without letting a
+// rotten server stall the read.
+func (f *fetcher) open(ctx context.Context, addr string, store backend, idx int, share []byte) ([]byte, error) {
+	data, err := shareData(share, f.name, idx, f.blockBytes)
+	if err == nil {
+		return data, nil
+	}
+	f.corrupt.Add(1)
+	f.c.m.readCorruptShares.Inc()
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, errors.Join(err, cerr)
+	}
+	share, gerr := store.Get(ctx, f.name, idx)
+	f.c.reportOutcome(addr, gerr)
+	if gerr != nil {
+		return nil, errors.Join(err, gerr)
+	}
+	if data, err = shareData(share, f.name, idx, f.blockBytes); err != nil {
+		f.corrupt.Add(1)
+		f.c.m.readCorruptShares.Inc()
+		return nil, err
+	}
+	return data, nil
 }
 
 // ReadAt reconstructs length bytes starting at offset. LT codes are

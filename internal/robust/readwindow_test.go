@@ -32,34 +32,57 @@ func (s countingStore) GetStream(ctx context.Context, segment string, indices []
 	return localBackend{s.MemStore}.GetStream(ctx, segment, indices, deliver)
 }
 
+// inflight counts shares requested and not yet delivered, and the most
+// there were at once since its last reset.
+type inflight struct {
+	mu        sync.Mutex
+	now, peak int
+}
+
+func (f *inflight) add(d int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.now += d
+	f.peak = max(f.peak, f.now)
+}
+
+func (f *inflight) reset() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.peak = f.now
+}
+
+func (f *inflight) max() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.peak
+}
+
 // probeStore is an in-memory backend that records every GetStream
-// call's indices, in arrival order, and the most shares it ever had
-// requested and not yet delivered. hold, when set, runs before a call
-// is served and can gate it. A stalled probe serves nothing until the
-// call's context is canceled and then delivers every share anyway, as
-// a server that shipped them before the cancel landed.
+// call's indices, in arrival order, and counts the shares it has
+// requested and not yet delivered in all, which the stores of one
+// client share. hold, when set, runs before a call is served and can
+// gate it. A stalled probe serves nothing until the call's context is
+// canceled and then delivers every share anyway, as a server that
+// shipped them before the cancel landed.
 type probeStore struct {
 	countingStore
 	hold    func(ctx context.Context)
 	stalled bool
+	all     *inflight
 
-	mu          sync.Mutex
-	calls       [][]int
-	outstanding int
-	peak        int
+	mu    sync.Mutex
+	calls [][]int
 }
 
 func (p *probeStore) GetStream(ctx context.Context, segment string, indices []int, deliver func(int, []byte, error)) error {
 	p.requested.Add(int64(len(indices)))
 	p.mu.Lock()
 	p.calls = append(p.calls, slices.Clone(indices))
-	p.outstanding += len(indices)
-	p.peak = max(p.peak, p.outstanding)
 	p.mu.Unlock()
+	p.all.add(len(indices))
 	delivered := func(idx int, data []byte, err error) {
-		p.mu.Lock()
-		p.outstanding--
-		p.mu.Unlock()
+		p.all.add(-1)
 		deliver(idx, data, err)
 	}
 	if p.hold != nil {
@@ -82,7 +105,8 @@ func (p *probeStore) recorded() [][]int {
 }
 
 // newProbeClient builds a client over n probe stores, addressed
-// probe-00, probe-01, ... and sharing one requested-shares count.
+// probe-00, probe-01, ... and sharing one requested-shares count and
+// one in-flight count.
 func newProbeClient(t *testing.T, n int, opts Options) (*Client, map[string]*probeStore, *atomic.Int64) {
 	t.Helper()
 	meta := metadata.NewService()
@@ -91,10 +115,11 @@ func newProbeClient(t *testing.T, n int, opts Options) (*Client, map[string]*pro
 		t.Fatal(err)
 	}
 	requested := new(atomic.Int64)
+	all := &inflight{}
 	stores := make(map[string]*probeStore, n)
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("probe-%02d", i)
-		stores[addr] = &probeStore{countingStore: countingStore{blockstore.NewMemStore(), requested}}
+		stores[addr] = &probeStore{countingStore: countingStore{blockstore.NewMemStore(), requested}, all: all}
 		if err := c.AttachStore(addr, stores[addr]); err != nil {
 			t.Fatal(err)
 		}
@@ -114,33 +139,73 @@ func checkReadAccounting(t *testing.T, stats ReadStats, requested int64) {
 	}
 }
 
-// stripes deals a holder's shares to its read pipelines the way
-// readLocked does: share i to pipeline i mod pipelines.
-func stripes(indices []int, pipelines int) [][]int {
-	out := make([][]int, pipelines)
-	for i, idx := range indices {
-		out[i%pipelines] = append(out[i%pipelines], idx)
+func TestReadNeed(t *testing.T) {
+	tests := []struct {
+		name                string
+		k, budget, resolved int
+		want                int
+	}{
+		{"start: K plus the planned overhead", 32, 4, 0, 39},
+		{"start: at K = 16", 16, 0, 0, 20},
+		{"floor: the byte budget covers more", 16, 64, 0, 64},
+		{"floor holds while the decoder is within it", 16, 64, 20, 64},
+		{"growth: short after the need resolved", 32, 4, 39, 46},
+		{"growth: short past the floor", 16, 64, 64, 68},
+		{"growth again", 32, 4, 46, 53},
 	}
-	return out
+	for _, tt := range tests {
+		if got := readNeed(tt.k, tt.budget, tt.resolved); got != tt.want {
+			t.Errorf("%s: readNeed(%d, %d, %d) = %d, want %d", tt.name, tt.k, tt.budget, tt.resolved, got, tt.want)
+		}
+	}
+	budgets := []struct {
+		blockBytes   int64
+		chunks, want int
+	}{
+		{256 << 10, 1, 4},
+		{16 << 10, 1, 64},
+		{16 << 10, 3, 22}, // one budget over the read: ceil(64 / 3) per chunk
+		{4 << 20, 1, 0},
+	}
+	for _, tt := range budgets {
+		if got := readBudget(tt.blockBytes, tt.chunks); got != tt.want {
+			t.Errorf("readBudget(%d, %d) = %d, want %d", tt.blockBytes, tt.chunks, got, tt.want)
+		}
+	}
 }
 
-func TestReadWindowCapsBytesPerHolder(t *testing.T) {
-	// With 256 KiB shares a read asks each holder for at most
-	// readWindowBytes of shares at a time, however many it holds.
+func TestReadKeepsTheNeedInFlight(t *testing.T) {
+	// A read asks for about as many shares as the decoder needs, over
+	// all its holders together: with 256 KiB shares over 16 holders no
+	// more than the need (plus one share per probe past a late holder)
+	// is ever requested and undelivered at once, though every holder
+	// holds more. The holders serve their calls in waves held 20ms, so
+	// shares arrive in bursts.
 	reg := obs.NewRegistry()
-	c, stores, requested := newProbeClient(t, 4, Options{BlockBytes: 256 << 10, Obs: reg})
-	ctx := context.Background()
-	data := randData(8<<20, 41) // K=32, 128 shares over 4 holders
+	c, stores, requested := newProbeClient(t, 16, Options{BlockBytes: 256 << 10, Obs: reg})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a failure cannot hang
+	defer cancel()
+	data := randData(8<<20, 41) // K=32, 128 shares over 16 holders
 	if _, err := c.Write(ctx, "big", data, nil); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := c.meta.LookupSegment("big")
-	if err != nil {
-		t.Fatal(err)
+	g := newGate(ctx, 20*time.Millisecond)
+	var all *inflight
+	for _, p := range stores {
+		all = p.all
+		p.hold = func(ctx context.Context) {
+			select {
+			case <-g.join():
+			case <-ctx.Done():
+			}
+		}
 	}
+	need := readNeed(32, readBudget(256<<10, 1), 0)
+	probesSent := func() int { return int(reg.Snapshot().Counters["robust_read_speculative_total"]) }
 	lateSum := 0
 	for i := 0; i < 4; i++ {
-		before := requested.Load()
+		before, probesBefore := requested.Load(), probesSent()
+		all.reset()
 		got, stats, err := c.Read(ctx, "big")
 		if err != nil {
 			t.Fatal(err)
@@ -150,17 +215,10 @@ func TestReadWindowCapsBytesPerHolder(t *testing.T) {
 		}
 		checkReadAccounting(t, stats, requested.Load()-before)
 		lateSum += stats.Late
-	}
-	for addr, p := range stores {
-		if held := len(seg.Placement[addr]); held*int(seg.Coding.BlockBytes) <= readWindowBytes {
-			continue // too few shares to test the cap
-		}
-		p.mu.Lock()
-		peak := p.peak
-		p.mu.Unlock()
-		if bytes := int64(peak) * seg.Coding.BlockBytes; bytes > readWindowBytes {
-			t.Errorf("%s had %d shares (%d bytes) requested and undelivered at once, cap %d bytes",
-				addr, peak, bytes, readWindowBytes)
+		probes := probesSent() - probesBefore
+		if peak := all.max(); peak > need+probes {
+			t.Errorf("read %d had %d shares requested and undelivered at once; the need is %d and %d probes were sent",
+				i, peak, need, probes)
 		}
 	}
 	if got := reg.Snapshot().Counters["robust_read_late_shares_total"]; got != int64(lateSum) {
@@ -169,13 +227,11 @@ func TestReadWindowCapsBytesPerHolder(t *testing.T) {
 }
 
 func TestSmallShareReadWindowsUnchanged(t *testing.T) {
-	// With 16 KiB shares the byte cap allows more than batchBlocks
-	// shares per pipeline, so every pipeline walks its stripe in
-	// windows of batchBlocks shares, exactly as before the cap. Every
-	// holder is gated until each pipeline's first window has arrived,
-	// so the first wave is exact; later windows depend on when the
-	// decode completes, and each must be its pipeline's next one.
-	const pipelines, run = perServerParallel, batchBlocks
+	// With 16 KiB shares the byte budget covers 64 shares, more than
+	// the decoder needs, so a read's first wave asks at once for every
+	// placed share the budget covers, one run per worker: cheap
+	// insurance against a stalled holder. Every holder is gated until
+	// that first wave has arrived, so it is exact.
 	c, stores, _ := newProbeClient(t, 2, Options{BlockBytes: 16 << 10})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a failure cannot hang
 	defer cancel()
@@ -187,33 +243,20 @@ func TestSmallShareReadWindowsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The windows each pipeline would request, in order.
-	want := map[string][][][]int{}
-	firstWave := 0
-	for addr, indices := range seg.Placement {
-		for _, stripe := range stripes(indices, pipelines) {
-			var wins [][]int
-			for lo := 0; lo < len(stripe); lo += run {
-				wins = append(wins, stripe[lo:min(lo+run, len(stripe))])
-			}
-			if len(wins) > 0 {
-				firstWave++
-			}
-			want[addr] = append(want[addr], wins)
-		}
-	}
-	if firstWave == 0 {
-		t.Fatal("no holder has a share")
-	}
-	placed := 0
+	covered, placed := 0, 0 // what a first wave of one run per worker can ask for
 	for _, indices := range seg.Placement {
+		covered += min(len(indices), perServerParallel*batchBlocks)
 		placed += len(indices)
 	}
-	arrived := make(chan struct{}, placed) // a read makes at most one call per share, so no send blocks
+	want := min(readBudget(seg.Coding.BlockBytes, 1), covered)
+	// Shares asked for, per arriving call. A read makes at most one
+	// call per share, so no send blocks.
+	asked := make(chan int, placed)
 	gate := make(chan struct{})
 	for _, p := range stores {
 		p.hold = func(ctx context.Context) {
-			arrived <- struct{}{}
+			calls := p.recorded()
+			asked <- len(calls[len(calls)-1])
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -229,12 +272,40 @@ func TestSmallShareReadWindowsUnchanged(t *testing.T) {
 		got, _, err := c.Read(ctx, "small")
 		done <- result{got, err}
 	}()
-	for i := 0; i < firstWave; i++ {
+	for wave := 0; wave < want; {
 		select {
-		case <-arrived:
+		case n := <-asked:
+			wave += n
 		case r := <-done:
-			t.Fatalf("read ended (%v) after %d of the %d first-wave calls", r.err, i, firstWave)
+			t.Fatalf("read ended (%v) after its first wave asked for %d of %d shares", r.err, wave, want)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the first wave asked for %d of %d shares and no more came", wave, want)
 		}
+	}
+	// Every worker with a first run is inside its call now, so the
+	// calls recorded are the whole first wave: exactly the shares the
+	// budget covers, each asked for once, of its own holder, at most a
+	// run per call.
+	seen := make(map[int]bool)
+	for addr, p := range stores {
+		held := make(map[int]bool)
+		for _, idx := range seg.Placement[addr] {
+			held[idx] = true
+		}
+		for _, call := range p.recorded() {
+			if len(call) > batchBlocks {
+				t.Errorf("%s was asked for %d shares in one call, more than a run of %d", addr, len(call), batchBlocks)
+			}
+			for _, idx := range call {
+				if !held[idx] || seen[idx] {
+					t.Errorf("%s was asked for share %d (held there: %v, asked before: %v)", addr, idx, held[idx], seen[idx])
+				}
+				seen[idx] = true
+			}
+		}
+	}
+	if len(seen) != want {
+		t.Errorf("the first wave asked for %d shares, want the %d the budget covers", len(seen), want)
 	}
 	close(gate)
 	r := <-done
@@ -243,36 +314,6 @@ func TestSmallShareReadWindowsUnchanged(t *testing.T) {
 	}
 	if !bytes.Equal(r.data, data) {
 		t.Fatal("data mismatch")
-	}
-	for addr, p := range stores {
-		busy := 0 // pipelines with a first window
-		for _, wins := range want[addr] {
-			if len(wins) > 0 {
-				busy++
-			}
-		}
-		calls := p.recorded()
-		if len(calls) < busy {
-			t.Fatalf("%s got %d calls, fewer than its %d pipelines' first windows", addr, len(calls), busy)
-		}
-		next := make([]int, pipelines) // each pipeline's next window
-		for n, call := range calls {
-			matched := -1
-			for w, wins := range want[addr] {
-				if next[w] < len(wins) && slices.Equal(call, wins[next[w]]) {
-					matched = next[w]
-					next[w]++
-					break
-				}
-			}
-			if matched < 0 {
-				t.Fatalf("%s call %d asked for %v, not a pipeline's next window of %d shares (want one of %v)",
-					addr, n, call, run, want[addr])
-			}
-			if n < busy && matched != 0 {
-				t.Fatalf("%s first-wave call %d asked for %v, a pipeline's window %d", addr, n, call, matched)
-			}
-		}
 	}
 }
 

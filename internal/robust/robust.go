@@ -3,16 +3,17 @@
 // spreads coded blocks across heterogeneous storage servers, and
 // reconstructs data from whichever blocks return first.
 //
-// Write is rateless and adaptive (§4.3.2): one worker pipeline per
-// server keeps pushing freshly generated coded blocks at that
-// server's own pace until N blocks have committed globally, then the
-// remaining work is canceled — fast servers naturally absorb more
-// blocks. Read is speculative (§4.3.3): workers fan out GETs to every
-// holder in parallel and the access is complete the moment the
-// incremental peeling decoder recovers all K originals; outstanding
-// requests are canceled through context propagation. Individual
-// server failures, stalls, and missing blocks are tolerated as long
-// as enough blocks survive — that is the point of the architecture.
+// Both directions run on one speculative-access engine (engine.go).
+// Write is rateless and adaptive (§4.3.2): workers per server push
+// freshly generated coded blocks at that server's own pace until N
+// blocks have committed globally, then the remaining work is canceled
+// — fast servers naturally absorb more blocks. Read is speculative
+// (§4.3.3): workers ask the holders for about as many shares as the
+// decoder needs, probe past a late holder, and the access is complete
+// the moment the incremental decoder recovers all K originals;
+// outstanding requests are canceled through context propagation.
+// Server failures, stalls, and missing blocks are tolerated as long as
+// enough blocks survive — that is the point of the architecture.
 package robust
 
 import (
@@ -92,7 +93,7 @@ type Options struct {
 	// checks.
 	Obs *obs.Registry
 	// Health, when non-nil, receives per-server request outcomes (one
-	// per write run or read window; the transport reports none, so
+	// per write or read run; the transport reports none, so
 	// this client is the detector's only data-path source) and
 	// vetoes placement: servers it reports Excluded are dropped from
 	// write target sets, read fan-outs, and repair re-placement.
@@ -121,9 +122,8 @@ const (
 	// segment records them in its metadata.Coding, and reads, Update
 	// and Repair build the graph from the record, not from these.
 	ltC, ltDelta = 1.0, 0.1
-	// perServerParallel is the number of worker pipelines per server
-	// during reads and writes. Each pipeline has one request in flight:
-	// a write run, or a read window of shares.
+	// perServerParallel is the number of engine workers per server
+	// during reads and writes, each with one run in flight.
 	perServerParallel = 2
 	// graphSlack is the number of extra coded blocks generated per
 	// server beyond N. A write claims no more than N, so the slack
@@ -135,15 +135,9 @@ const (
 	// overhead with margin, or a degraded segment could be undecodable
 	// the moment one more block drops.
 	degradedFloor = 0.75
-	// batchBlocks is the most coded blocks moved per store call on the
-	// hot paths: write workers claim runs of up to batchBlocks indices
-	// and ship each run as one streaming put, and each read pipeline
-	// fetches windows of up to batchBlocks shares as one streaming get.
-	// A read keeps at most readWindowBytes of shares requested per
-	// holder across its pipelines (but always one share per pipeline),
-	// so windows of large shares are smaller: 16 shares up to 32 KiB
-	// blocks, 2 at 256 KiB, 1 at 1 MiB. A store that moves one block
-	// per call gets runs and windows of one (AttachStore).
+	// batchBlocks is the longest run, the most coded blocks one store
+	// call moves on the hot paths (one streaming put or get). A store
+	// that moves one block per call gets runs of one (AttachStore).
 	batchBlocks = 16
 )
 
@@ -254,7 +248,7 @@ func (c *Client) Meta() metadata.API { return c.meta }
 // server. This is the one place the client looks at what a store can
 // do: a store with the streaming methods is used as is, any other is
 // adapted to them (see backend), and a store that moves one block per
-// call gets write runs and read windows of one block.
+// call gets runs of one block.
 func (c *Client) AttachStore(addr string, store blockstore.Store) error {
 	if addr == "" || store == nil {
 		return fmt.Errorf("robust: AttachStore needs an address and a store")
@@ -302,8 +296,7 @@ func (c *Client) attachment(addr string) (attached, bool) {
 	return a, ok
 }
 
-// attached is one attached store: its backend and its run length, the
-// coded blocks per write run and per read window.
+// attached is one attached store: its backend and its run length.
 type attached struct {
 	backend
 	run int
@@ -529,24 +522,6 @@ func (c *Client) cachedGraph(coding metadata.Coding) (*ltcode.Graph, error) {
 	c.graphs[key] = g
 	c.graphMu.Unlock()
 	return g, nil
-}
-
-// batchOutcome condenses a run's or window's per-entry errors into the
-// one outcome reported to the failure detector: any successful entry
-// proves the server answered, and among failures a non-cancellation
-// error is preferred (reportOutcome treats cancellations as
-// signal-free).
-func (c *Client) batchOutcome(errs []error) error {
-	var out error
-	for _, e := range errs {
-		if e == nil {
-			return nil
-		}
-		if out == nil || errors.Is(out, context.Canceled) || errors.Is(out, context.DeadlineExceeded) {
-			out = e
-		}
-	}
-	return out
 }
 
 // WriteStats reports one write access.

@@ -2,6 +2,7 @@ package robust
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,17 +44,18 @@ func TestLate(t *testing.T) {
 		run    runView
 		self   time.Duration
 		late   bool
-		wakeAt time.Time // when not late
+		wakeAt time.Time // when it stalls; zero once it has
 	}{
 		{
 			// One ack after 50 ms, three entries left: it finishes
 			// 150 ms after its last ack, and the idle worker lands a
-			// share in 10 ms.
-			name: "late run",
-			now:  t0.Add(51 * ms),
-			run:  runView{claimed: t0, lastAck: t0.Add(50 * ms), acked: 1, left: 3},
-			self: 10 * ms,
-			late: true,
+			// share in 10 ms. It stalls 100 ms after its last ack.
+			name:   "late run",
+			now:    t0.Add(51 * ms),
+			run:    runView{claimed: t0, lastAck: t0.Add(50 * ms), acked: 1, left: 3},
+			self:   10 * ms,
+			late:   true,
+			wakeAt: t0.Add(150 * ms),
 		},
 		{
 			name:   "on-pace run",
@@ -106,6 +108,14 @@ func TestLate(t *testing.T) {
 			late: true,
 		},
 		{
+			// Acks 10µs apart wait on the client's scheduler, not on a
+			// server: the run is judged at lateFloor per entry.
+			name:   "time per entry below the floor",
+			now:    t0.Add(ms),
+			run:    runView{claimed: t0, lastAck: t0.Add(10 * time.Microsecond), acked: 1, left: 3},
+			wakeAt: t0.Add(10*time.Microsecond + 2*lateFloor),
+		},
+		{
 			name: "nothing to judge by",
 			now:  t0.Add(time.Second),
 			run:  runView{claimed: t0, left: 2},
@@ -134,42 +144,38 @@ func TestLate(t *testing.T) {
 func TestIdleWorkerWatchesEveryRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	servers := []spreadServer{{addr: "fast", live: perServerParallel}, {addr: "stalled", live: perServerParallel}}
+	servers := []spreadServer{{addr: "fast"}, {addr: "stalled"}}
 	n := len(servers) * perServerParallel
-	sp := newSpread(ctx, cancel, spreadPlan{n: n, graphN: 2 * n}, servers, n, 0)
-	workers := make([]spreadWorker, 0, n)
-	for w := 0; w < perServerParallel; w++ {
-		for slot := range servers {
-			workers = append(workers, spreadWorker{slot: slot, maxRun: 1})
+	sp := newSpread(ctx, cancel, spreadPlan{n: n, graphN: 2 * n}, servers, []attached{{run: 1}, {run: 1}}, n, 0)
+	e := sp.e
+	e.deal()
+	for i := range e.workers {
+		if w := &e.workers[i]; len(w.indices) != 1 {
+			t.Fatalf("worker %d claimed %v, want one index", i, w.indices)
 		}
 	}
-	for i := range workers {
-		if !sp.take(&workers[i], false) || len(workers[i].indices) != 1 {
-			t.Fatalf("worker %d claimed %v, want one index", i, workers[i].indices)
+	for i := range e.workers {
+		if w := &e.workers[i]; w.slot == 0 {
+			e.ack(&w.run, w.indices[0], 1024, nil)
+			e.finish(&w.run)
 		}
 	}
-	for i := range workers {
-		if w := &workers[i]; w.slot == 0 {
-			sp.ack(&w.run, w.indices[0], 1024, nil)
-			sp.finish(&w.run)
-		}
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if r, at := sp.lateRun(0, time.Now()); r == nil && at.IsZero() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if r, at := e.lateRun(0, time.Now()); r == nil && at.IsZero() {
 		t.Fatal("idle worker has neither a late run nor a moment to wake")
 	}
 	probed := 0
 	for {
-		r, at := sp.lateRun(0, time.Now().Add(time.Hour))
+		r, at := e.lateRun(0, time.Now().Add(time.Hour))
 		if r == nil {
 			if !at.IsZero() {
 				t.Fatalf("an hour on, a run is still not late (wake at %v)", at)
 			}
 			break
 		}
-		if r.server != 1 {
-			t.Fatalf("probe past a run on server %d", r.server)
+		if r.slot != 1 {
+			t.Fatalf("probe past a run on server %d", r.slot)
 		}
 		r.covered++ // as the probe past it would
 		probed++
@@ -360,5 +366,35 @@ func TestWriteSpeculatesPastStalledServer(t *testing.T) {
 	}
 	if string(got) != string(data) {
 		t.Fatal("read differs from the written data")
+	}
+}
+
+// A write whose only accepting server stalls and whose other servers
+// refuse every put fails at once, without waiting for its context:
+// once the others have refused every index and the stalled server's
+// runs have stalled, no worker can ever claim again.
+func TestWriteFailsPastStalledAndRefusingServers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	meta := metadata.NewService()
+	c, err := NewClient(meta, Options{BlockBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		addr := fmt.Sprintf("store-%02d", i)
+		var st blockstore.Store = newCapStore(0) // refuses every put
+		if i == 0 {
+			st = &stalledStore{Store: blockstore.NewMemStore(), held: make(chan struct{})}
+		}
+		if err := c.AttachStore(addr, st); err != nil {
+			t.Fatal(err)
+		}
+		meta.RegisterServer(metadata.Server{Addr: addr})
+	}
+	start := time.Now()
+	_, err = c.Write(ctx, "doomed", randData(4096, 23), nil)
+	if took := time.Since(start); !errors.Is(err, ErrShortWrite) || took >= time.Second {
+		t.Fatalf("write returned %v after %v; want ErrShortWrite in under 1s", err, took)
 	}
 }

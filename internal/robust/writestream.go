@@ -18,19 +18,15 @@ import (
 )
 
 // WriteFrom stores size bytes read from r as an erasure-coded
-// segment, like Write, but pipelined: with ChunkBytes set the input
-// is consumed in fixed-size chunks, and each chunk is LT-encoded and
-// ratelessly spread while the reader is already filling the buffer
-// for the next one — so encode, network send, and ingest overlap,
-// the first block commits after one chunk of input, and peak client
-// buffering is O(ChunkBytes), not O(size). A negative size reads r
+// segment, like Write, but pipelined: with ChunkBytes set each
+// fixed-size chunk is LT-encoded and ratelessly spread while the reader
+// fills the next, so the first block commits after one chunk of input
+// and peak client buffering is O(ChunkBytes). A negative size reads r
 // to EOF; otherwise exactly size bytes are consumed and a short read
 // fails the write. With ChunkBytes unset the whole input is buffered
-// and written as a one-chunk segment.
-//
-// The write commits to metadata only after every chunk reaches its
-// durability target; on failure all placed blocks are deleted
-// (best-effort) so no partial chunks are orphaned.
+// and written as one chunk. The write commits to metadata only after
+// every chunk reaches its durability target; on failure all placed
+// blocks are deleted (best-effort).
 func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size int64, servers []string) (WriteStats, error) {
 	chunk := c.opts.ChunkBytes
 	if chunk <= 0 {
@@ -132,11 +128,9 @@ func (c *Client) WriteFrom(ctx context.Context, name string, r io.Reader, size i
 // consumes chunks from next (io.EOF ends the stream), encodes and
 // ratelessly spreads each one, and commits the segment record once
 // every chunk has reached its durability target. recycle, when
-// non-nil, hands a chunk buffer back to the producer as soon as its
-// bytes have been copied into coding blocks. size is the declared
-// total (negative when unknown). On any failure every block placed so
-// far is deleted best-effort before returning, so a failed write
-// leaves neither metadata nor orphaned partial chunks.
+// non-nil, hands a chunk buffer back once its bytes are copied into
+// coding blocks. size is the declared total (negative: unknown). On
+// any failure every placed block is deleted best-effort first.
 func (c *Client) writeSegment(ctx context.Context, name string, size int64, next func() ([]byte, error), recycle func([]byte), servers []string) (stats WriteStats, err error) {
 	start := time.Now()
 	tr := c.obs.StartTrace("write", name)
@@ -210,10 +204,9 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		}
 	}
 	cleanup := func() {
-		// The write failed and nothing reached metadata: scrub the
-		// partial spread so no orphaned blocks outlive it. Detached
-		// context — the write may be failing precisely because ctx is
-		// canceled — and best-effort: the scrubber backstops leftovers.
+		// The write failed and nothing reached metadata: delete the
+		// partial spread, best-effort, on a detached context (ctx may
+		// be why it failed); the scrubber backstops leftovers.
 		dctx, dcancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 		defer dcancel()
 		_ = c.deletePlacement(dctx, name, placed)
@@ -262,15 +255,17 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 		if tr != nil {
 			tr.Stagef("plan", "chunk=%d K=%d N=%d graphN=%d servers=%d", ci, k, n, graphN, len(servers))
 		}
-		res := c.spreadChunk(ctx, tr, name, servers, spreadPlan{
+		sp := c.spreadChunk(ctx, tr, name, servers, spreadPlan{
 			base: ci * stride, n: n, graphN: graphN, blocks: blocks, graph: graph,
 		}, onFirst)
-		stats.Committed += res.committed
-		stats.BytesSent += res.bytesSent
-		stats.FailedPuts += res.failed
-		probes += res.probes
-		for addr, idx := range res.placed {
-			placed[addr] = append(placed[addr], idx...)
+		stats.Committed += sp.committed
+		stats.BytesSent += sp.bytesSent
+		stats.FailedPuts += sp.failedPuts
+		probes += sp.e.probes
+		for _, srv := range sp.servers {
+			if len(srv.placed) > 0 {
+				placed[srv.addr] = append(placed[srv.addr], srv.placed...)
+			}
 		}
 		totK += k
 		totN += n
@@ -278,24 +273,20 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 			cleanup()
 			return stats, cerr
 		}
-		if res.committed < n {
+		if sp.committed < n {
 			// Graceful degradation (opt-in): commit what survived when
-			// it still clears the degraded floor — comfortably above
-			// the LT decode threshold — rather than discarding a
-			// recoverable chunk because some servers were down. The
-			// floor holds per chunk: each chunk must stay independently
-			// decodable. The floor is a count, and a set of shares
-			// above it can still miss an original, so the committed
-			// shares must also decode.
-			if !c.opts.DegradedWrites || res.committed < degradedBlocks(k) {
+			// it clears the degraded floor, comfortably above the LT
+			// decode threshold, and decodes. The floor holds per chunk:
+			// each chunk must stay independently decodable.
+			if !c.opts.DegradedWrites || sp.committed < degradedBlocks(k) {
 				cleanup()
 				return stats, fmt.Errorf("%w: %d of %d (%d puts failed)",
-					ErrShortWrite, res.committed, n, res.failed)
+					ErrShortWrite, sp.committed, n, sp.failedPuts)
 			}
-			if !decodes(graph, ci*stride, res.placed) {
+			if !sp.decodes(graph) {
 				cleanup()
 				return stats, fmt.Errorf("%w: the %d committed blocks of %d do not decode (%d puts failed)",
-					ErrShortWrite, res.committed, n, res.failed)
+					ErrShortWrite, sp.committed, n, sp.failedPuts)
 			}
 			degraded = true
 		}
@@ -343,13 +334,6 @@ func (c *Client) writeSegment(ctx context.Context, name string, size int64, next
 	return stats, nil
 }
 
-// spreadBackoffMin and spreadBackoffMax bound how long a write worker
-// whose whole run failed waits before claiming more work.
-const (
-	spreadBackoffMin = time.Millisecond
-	spreadBackoffMax = 8 * time.Millisecond
-)
-
 // spreadPlan is one chunk's coding work handed to the rateless engine.
 type spreadPlan struct {
 	base   int // first global coded index of this chunk
@@ -359,47 +343,29 @@ type spreadPlan struct {
 	graph  *ltcode.Graph
 }
 
-// spreadResult is what one chunk's spread produced.
-type spreadResult struct {
-	committed int
-	bytesSent int64
-	failed    int
-	probes    int              // one-share probes sent past a late run
-	placed    map[string][]int // global indices per server
-}
-
-// spreadChunk runs the rateless speculative spread (§4.3.2) for one
-// chunk and stops at N. Each worker claims what the commit target
-// still needs, at most one equal run of ceil(N / workers) indices:
-// queued retries first, then fresh indices off the cursor. A worker
-// with nothing to claim sends a one-share probe only past a run that
-// is late by this write's own ack times (see late), and otherwise
-// waits. An index whose put fails goes to a shared retry queue so
-// another server picks it up, bounded by a failure budget; an index
-// every live server has refused is dropped, and the spread ends when
-// nothing is left to claim, in flight or queued. Indices travel the
-// wire and land in the placement as p.base+local. Each run goes to its
-// server as one PutStream with per-entry acks.
-func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, servers []string, p spreadPlan, onFirstCommit func(addr string)) spreadResult {
+// spreadChunk runs the rateless speculative spread (§4.3.2) of one
+// chunk on the engine (see spread) and returns it once it is over: N
+// committed, or nothing left to claim or in flight, or stuck. Indices
+// travel the wire and land in the placement as p.base+local; each run
+// goes to its server as one PutStream with per-entry acks.
+func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, servers []string, p spreadPlan, onFirstCommit func(addr string)) *spread {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// The share cap is a fraction of the commit target n, not of the
-	// (larger) graph: capping against graphN lets a fast server absorb
-	// share·graphN of the n committed blocks, which under adversarial
-	// scheduling concentrates the segment on fewer holders than the
-	// placement-diversity option promises and can make the loss of two
-	// servers unrecoverable.
+	// larger graph, which would let a fast server absorb share·graphN
+	// of the n committed blocks: fewer holders than the placement
+	// diversity option promises.
 	perServerCap := p.graphN
 	if c.opts.MaxServerShare > 0 {
 		perServerCap = max(int(math.Ceil(c.opts.MaxServerShare*float64(p.n))), 1)
 	}
-	// The zone cap is the same reservation discipline one level up:
-	// servers in the same failure domain share one count, so no zone
-	// can absorb more than ceil(MaxZoneShare·n) of the committed shares
-	// no matter how the speculative race lands.
+	// The zone cap is the same one level up: servers in one failure
+	// domain share one count.
 	slots := make([]spreadServer, len(servers))
+	atts := make([]attached, len(servers))
 	for i, addr := range servers {
-		slots[i] = spreadServer{addr: addr, live: perServerParallel}
+		slots[i] = spreadServer{addr: addr}
+		atts[i], _ = c.attachment(addr)
 	}
 	perZoneCap := 0
 	if c.opts.MaxZoneShare > 0 {
@@ -417,142 +383,86 @@ func (c *Client) spreadChunk(ctx context.Context, tr *obs.Trace, name string, se
 			slots[i].zone = zoneCounts[z]
 		}
 	}
-	sp := newSpread(wctx, cancel, p, slots, perServerCap, perZoneCap)
-	// Every worker's first run is claimed before any worker starts, off
-	// the cursor in this order: each server's first pipeline, then each
-	// server's second. So a server's two runs lie apart in the index
-	// space, and the first shares a read gets from each holder are
-	// consecutive ones, which on uniform-coverage graphs cover disjoint
-	// originals.
-	atts := make([]attached, len(servers))
-	for slot, addr := range servers {
-		atts[slot], _ = c.attachment(addr)
-	}
-	workers := make([]spreadWorker, 0, perServerParallel*len(servers))
-	for w := 0; w < perServerParallel; w++ {
-		for slot, a := range atts {
-			workers = append(workers, spreadWorker{slot: slot, maxRun: a.run, indices: make([]int, 0, a.run)})
-		}
-	}
-	for i := range workers {
-		sp.take(&workers[i], false)
-	}
+	sp := newSpread(wctx, cancel, p, slots, atts, perServerCap, perZoneCap)
 	// The first block landing on any server is raced for by the workers.
 	var firstCommit atomic.Bool
 	bufLen := shareBufLen(c.opts.BlockBytes)
 	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(w *spreadWorker) {
-			slot, addr, store, maxRun := w.slot, servers[w.slot], atts[w.slot].backend, w.maxRun
-			run := &w.run
-			defer wg.Done()
-			defer sp.exit(slot)
-			puts := make([]blockstore.BatchPut, 0, maxRun)
-			runErrs := make([]error, maxRun)
-			// Share buffers are leased from the pool once per worker
-			// lifetime and reused across runs — safe because
-			// Store.Put must not retain data — so a warm pool is
-			// touched a handful of times per write, not per block.
-			bufs := make([]*[]byte, 0, maxRun)
-			defer func() {
-				for _, b := range bufs {
-					putShareBuf(b)
-				}
-			}()
-			var (
-				runOK   bool // some entry of the current run committed
-				backoff time.Duration
-			)
-			// acked resolves one entry. PutStream delivers acks one
-			// at a time and completes them before returning.
-			acked := func(j int, e error) {
-				runErrs[j] = e
-				ok, reached := sp.ack(run, puts[j].Index-p.base, len(puts[j].Data), e)
-				if !ok {
-					return
-				}
-				runOK = true
-				if !firstCommit.Swap(true) {
-					onFirstCommit(addr)
-				}
-				if reached {
-					tr.Stage("commit-target")
-				}
+	sp.e.start(&wg, func(w *worker) {
+		addr, store, maxRun := servers[w.slot], atts[w.slot].backend, w.maxRun
+		run := &w.run
+		puts := make([]blockstore.BatchPut, 0, maxRun)
+		// Share buffers are leased once per worker and reused across
+		// runs: Store.Put must not retain data.
+		bufs := make([]*[]byte, 0, maxRun)
+		defer func() {
+			for _, b := range bufs {
+				putShareBuf(b)
 			}
-			for {
-				if wctx.Err() != nil {
-					return
-				}
-				if len(w.indices) == 0 && !sp.take(w, true) {
-					return
-				}
-				// Encode the run into this worker's leased buffers.
-				for len(bufs) < len(w.indices) {
-					bufs = append(bufs, getShareBuf(bufLen))
-				}
-				puts = puts[:0]
-				for bi, i := range w.indices {
-					puts = append(puts, blockstore.BatchPut{
-						Index: p.base + i,
-						Data:  encodeShareInto(*bufs[bi], name, p.base, p.graph, i, p.blocks),
-					})
-				}
-				runOK = false
-				if serr := store.PutStream(wctx, name, puts, acked); serr != nil {
-					// Nothing was acked: every entry goes back to the
-					// re-route for a healthier server.
-					for j := range puts {
-						acked(j, serr)
-					}
-				}
-				// One health outcome per run.
-				c.reportOutcome(addr, c.batchOutcome(runErrs[:len(puts)]))
-				sp.finish(run)
-				w.indices = w.indices[:0]
-				// A server failing whole runs — dead, refusing, or
-				// erroring every put — would otherwise re-claim work
-				// as fast as it fails and burn the chunk's failure
-				// budget before slower healthy servers commit.
-				// Exponential backoff, reset by any commit, keeps its
-				// share of the budget small; the re-queued indices go
-				// to other workers meanwhile.
-				if runOK {
-					backoff = 0
-					continue
-				}
-				backoff = min(max(2*backoff, spreadBackoffMin), spreadBackoffMax)
-				if sleepCtx(wctx, backoff) != nil {
-					return
-				}
+		}()
+		var backoff time.Duration
+		// acked resolves one entry. PutStream delivers acks one at a
+		// time and completes them before returning.
+		acked := func(j int, e error) {
+			reached := sp.e.ack(run, puts[j].Index-p.base, len(puts[j].Data), e)
+			if e != nil {
+				return
 			}
-		}(&workers[i])
-	}
-	wg.Wait()
-
-	res := spreadResult{
-		committed: sp.committed,
-		bytesSent: sp.bytesSent,
-		failed:    sp.failed,
-		probes:    sp.probes,
-		placed:    make(map[string][]int, len(servers)),
-	}
-	for _, srv := range sp.servers {
-		if len(srv.placed) > 0 {
-			res.placed[srv.addr] = srv.placed
+			if !firstCommit.Swap(true) {
+				onFirstCommit(addr)
+			}
+			if reached {
+				tr.Stage("commit-target")
+			}
 		}
-	}
-	return res
+		for wctx.Err() == nil && (len(w.indices) > 0 || sp.e.take(w)) {
+			// Encode the run into this worker's leased buffers.
+			for len(bufs) < len(w.indices) {
+				bufs = append(bufs, getShareBuf(bufLen))
+			}
+			puts = puts[:0]
+			for bi, i := range w.indices {
+				puts = append(puts, blockstore.BatchPut{
+					Index: p.base + i,
+					Data:  encodeShareInto(*bufs[bi], name, p.base, p.graph, i, p.blocks),
+				})
+			}
+			if serr := store.PutStream(wctx, name, puts, acked); serr != nil {
+				// Nothing was acked: every entry goes back to the
+				// re-route for a healthier server.
+				for j := range puts {
+					acked(j, serr)
+				}
+			}
+			out := sp.e.finish(run)
+			c.reportOutcome(addr, out)
+			w.indices = w.indices[:0]
+			// A server failing whole runs — dead, refusing, or
+			// erroring every put — would otherwise re-claim work as
+			// fast as it fails and burn the failure budget before
+			// slower healthy servers commit. Exponential backoff from
+			// 1 to 8 ms, reset by any commit, keeps its share small.
+			if out == nil {
+				backoff = 0
+				continue
+			}
+			backoff = min(max(2*backoff, time.Millisecond), 8*time.Millisecond)
+			if sleepCtx(wctx, backoff) != nil {
+				return
+			}
+		}
+	})
+	wg.Wait()
+	return sp
 }
 
-// decodes reports whether a chunk's committed shares recover all its
-// originals: placed holds their segment-wide indices, base the chunk's
-// first.
-func decodes(graph *ltcode.Graph, base int, placed map[string][]int) bool {
+// decodes reports whether the spread's committed shares recover all
+// the chunk's originals.
+func (s *spread) decodes(graph *ltcode.Graph) bool {
 	dec := ltcode.NewSymbolicDecoder(graph)
-	for _, indices := range placed {
-		for _, i := range indices {
-			dec.Add(i - base)
+	for _, srv := range s.servers {
+		for _, i := range srv.placed {
+			dec.Add(i - s.base)
 		}
 	}
 	return dec.Solve()

@@ -114,25 +114,14 @@ var errClientClosed = errors.New("transport: client closed")
 // and not a caller cancellation).
 var ErrRequestTimeout = errors.New("transport: request timed out")
 
-// roundTrip performs one request/response exchange with no retries —
-// the path for non-idempotent operations (PUT).
-func (c *Client) roundTrip(ctx context.Context, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
-	return c.requestExchange(ctx, false, op, segment, index, payload)
-}
-
-// roundTripIdem performs one exchange for an idempotent operation,
-// retrying transport-level failures up to maxRetries times with
-// capped exponential backoff and full jitter. Server-reported
-// statuses are not failures (they arrived over a healthy exchange)
-// and caller cancellation always wins immediately.
-func (c *Client) roundTripIdem(ctx context.Context, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
-	return c.requestExchange(ctx, true, op, segment, index, payload)
-}
-
-// requestExchange sends one single-op request, retrying it when idem:
-// the header goes out from pooled scratch and the payload as its own
+// roundTrip performs one single-op exchange. Every op but PUT is
+// idempotent and retries transport-level failures up to maxRetries
+// times with capped exponential backoff and full jitter; a
+// server-reported status is not a failure (it arrived over a healthy
+// exchange), and caller cancellation always wins immediately. The
+// header goes out from pooled scratch and the payload as its own
 // chunk, so the payload is never copied into a request body.
-func (c *Client) requestExchange(ctx context.Context, idem bool, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
+func (c *Client) roundTrip(ctx context.Context, op byte, segment string, index int, payload []byte) (byte, []byte, error) {
 	if err := checkRequestHeader(segment, index); err != nil {
 		return 0, nil, err
 	}
@@ -143,10 +132,10 @@ func (c *Client) requestExchange(ctx context.Context, idem bool, op byte, segmen
 	if len(payload) == 0 {
 		chunks = chunks[:1]
 	}
-	if idem {
-		return c.exchangeIdem(ctx, chunks)
+	if op == opPut {
+		return c.exchange(ctx, chunks)
 	}
-	return c.exchange(ctx, chunks)
+	return c.exchangeIdem(ctx, chunks)
 }
 
 // exchangeIdem is the retrying exchange for idempotent requests; the
@@ -275,7 +264,7 @@ func statusToError(status byte, payload []byte) error {
 
 // Ping checks server liveness.
 func (c *Client) Ping(ctx context.Context) error {
-	status, payload, err := c.roundTripIdem(ctx, opPing, "-", 0, nil)
+	status, payload, err := c.roundTrip(ctx, opPing, "-", 0, nil)
 	if err != nil {
 		return err
 	}
@@ -293,7 +282,7 @@ func (c *Client) Put(ctx context.Context, segment string, index int, data []byte
 
 // Get implements blockstore.Store.
 func (c *Client) Get(ctx context.Context, segment string, index int) ([]byte, error) {
-	status, payload, err := c.roundTripIdem(ctx, opGet, segment, index, nil)
+	status, payload, err := c.roundTrip(ctx, opGet, segment, index, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +295,7 @@ func (c *Client) Get(ctx context.Context, segment string, index int) ([]byte, er
 // Delete implements blockstore.Store. Deletes are idempotent
 // (deleting an absent block is not an error), so they retry.
 func (c *Client) Delete(ctx context.Context, segment string, index int) error {
-	status, payload, err := c.roundTripIdem(ctx, opDelete, segment, index, nil)
+	status, payload, err := c.roundTrip(ctx, opDelete, segment, index, nil)
 	if err != nil {
 		return err
 	}
@@ -321,7 +310,7 @@ func (c *Client) Delete(ctx context.Context, segment string, index int) error {
 // one) answers with an error matching blockstore.ErrScrubUnsupported.
 // Scrubs are read-only and idempotent, so they retry.
 func (c *Client) Scrub(ctx context.Context, segment string) ([]int, error) {
-	status, payload, err := c.roundTripIdem(ctx, opScrub, segment, 0, nil)
+	status, payload, err := c.roundTrip(ctx, opScrub, segment, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +322,7 @@ func (c *Client) Scrub(ctx context.Context, segment string) ([]int, error) {
 
 // List implements blockstore.Store.
 func (c *Client) List(ctx context.Context, segment string) ([]int, error) {
-	status, payload, err := c.roundTripIdem(ctx, opList, segment, 0, nil)
+	status, payload, err := c.roundTrip(ctx, opList, segment, 0, nil)
 	if err != nil {
 		return nil, err
 	}

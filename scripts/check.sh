@@ -23,9 +23,10 @@
 #   7. the mux data-path tests under -race, ten times over: many
 #      concurrent GET and PUTSTREAM streams on one connection checked
 #      byte for byte, so a reused read buffer reaching a consumer shows
-#      — and the write-path tests under -race, ten times over: the
-#      claim, probe, retry and degraded-commit paths of a speculative
-#      write, whose workers share one spread's state
+#      — and the speculative-access tests under -race, ten times over:
+#      the claim, probe, retry and degraded-commit paths of a write and
+#      the claim, probe and need-raising paths of a read, whose workers
+#      share one engine's state
 #   8. chaos suite under -race: real client/server pairs through
 #      fault-injection scenarios (stalls, resets, corruption,
 #      degraded writes, repair promotion) and the self-healing
@@ -101,8 +102,8 @@ go test -race -count=1 -timeout 10m \
 echo "==> mux data path under -race, 10 runs (reused read buffers never reach a consumer)"
 go test -race -count=10 -run 'Mux|PutStream|GetStream' ./internal/transport
 
-echo "==> write path under -race, 10 runs (claims, probes, retries, degraded commits)"
-go test -race -count=10 -run 'Write|Spread|Degraded|Speculat' ./internal/robust
+echo "==> speculative access under -race, 10 runs (write and read claims, probes, retries, degraded commits)"
+go test -race -count=10 -run 'Write|Spread|Degraded|Speculat|Read' ./internal/robust
 
 echo "==> chaos suite under -race"
 go test -race -count=1 -timeout 10m -run 'TestChaos' \
